@@ -1,8 +1,8 @@
-//! Micro-benchmark for the engine-backed fleet pipeline: the batched
-//! group-eval path against the retained per-node reference, a serial
-//! vs parallel packing sweep, and the registry-wide cache counters
-//! accumulated across every case (the service-loop picture: one
-//! registry serves all requests).
+//! Micro-benchmark for the engine-backed fleet pipeline: serial vs
+//! sharded generation (i.i.d., episodes, budgeted episodes), a shard
+//! count sweep, and the registry-wide cache counters accumulated
+//! across every case (the service-loop picture: one registry serves
+//! all requests).
 //!
 //! Writes the measured baseline to `BENCH_fleet.json` (pass an output
 //! path as the first argument to override; `--threads 1,2,4` overrides
@@ -28,7 +28,7 @@ fn time_ms(f: impl FnMut()) -> f64 {
 
 /// Thread counts to sweep: powers of two up to the host parallelism.
 /// A 1-thread host degrades to `[1]` — the sweep then records that no
-/// packing measurement was possible rather than a fake speedup.
+/// parallel measurement was possible rather than a fake speedup.
 fn default_sweep(host_threads: usize) -> Vec<usize> {
     let mut sweep = vec![1];
     let mut t = 2;
@@ -60,7 +60,9 @@ fn main() {
     }
 
     // A long-tailed heterogeneous fleet: the fat-node slice is sampled
-    // 8x longer, so hinted packing has actual work to schedule around.
+    // 8x longer. Shards split by node count, so the shard holding the
+    // fat slice carries most of the work; the parallel case records
+    // that imbalance as measured.
     let mut cfg = FleetConfig::taurus_haswell_scaled(128);
     cfg.samples_per_node = 2000;
     cfg.groups[1].samples_per_node = Some(16_000);
@@ -82,15 +84,11 @@ fn main() {
         FleetSim::new(c)
     };
 
-    // Determinism gates before any number is published: the batched
-    // composer (cold and warm-registry), the parallel packing, and the
-    // per-node reference path must all emit identical bytes.
+    // Determinism gates before any number is published: cold and
+    // warm-registry runs and the sharded parallel run must all emit
+    // identical bytes (tests/fleet_golden.rs pins those bytes, and the
+    // fs2-cluster unit tests pin them against a per-node oracle).
     let base = serial.run();
-    let reference = serial.run_reference();
-    assert_eq!(
-        base.samples, reference.samples,
-        "batched fleet diverges from the per-node reference"
-    );
     assert_eq!(
         base.samples,
         serial.run_with(&registry).samples,
@@ -102,11 +100,7 @@ fn main() {
         "parallel fleet diverges from serial"
     );
 
-    // The per-node reference rebuilds its registry per call, exactly as
-    // the historical hot loop did; the batched cases share `registry`.
-    let per_node_ms = time_ms(|| {
-        black_box(serial.run_reference().samples);
-    });
+    // Every timed case shares `registry`, as a resident service would.
     let serial_ms = time_ms(|| {
         black_box(serial.run_with(&registry).samples);
     });
@@ -115,10 +109,9 @@ fn main() {
     });
     let host_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     let speedup = serial_ms / parallel_ms;
-    let speedup_batch = per_node_ms / serial_ms;
 
-    // Thread sweep over the same fleet and shared registry: a real
-    // parallel-vs-serial packing measurement whenever the host has more
+    // Thread (= shard) sweep over the same fleet and shared registry: a
+    // real parallel-vs-serial measurement whenever the host has more
     // than one thread.
     let sweep = sweep_override.unwrap_or_else(|| default_sweep(host_threads));
     let mut sweep_ms: Vec<(usize, f64)> = Vec::with_capacity(sweep.len());
@@ -169,7 +162,7 @@ fn main() {
     let ep_stats = ep_base.episodes.expect("episode stats");
 
     // Budget-arbitrated episode fleet: the tick-synchronous three-phase
-    // pass (propose parallel, arbitrate serial, apply parallel) under a
+    // pass (propose sharded, arbitrate and apply serial) under a
     // binding facility budget. Uniform horizon here — with the fat
     // slice's 16k-tick tail, 87.5 % of the ticks would have only 15
     // active nodes and the arbiter would mostly idle. All 128 nodes
@@ -305,11 +298,10 @@ fn main() {
         // serial path; the speedup number is not meaningful.
         json.push_str(
             "  \"note\": \"single-threaded host: parallel == serial path, \
-             speedup is not a packing measurement\",\n",
+             speedup is not a parallel measurement\",\n",
         );
     }
     json.push_str("  \"cases_ms\": {\n");
-    let _ = writeln!(json, "    \"fleet_generate_per_node\": {per_node_ms:.2},");
     let _ = writeln!(json, "    \"fleet_generate_serial\": {serial_ms:.2},");
     let _ = writeln!(json, "    \"fleet_generate_parallel\": {parallel_ms:.2},");
     let _ = writeln!(json, "    \"fleet_episodes_serial\": {ep_serial_ms:.2},");
@@ -320,7 +312,6 @@ fn main() {
     let _ = writeln!(json, "    \"fleet_budget_serial\": {bu_serial_ms:.2},");
     let _ = writeln!(json, "    \"fleet_budget_parallel\": {bu_parallel_ms:.2}");
     json.push_str("  },\n");
-    let _ = writeln!(json, "  \"speedup_batch_vs_per_node\": {speedup_batch:.2},");
     let _ = writeln!(json, "  \"speedup_parallel_vs_serial\": {speedup:.2},");
     json.push_str("  \"threads_sweep_ms\": {\n");
     for (i, (t, ms)) in sweep_ms.iter().enumerate() {
@@ -434,12 +425,11 @@ fn main() {
         total_samples,
         cfg.groups[1].nodes
     );
-    println!("per-node: {per_node_ms:>9.2} ms  (pre-batching reference)");
-    println!("batched:  {serial_ms:>9.2} ms  ({speedup_batch:.2}x vs per-node)");
+    println!("serial:   {serial_ms:>9.2} ms");
     println!("parallel: {parallel_ms:>9.2} ms  ({host_threads} host threads)");
     println!("speedup:  {speedup:>9.2}x");
     if host_threads == 1 {
-        println!("(single-threaded host: speedup is not a packing measurement)");
+        println!("(single-threaded host: speedup is not a parallel measurement)");
     }
     for (t, ms) in &sweep_ms {
         println!("threads {t}: {ms:>8.2} ms");

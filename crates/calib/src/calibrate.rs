@@ -30,8 +30,8 @@
 //! the CI gate and `BENCH_fleet.json` carry.
 //!
 //! Determinism: the fit is a pure function of `(trace, CalibConfig)`.
-//! `CalibConfig::threads` only sets the evaluation fleet's sweep
-//! threads, which never change `FleetSim` bits.
+//! `CalibConfig::threads` only sets how many shards (one per thread)
+//! the evaluation fleets run in, which never changes `FleetSim` bits.
 
 use crate::profile::{FleetProfile, PSTATE_SETS};
 use crate::trace::{FitTargets, Trace};
@@ -63,9 +63,10 @@ pub struct CalibConfig {
     /// fleet seeds. The whole fit is a pure function of
     /// `(trace, seed)` plus the budget fields.
     pub seed: u64,
-    /// Sweep threads for the evaluation/clone fleets (0 = host
-    /// parallelism). Never changes any fitted parameter or fidelity
-    /// bit — `FleetSim` is thread-invariant.
+    /// Shard threads for the evaluation/clone fleets
+    /// ([`FleetConfig::threads`]; 0 = host parallelism). Never changes
+    /// any fitted parameter or fidelity bit — `FleetSim` is
+    /// thread-invariant.
     pub threads: usize,
     /// NSGA-II population size (>= 2).
     pub individuals: usize,

@@ -5,11 +5,12 @@
 //! *sum* of node draws. This module is the serial heart of the
 //! tick-synchronous three-phase fleet pass: every node first proposes
 //! its 60 s tick from its own deterministic `(seed, node_id)` stream
-//! (parallel), then [`arbitrate`] folds the proposals against the
-//! remaining per-tick budget in node-id order (serial), and the
-//! decisions are applied back to samples (parallel). Because the fold
-//! consumes proposals in a fixed order and touches no RNG, the outcome
-//! is bitwise-identical for any sweep thread count.
+//! (sharded, in parallel), then [`arbitrate`] folds the proposals
+//! against the remaining per-tick budget in node-id order (serial), and
+//! the decisions are applied back to samples (serial, straight into the
+//! run's buffer). Because the fold consumes proposals in a fixed order
+//! and touches no RNG, the outcome is bitwise-identical for any thread
+//! count and shard split.
 //!
 //! Idle floors are **unconditional**: a powered-on node draws its idle
 //! floor whether or not the arbiter admits its proposal (a facility
@@ -44,8 +45,8 @@ impl BudgetPolicy {
 }
 
 /// One node's proposed tick stream plus its unconditional floor draw.
-/// Proposals are stored as two parallel columns so an unbudgeted fleet
-/// can move `watts` straight into its sample output with zero copies.
+/// Proposals are stored as two parallel columns, so an unbudgeted fleet
+/// copies `watts` into its sample output as it is.
 /// The node emits exactly `watts.len()` samples (its horizon); under
 /// [`BudgetPolicy::Defer`] the cursor into the stream can lag behind
 /// the tick index.

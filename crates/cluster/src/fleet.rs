@@ -13,17 +13,22 @@
 //! [`crate::episodes`], which adds dwell times, ramps and hand-backs
 //! to the idle floor — the time correlation real traces show.
 //!
-//! Generation is a tick-synchronous three-phase pass: (1) **propose** —
-//! every node draws its full tick stream from its own `(seed, node_id)`
-//! RNG stream, fanned out over [`fs2_core::Engine::sweep_hinted`] with
-//! per-node size hints; (2) **arbitrate** — when
-//! [`FleetConfig::budget_w`] is set, a serial node-id-ordered fold
-//! ([`crate::budget`]) admits proposals against the remaining fleet
-//! budget per 60 s tick and sheds or defers the rest; (3) **apply** —
-//! decisions become samples in parallel. Every phase is deterministic,
-//! so the result is bitwise-identical for any thread count, and runs
-//! without a budget reproduce the historical sample streams byte for
-//! byte.
+//! Generation is one pipeline, the one the fleet service runs:
+//! [`FleetSim::plan`] engine-evaluates the operating points once,
+//! [`FleetSim::run_shard`] proposes contiguous node ranges and
+//! [`FleetSim::try_merge_shards`] reassembles them in node order;
+//! [`FleetSim::run_with`] runs it in-process with one shard per
+//! thread. Within it, generation is a tick-synchronous three-phase
+//! pass: (1) **propose** — every node draws its full tick stream from
+//! its own `(seed, node_id)` RNG stream, shard by shard; (2)
+//! **arbitrate** — when [`FleetConfig::budget_w`] is set, a serial
+//! node-id-ordered fold ([`crate::budget`]) admits proposals against
+//! the remaining fleet budget per 60 s tick and sheds or defers the
+//! rest; (3) **apply** — the merge writes the decisions, serially,
+//! straight into the run's sample buffer. Every phase is
+//! deterministic, so the result is bitwise-identical for any thread
+//! count and shard split, and runs without a budget reproduce the
+//! historical sample streams byte for byte.
 
 use crate::budget::{arbitrate, Arbitration, BudgetPolicy, Decision, NodeStream};
 use crate::episodes::{EpisodeModel, EpisodeWalk};
@@ -31,7 +36,6 @@ use crate::jobs::JobMix;
 use fs2_core::{EngineRegistry, GroupEvalRequest, InitScheme, RegistryStats};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
-use std::sync::Mutex;
 
 /// One homogeneous slice of the fleet.
 #[derive(Debug, Clone)]
@@ -39,8 +43,9 @@ pub struct NodeGroup {
     pub sku: fs2_arch::Sku,
     pub nodes: u32,
     /// Overrides [`FleetConfig::samples_per_node`] for this group
-    /// (e.g. a slice monitored at a higher rate) — this is what makes
-    /// per-node size hints matter to the sweep packing.
+    /// (e.g. a slice monitored at a higher rate). Shards split the
+    /// fleet by node count, not by samples, so a long-tailed group
+    /// loads the shard that holds it more than the others.
     pub samples_per_node: Option<u32>,
 }
 
@@ -72,8 +77,10 @@ pub struct FleetConfig {
     /// [`TemporalMode::Episodes`]; ignored in i.i.d. mode.
     pub episodes: EpisodeModel,
     pub seed: u64,
-    /// Sweep worker threads; 0 = host parallelism, 1 = serial. The
-    /// samples are identical either way.
+    /// Shards [`FleetSim::run_with`] proposes on scoped threads, one
+    /// per thread; 0 = host parallelism, 1 = serial. The samples are
+    /// identical either way. The fleet service does not read it: its
+    /// worker pool and the request's shard count set that fan-out.
     pub threads: usize,
     /// Facility-side clamp, W (the paper's observed 359.9 W maximum).
     pub cap_w: f64,
@@ -394,7 +401,7 @@ pub struct FleetRun {
     pub budget: Option<BudgetStats>,
 }
 
-/// Per-node work item handed to the sweep.
+/// Per-node work item of a [`FleetPlan`].
 struct NodeItem {
     sku_idx: usize,
     /// Fleet-global node id (stable across thread counts).
@@ -550,8 +557,7 @@ fn rng_for(seed: u64, node_id: u32) -> StdRng {
 /// chain, and the extra independent streams fill its pipeline bubbles.
 /// Per-node draw sequences and output slices are untouched, so the
 /// bytes match the one-stream-at-a-time reference exactly. Returns the
-/// number of cap-remapped samples. Shared by the whole-fleet fast path
-/// and the shard layer.
+/// number of cap-remapped samples.
 fn lockstep_fill(mut parts: Vec<(&SkuLanes, StdRng, &mut [f64])>, cap: f64) -> usize {
     let mut capped_samples = 0usize;
     // Four-stream lockstep over the shortest slice.
@@ -810,17 +816,38 @@ impl FleetSim {
     /// [`FleetSim::run`] whenever the registry was created with the
     /// fleet's seed (the engine seed keys the cached functional
     /// passes).
+    ///
+    /// This is the fleet service's pipeline run in-process:
+    /// [`FleetSim::plan`], then [`FleetSim::run_shard`] over
+    /// [`shard_ranges`] of [`FleetConfig::threads`] shards on scoped
+    /// threads (the first on the caller's thread), then
+    /// [`FleetSim::try_merge_shards`].
     pub fn run_with(&self, registry: &EngineRegistry) -> FleetRun {
-        self.run_inner(registry, true)
-    }
-
-    /// The pre-batching per-node path: every sample draw goes through
-    /// the [`JobMix`]/[`crate::jobs::JobClass`] API and the nested
-    /// power tables, exactly as the historical hot loop did. Retained
-    /// as the golden baseline the batched composer is pinned against
-    /// bit-for-bit (and as the bench's per-node speedup reference).
-    pub fn run_reference(&self) -> FleetRun {
-        self.run_inner(&EngineRegistry::with_seed(self.config.seed), false)
+        let plan = self.plan(registry);
+        let threads = match self.config.threads {
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            n => n,
+        };
+        let ranges = shard_ranges(plan.total_nodes(), threads);
+        let shards = std::thread::scope(|scope| {
+            let plan = &plan;
+            let (&(lo, hi), rest) = ranges
+                .split_first()
+                .expect("shard_ranges returns at least one range");
+            let spawned: Vec<_> = rest
+                .iter()
+                .map(|&(lo, hi)| scope.spawn(move || self.run_shard(plan, lo, hi)))
+                .collect();
+            let mut shards = vec![self.run_shard(plan, lo, hi)];
+            shards.extend(
+                spawned
+                    .into_iter()
+                    .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p))),
+            );
+            shards
+        });
+        self.try_merge_shards(registry, &plan, shards)
+            .expect("shard_ranges tiles the node range")
     }
 
     /// Builds the request-shared generation plan: one batched
@@ -1054,156 +1081,19 @@ impl FleetSim {
         }
     }
 
-    fn run_inner(&self, registry: &EngineRegistry, batched: bool) -> FleetRun {
-        let cfg = &self.config;
-        let plan = self.plan(registry);
-        let cap = cfg.cap_w;
-        let seed = cfg.seed;
-        let lanes = &plan.lanes;
-        // Any engine can host the sweep; the workers only read the
-        // precomputed tables (the &Engine argument goes unused).
-        let driver = registry.engine(&cfg.groups[0].sku);
-
-        // Fast path — unbudgeted i.i.d. runs (the CDF and bench
-        // workload): every node writes its samples straight into the
-        // final fleet buffer through per-node disjoint slices, so the
-        // per-node stream Vecs, the state-label column and the final
-        // flatten copy disappear. Draw streams and slice order match
-        // the per-node reference path, so the output bytes are
-        // identical.
-        if batched && cfg.temporal == TemporalMode::Iid && cfg.budget_w.is_none() {
-            let total_n: usize = plan.items.iter().map(|it| it.samples as usize).sum();
-            let mut samples = vec![0.0f64; total_n];
-            struct FillNode<'a> {
-                sku_idx: usize,
-                node_id: u32,
-                out: Mutex<Option<&'a mut [f64]>>,
-            }
-            // Nodes are grouped in fours so one worker draws four
-            // independent RNG streams in lockstep: the per-sample
-            // critical path is the serial xoshiro/convert/compare
-            // chain, and the extra streams fill its pipeline bubbles.
-            // Per-node draws and output slices are untouched, so the
-            // bytes can't change.
-            struct FillUnit<'a> {
-                nodes: Vec<FillNode<'a>>,
-                samples: u32,
-            }
-            let nodes: Vec<FillNode<'_>> = {
-                let mut rest = samples.as_mut_slice();
-                plan.items
-                    .iter()
-                    .map(|it| {
-                        let (head, tail) =
-                            std::mem::take(&mut rest).split_at_mut(it.samples as usize);
-                        rest = tail;
-                        FillNode {
-                            sku_idx: it.sku_idx,
-                            node_id: it.node_id,
-                            out: Mutex::new(Some(head)),
-                        }
-                    })
-                    .collect()
-            };
-            let count = |n: &FillNode<'_>| {
-                n.out
-                    .lock()
-                    .expect("slice handoff mutex")
-                    .as_ref()
-                    .map_or(0, |s| {
-                        u32::try_from(s.len()).expect("per-node sample counts are u32")
-                    })
-            };
-            let mut units: Vec<FillUnit<'_>> = Vec::with_capacity(nodes.len().div_ceil(4));
-            let mut nodes = nodes.into_iter().peekable();
-            while nodes.peek().is_some() {
-                let chunk: Vec<FillNode<'_>> = nodes.by_ref().take(4).collect();
-                let samples = chunk.iter().map(&count).sum();
-                units.push(FillUnit {
-                    nodes: chunk,
-                    samples,
-                });
-            }
-            fn take<'a>(n: &FillNode<'a>) -> &'a mut [f64] {
-                n.out
-                    .lock()
-                    .expect("slice handoff mutex")
-                    .take()
-                    .expect("each node is filled once")
-            }
-            let capped: Vec<usize> = driver.sweep_hinted(
-                &units,
-                cfg.threads,
-                |_, u| u64::from(u.samples),
-                move |_, _, u| {
-                    let parts: Vec<(&SkuLanes, StdRng, &mut [f64])> = u
-                        .nodes
-                        .iter()
-                        .map(|n| (&lanes[n.sku_idx], rng_for(seed, n.node_id), take(n)))
-                        .collect();
-                    lockstep_fill(parts, cap)
-                },
-            );
-            drop(units);
-            return FleetRun {
-                samples,
-                registry: registry.stats(),
-                power_table: plan.power_table,
-                episodes: None,
-                capped_points: plan.capped_points,
-                capped_samples: capped.iter().sum(),
-                infeasible_points: plan.infeasible_points,
-                budget: None,
-            };
-        }
-
-        // Phase 1 — propose (parallel): every node draws its full tick
-        // stream from its own `(seed, node_id)` RNG stream. The draws
-        // and the composed watts are identical to the historical
-        // per-node generation, so runs without a budget stay
-        // byte-stable. The batched composer and the per-node reference
-        // path are pinned bit-identical by the regression tests below.
-        let plan_ref = &plan;
-        let per_node: Vec<NodeOut> = driver.sweep_hinted(
-            &plan.items,
-            cfg.threads,
-            |_, item| u64::from(item.samples),
-            move |_, _, item| {
-                if batched {
-                    self.propose_batched(plan_ref, item)
-                } else {
-                    self.propose_reference(plan_ref, item)
-                }
-            },
-        );
-        self.finish(registry, &plan, per_node)
-    }
-
-    /// Proposes one node's stream through the batched composer (the
-    /// production path: flattened [`SkuLanes`] draws in i.i.d. mode,
-    /// the episode walk otherwise). Also the shard layer's per-node
-    /// propose, so sharded runs share every draw with the serial path.
-    fn propose_batched(&self, plan: &FleetPlan, item: &NodeItem) -> NodeOut {
+    /// Proposes one node's full stream: flattened [`SkuLanes`] draws
+    /// in i.i.d. mode, the episode walk otherwise.
+    fn propose(&self, plan: &FleetPlan, item: &NodeItem) -> NodeOut {
         match self.config.temporal {
-            TemporalMode::Iid => self.propose_iid_batched(plan, item),
+            TemporalMode::Iid => self.propose_iid(plan, item),
             TemporalMode::Episodes => self.propose_episode(plan, item),
         }
     }
 
-    /// Proposes one node's stream through the historical per-node
-    /// reference path (every draw walks the `JobMix`/`JobClass` API
-    /// and the nested power tables).
-    fn propose_reference(&self, plan: &FleetPlan, item: &NodeItem) -> NodeOut {
-        match self.config.temporal {
-            TemporalMode::Iid => self.propose_iid_reference(plan, item),
-            TemporalMode::Episodes => self.propose_episode(plan, item),
-        }
-    }
-
-    fn propose_iid_batched(&self, plan: &FleetPlan, item: &NodeItem) -> NodeOut {
-        // Unbudgeted whole-fleet Iid runs take the direct-fill fast
-        // path in `run_inner`, so this arm feeds the budget arbiter
-        // and the shard layer, which keep state labels.
+    fn propose_iid(&self, plan: &FleetPlan, item: &NodeItem) -> NodeOut {
+        // Unbudgeted i.i.d. shards fill their samples directly
+        // (`lockstep_fill`), so this arm feeds the budget arbiter,
+        // which needs the state labels.
         let cap = self.config.cap_w;
         let l = &plan.lanes[item.sku_idx];
         let mut capped_samples = 0usize;
@@ -1221,43 +1111,6 @@ impl FleetSim {
         NodeOut {
             stream: NodeStream {
                 floor_w: l.floor_w,
-                watts,
-                states,
-            },
-            state_ticks: Vec::new(),
-            episode_counts: Vec::new(),
-            capped_samples,
-        }
-    }
-
-    fn propose_iid_reference(&self, plan: &FleetPlan, item: &NodeItem) -> NodeOut {
-        let cap = self.config.cap_w;
-        let mix = &self.config.mix;
-        let idle = plan.idle_w[item.sku_idx];
-        let rows = &plan.table[item.sku_idx];
-        let remap = &plan.remap[item.sku_idx];
-        let mut capped_samples = 0usize;
-        let mut watts = Vec::with_capacity(item.samples as usize);
-        let mut states = Vec::with_capacity(item.samples as usize);
-        let mut rng = rng_for(self.config.seed, item.node_id);
-        for _ in 0..item.samples {
-            let ci = mix.pick_idx(&mut rng);
-            let class = &mix.classes()[ci].0;
-            let duty = class.draw_duty(&mut rng);
-            let drawn = class.draw_pstate(&mut rng);
-            let pstate = remap[ci][drawn];
-            if pstate != drawn {
-                capped_samples += 1;
-            }
-            let load = rows[ci][pstate];
-            debug_assert!(!load.is_nan());
-            watts.push((idle + duty * (load - idle)).min(cap));
-            // fs2-lint: allow(checked-cast) -- class index < catalogue size (JobMix validates); hot per-sample loop
-            states.push((ci + 1) as u16);
-        }
-        NodeOut {
-            stream: NodeStream {
-                floor_w: idle.min(cap),
                 watts,
                 states,
             },
@@ -1307,10 +1160,10 @@ impl FleetSim {
         }
     }
 
-    /// Phases 2 + 3 over already-proposed node streams: arbitrate the
-    /// fleet budget in node-id order, apply decisions, and fold the
-    /// episode/budget accounting. Shared verbatim by the whole-fleet
-    /// path and the shard merge, so both produce identical bytes.
+    /// Phases 2 + 3 over proposed node streams, serially and in node-id
+    /// order: arbitrate the fleet budget, write each node's emitted
+    /// samples straight into the run's one sample buffer, and fold the
+    /// episode and budget accounting.
     fn finish(
         &self,
         registry: &EngineRegistry,
@@ -1319,10 +1172,9 @@ impl FleetSim {
     ) -> FleetRun {
         let cfg = &self.config;
         let classes = cfg.mix.classes();
-        let driver = registry.engine(&cfg.groups[0].sku);
 
         // Per-sample cap accounting is summed in node input order, so
-        // the total is identical for any sweep thread count.
+        // the total is identical for any shard split.
         let capped_samples: usize = per_node.iter().map(|n| n.capped_samples).sum();
         let (streams, accounting): (Vec<NodeStream>, Vec<NodeAccounting>) = per_node
             .into_iter()
@@ -1337,30 +1189,31 @@ impl FleetSim {
             .budget_w
             .map(|b| arbitrate(&streams, b, cfg.budget_policy, n_states));
 
-        // Phase 3 — apply: decisions become samples. Each node only
-        // reads its own stream and decision row, so the budgeted
-        // fan-out is embarrassingly parallel and input-ordered. With
-        // no budget every decision is trivially "admit", so the watts
-        // columns *move* into the output — zero copies, exactly the
-        // historical unbudgeted cost.
-        let per_node_samples: Vec<Vec<f64>> = match &arbitration {
-            None => streams.into_iter().map(|s| s.watts).collect(),
-            Some(arb) => {
-                let streams_ref = &streams;
-                driver.sweep(streams_ref, cfg.threads, move |_, i, stream| {
-                    arb.decisions[i]
-                        .iter()
-                        .map(|d| match d {
-                            Decision::Admit(k) => stream.watts[*k as usize],
-                            Decision::Floor => stream.floor_w,
-                        })
-                        .collect()
-                })
-            }
-        };
+        // Phase 3 — apply: decisions become samples, node after node in
+        // one buffer. With no budget every decision is "admit", so the
+        // proposals are copied as they are.
+        let total: usize = streams.iter().map(|s| s.watts.len()).sum();
+        let mut samples: Vec<f64> = Vec::with_capacity(total);
+        for (i, stream) in streams.iter().enumerate() {
+            let Some(arb) = &arbitration else {
+                samples.extend_from_slice(&stream.watts);
+                continue;
+            };
+            samples.extend(arb.decisions[i].iter().map(|d| match *d {
+                Decision::Admit(k) => stream.watts[k as usize],
+                Decision::Floor => stream.floor_w,
+            }));
+        }
 
+        // Every node emits exactly its horizon, so the buffer splits
+        // back into per-node streams by proposal length.
+        let per_node_samples = streams.iter().scan(samples.as_slice(), |rest, s| {
+            let (node, tail) = rest.split_at(s.watts.len());
+            *rest = tail;
+            Some(node)
+        });
         let episode_stats = (cfg.temporal == TemporalMode::Episodes)
-            .then(|| aggregate_episode_stats(&cfg.episodes, &accounting, &per_node_samples));
+            .then(|| aggregate_episode_stats(&cfg.episodes, &accounting, per_node_samples));
 
         let budget = arbitration.map(|arb| {
             let budget_w = cfg.budget_w.expect("arbitration implies a budget");
@@ -1390,7 +1243,7 @@ impl FleetSim {
         });
 
         FleetRun {
-            samples: per_node_samples.into_iter().flatten().collect(),
+            samples,
             registry: registry.stats(),
             power_table: plan.power_table.clone(),
             episodes: episode_stats,
@@ -1401,14 +1254,21 @@ impl FleetSim {
         }
     }
 
+    /// Whether shards write final samples directly (unbudgeted i.i.d.
+    /// runs) instead of keeping per-node streams for the merge.
+    fn fills_directly(&self) -> bool {
+        self.config.temporal == TemporalMode::Iid && self.config.budget_w.is_none()
+    }
+
     /// Proposes the node range `[lo, hi)` of an already-built plan.
     ///
-    /// This is the scheduler/shard layer's unit of work: because every
-    /// node's stream is a pure function of `(seed, node_id)`, a shard
-    /// proposes exactly the bytes the serial run would have produced
-    /// for those nodes, and [`FleetSim::merge_shards`] reassembles the
-    /// full run bitwise-identically. Unbudgeted i.i.d. shards take the
-    /// same 4-lane lockstep fill as the whole-fleet fast path.
+    /// This is the unit of work of [`FleetSim::run_with`] and of the
+    /// fleet service's shard layer: because every node's stream is a
+    /// pure function of `(seed, node_id)`, a shard proposes exactly the
+    /// bytes a one-shard run would have produced for those nodes, and
+    /// [`FleetSim::try_merge_shards`] reassembles the full run
+    /// bitwise-identically. Unbudgeted i.i.d. shards draw four nodes at
+    /// a time in lockstep, straight into the shard's sample buffer.
     pub fn run_shard(&self, plan: &FleetPlan, lo: u32, hi: u32) -> FleetShard {
         let cfg = &self.config;
         assert!(
@@ -1417,11 +1277,14 @@ impl FleetSim {
             plan.items.len()
         );
         let nodes = &plan.items[lo as usize..hi as usize];
-        let data = if cfg.temporal == TemporalMode::Iid && cfg.budget_w.is_none() {
-            // Direct fill, chunked 4 nodes at a time exactly like the
-            // whole-fleet fast path's lockstep units.
+        let data = if self.fills_directly() {
             let total: usize = nodes.iter().map(|n| n.samples as usize).sum();
-            let mut samples = vec![0.0f64; total];
+            // The shard at node 0 reserves room for the whole fleet: the
+            // merge moves its buffer into the run and appends the other
+            // shards in place.
+            let capacity = if lo == 0 { cfg.total_samples() } else { total };
+            let mut samples = Vec::with_capacity(capacity);
+            samples.resize(total, 0.0f64);
             let mut capped_samples = 0usize;
             let mut rest = samples.as_mut_slice();
             let mut parts: Vec<(&SkuLanes, StdRng, &mut [f64])> = Vec::with_capacity(4);
@@ -1439,38 +1302,20 @@ impl FleetSim {
                 capped_samples,
             }
         } else {
-            ShardData::Nodes(
-                nodes
-                    .iter()
-                    .map(|it| self.propose_batched(plan, it))
-                    .collect(),
-            )
+            ShardData::Nodes(nodes.iter().map(|it| self.propose(plan, it)).collect())
         };
         FleetShard { lo, hi, data }
     }
 
     /// Merges shard results back into one [`FleetRun`].
     ///
-    /// Shards must tile the plan's node range exactly (any order; they
-    /// are sorted by range here) — a gap or overlap panics. Fallible
-    /// callers (the fleet service, whose shard set may be missing a
-    /// panicked task) should use [`FleetSim::try_merge_shards`].
-    pub fn merge_shards(
-        &self,
-        registry: &EngineRegistry,
-        plan: &FleetPlan,
-        shards: Vec<FleetShard>,
-    ) -> FleetRun {
-        self.try_merge_shards(registry, plan, shards)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Like [`FleetSim::merge_shards`], but a shard set that fails to
-    /// tile the plan's node range is a typed [`ShardTilingError`]
-    /// instead of a panic. Streams concatenate in node-id order and
-    /// the shared `finish` phase arbitrates and aggregates, so the
-    /// merged run is byte-identical to [`FleetSim::run`] for every
-    /// shard split.
+    /// Shards must tile the plan's node range exactly, in any order
+    /// (they are sorted by range here); a missing, duplicated or
+    /// overlapping shard is a typed [`ShardTilingError`]. Direct-fill
+    /// shards append to the first shard's buffer, which reserved room
+    /// for the whole run and becomes the run's buffer; per-node streams
+    /// go through the serial arbitrate/apply phases. The merged run is
+    /// byte-identical for every shard split.
     pub fn try_merge_shards(
         &self,
         registry: &EngineRegistry,
@@ -1497,64 +1342,38 @@ impl FleetSim {
             });
         }
 
-        if shards
-            .iter()
-            .all(|s| matches!(s.data, ShardData::Samples { .. }))
-        {
-            // Fast-path shards: samples are final, concatenate.
-            let mut samples = Vec::with_capacity(self.config.total_samples());
-            let mut capped_samples = 0usize;
-            for s in shards {
-                match s.data {
-                    ShardData::Samples {
-                        samples: mut part,
-                        capped_samples: c,
-                    } => {
+        let mut samples: Vec<f64> = Vec::new();
+        let mut capped_samples = 0usize;
+        let mut per_node: Vec<NodeOut> = Vec::new();
+        for s in shards {
+            match s.data {
+                ShardData::Samples {
+                    samples: mut part,
+                    capped_samples: c,
+                } => {
+                    if samples.is_empty() {
+                        samples = part;
+                    } else {
                         samples.append(&mut part);
-                        capped_samples += c;
                     }
-                    ShardData::Nodes(_) => unreachable!(),
+                    capped_samples += c;
                 }
+                ShardData::Nodes(nodes) => per_node.extend(nodes),
             }
-            return Ok(FleetRun {
-                samples,
-                registry: registry.stats(),
-                power_table: plan.power_table.clone(),
-                episodes: None,
-                capped_points: plan.capped_points,
-                capped_samples,
-                infeasible_points: plan.infeasible_points,
-                budget: None,
-            });
         }
-
-        let per_node: Vec<NodeOut> = shards
-            .into_iter()
-            .flat_map(|s| match s.data {
-                ShardData::Nodes(nodes) => nodes,
-                ShardData::Samples { .. } => {
-                    unreachable!("mixed shard kinds cannot arise from run_shard")
-                }
-            })
-            .collect();
-        Ok(self.finish(registry, plan, per_node))
-    }
-
-    /// Runs the fleet split across `shards` shards, each proposed on
-    /// its own OS thread, and merges the results. Produces bytes
-    /// identical to [`FleetSim::run`] for every shard count.
-    pub fn run_sharded(&self, registry: &EngineRegistry, shards: usize) -> FleetRun {
-        let plan = self.plan(registry);
-        let ranges = shard_ranges(plan.total_nodes(), shards);
-        let parts: Vec<FleetShard> = std::thread::scope(|scope| {
-            let plan = &plan;
-            let handles: Vec<_> = ranges
-                .iter()
-                .map(|&(lo, hi)| scope.spawn(move || self.run_shard(plan, lo, hi)))
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        self.merge_shards(registry, &plan, parts)
+        if !self.fills_directly() {
+            return Ok(self.finish(registry, plan, per_node));
+        }
+        Ok(FleetRun {
+            samples,
+            registry: registry.stats(),
+            power_table: plan.power_table.clone(),
+            episodes: None,
+            capped_points: plan.capped_points,
+            capped_samples,
+            infeasible_points: plan.infeasible_points,
+            budget: None,
+        })
     }
 
     /// Generates all 60 s-mean samples for the fleet.
@@ -1571,13 +1390,13 @@ impl FleetSim {
 /// Folds per-node walk accounting `(state_ticks, episode_counts)` and
 /// the emitted sample streams into fleet-wide episode statistics.
 /// Nodes are visited in input order, so the result is identical for
-/// any sweep thread count. The state shares and dwells describe the
+/// any shard split. The state shares and dwells describe the
 /// *proposed* walks; the autocorrelation measures the emitted stream
 /// (post-arbitration when a budget is set).
-fn aggregate_episode_stats(
+fn aggregate_episode_stats<'a>(
     model: &EpisodeModel,
     accounting: &[NodeAccounting],
-    per_node_samples: &[Vec<f64>],
+    per_node_samples: impl IntoIterator<Item = &'a [f64]>,
 ) -> EpisodeStats {
     let n = model.n_states();
     let mut ticks = vec![0u64; n];
@@ -1633,6 +1452,77 @@ fn aggregate_episode_stats(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The per-node oracle for the i.i.d. sampler: every draw walks the
+    /// [`JobMix`]/[`crate::jobs::JobClass`] API and the nested power
+    /// tables, exactly as the historical hot loop did. The batched
+    /// composer ([`SkuLanes`], the collapsed pick chain, the lockstep
+    /// fill) is pinned against it bit for bit.
+    fn propose_iid_reference(sim: &FleetSim, plan: &FleetPlan, item: &NodeItem) -> NodeOut {
+        let cap = sim.config.cap_w;
+        let mix = &sim.config.mix;
+        let idle = plan.idle_w[item.sku_idx];
+        let rows = &plan.table[item.sku_idx];
+        let remap = &plan.remap[item.sku_idx];
+        let mut capped_samples = 0usize;
+        let mut watts = Vec::with_capacity(item.samples as usize);
+        let mut states = Vec::with_capacity(item.samples as usize);
+        let mut rng = rng_for(sim.config.seed, item.node_id);
+        for _ in 0..item.samples {
+            let ci = mix.pick_idx(&mut rng);
+            let class = &mix.classes()[ci].0;
+            let duty = class.draw_duty(&mut rng);
+            let drawn = class.draw_pstate(&mut rng);
+            let pstate = remap[ci][drawn];
+            if pstate != drawn {
+                capped_samples += 1;
+            }
+            let load = rows[ci][pstate];
+            assert!(!load.is_nan());
+            watts.push((idle + duty * (load - idle)).min(cap));
+            states.push(u16::try_from(ci + 1).unwrap());
+        }
+        NodeOut {
+            stream: NodeStream {
+                floor_w: idle.min(cap),
+                watts,
+                states,
+            },
+            state_ticks: Vec::new(),
+            episode_counts: Vec::new(),
+            capped_samples,
+        }
+    }
+
+    /// A whole run through the oracle: a cold registry, every node
+    /// proposed one after another (the reference sampler in i.i.d.
+    /// mode), then the serial finish — no shards, no lockstep fill.
+    fn run_reference(sim: &FleetSim) -> FleetRun {
+        let registry = EngineRegistry::with_seed(sim.config.seed);
+        let plan = sim.plan(&registry);
+        let per_node = plan
+            .items
+            .iter()
+            .map(|item| match sim.config.temporal {
+                TemporalMode::Iid => propose_iid_reference(sim, &plan, item),
+                TemporalMode::Episodes => sim.propose_episode(&plan, item),
+            })
+            .collect();
+        sim.finish(&registry, &plan, per_node)
+    }
+
+    /// `plan` → `run_shard` over `ranges`, in the order given →
+    /// `try_merge_shards`.
+    fn run_sharded(sim: &FleetSim, ranges: &[(u32, u32)]) -> FleetRun {
+        let registry = EngineRegistry::with_seed(sim.config.seed);
+        let plan = sim.plan(&registry);
+        let shards: Vec<FleetShard> = ranges
+            .iter()
+            .map(|&(lo, hi)| sim.run_shard(&plan, lo, hi))
+            .collect();
+        sim.try_merge_shards(&registry, &plan, shards)
+            .expect("the ranges tile the node range")
+    }
 
     fn small_fleet() -> FleetSim {
         FleetSim::new(FleetConfig {
@@ -1762,21 +1652,21 @@ mod tests {
         let stats = aggregate_episode_stats(
             &model,
             &[acct(5), acct(5)],
-            &[vec![120.0; 5], vec![80.5; 5]],
+            [&[120.0; 5][..], &[80.5; 5][..]],
         );
         assert_eq!(stats.lag1_autocorr, 0.0);
         assert!(!stats.lag1_autocorr.is_nan());
         // Streams too short for a lag-1 pair.
-        let stats = aggregate_episode_stats(&model, &[acct(1)], &[vec![97.0]]);
+        let stats = aggregate_episode_stats(&model, &[acct(1)], [&[97.0][..]]);
         assert_eq!(stats.lag1_autocorr, 0.0);
         // Empty fleet: no nodes, no ticks, shares all zero.
-        let stats = aggregate_episode_stats(&model, &[], &[]);
+        let stats = aggregate_episode_stats(&model, &[], std::iter::empty());
         assert_eq!(stats.lag1_autocorr, 0.0);
         assert!(stats.empirical_shares.iter().all(|&s| s == 0.0));
         // A varying stream still measures nonzero correlation (the
         // guard must not clamp legitimate statistics to zero).
         let ramp: Vec<f64> = (0..64).map(|i| 50.0 + f64::from(i)).collect();
-        let stats = aggregate_episode_stats(&model, &[acct(64)], &[ramp]);
+        let stats = aggregate_episode_stats(&model, &[acct(64)], [ramp.as_slice()]);
         assert!(stats.lag1_autocorr > 0.8);
     }
 
@@ -2156,7 +2046,7 @@ mod tests {
         );
         let run = sim.run();
         assert_eq!(run.samples.len(), sim.config.total_samples());
-        // Still bitwise-identical to serial despite the hint reorder.
+        // Still bitwise-identical to serial despite the uneven shards.
         let mut serial_cfg = cfg;
         serial_cfg.threads = 1;
         assert_eq!(run.samples, FleetSim::new(serial_cfg).generate());
@@ -2262,17 +2152,16 @@ mod tests {
 
     #[test]
     fn batched_run_matches_per_node_reference_bitwise() {
-        // The tentpole's golden-bits contract: the batched composer
-        // (group-deduplicated `eval_groups` table build + flattened
-        // lockstep sampler) reproduces the per-node serial path
-        // byte-for-byte at any thread count.
+        // The batched composer (group-deduplicated `eval_groups` table
+        // build + flattened lockstep sampler) reproduces the per-node
+        // oracle byte-for-byte at any thread count.
         let cfg = FleetConfig {
             samples_per_node: 300,
             threads: 1,
             ..FleetConfig::taurus_haswell_scaled(12)
         };
         let sim = FleetSim::new(cfg.clone());
-        let reference = sim.run_reference();
+        let reference = run_reference(&sim);
         let registry = EngineRegistry::with_seed(cfg.seed);
         let serial = sim.run_with(&registry);
         assert_runs_identical(&reference, &serial, "batched serial");
@@ -2326,7 +2215,7 @@ mod tests {
             ..FleetConfig::taurus_haswell_scaled(2)
         };
         let sim = FleetSim::new(cfg.clone());
-        let reference = sim.run_reference();
+        let reference = run_reference(&sim);
         assert!(
             reference.capped_samples > 0,
             "power cap should bite so the remap lanes are exercised"
@@ -2339,9 +2228,9 @@ mod tests {
 
     #[test]
     fn budgeted_batched_composer_matches_reference_bitwise() {
-        // With a fleet budget the batched Iid path keeps per-node
-        // streams and state labels for the arbiter instead of the
-        // direct-fill fast path; the draws are the same either way.
+        // With a fleet budget the i.i.d. shards keep per-node streams
+        // and state labels for the arbiter instead of filling samples
+        // directly; the draws are the same either way.
         let cfg = FleetConfig {
             samples_per_node: 400,
             threads: 1,
@@ -2349,7 +2238,7 @@ mod tests {
             ..FleetConfig::taurus_haswell_scaled(64)
         };
         let sim = FleetSim::new(cfg);
-        let reference = sim.run_reference();
+        let reference = run_reference(&sim);
         let run = sim.run();
         let budget = reference.budget.as_ref().expect("budget stats");
         let arbitrated: u64 = budget.shed_ticks.iter().sum::<u64>()
@@ -2519,10 +2408,10 @@ mod tests {
 
     #[test]
     fn sharded_run_is_bitwise_identical_for_any_split() {
-        // The scheduler/shard layer's contract: every split of the
-        // node range merges back to the bytes of the unsharded run —
-        // samples, CDF, episode stats, and budget stats — because each
-        // node's walk is a pure function of `(seed, node_id)`.
+        // The shard layer's contract: every split of the node range
+        // merges back to the bytes of the per-node oracle — samples,
+        // CDF, episode stats, and budget stats — because each node's
+        // walk is a pure function of `(seed, node_id)`.
         let configs: Vec<(&str, FleetConfig)> = vec![
             (
                 "iid fast path",
@@ -2550,12 +2439,12 @@ mod tests {
             ),
         ];
         for (label, cfg) in configs {
-            let sim = FleetSim::new(cfg.clone());
-            let reference = sim.run();
+            let sim = FleetSim::new(cfg);
+            let reference = run_reference(&sim);
             let ref_cdf = PowerCdf::from_samples(&reference.samples, 0.1);
             for shards in [1usize, 2, 7, 64] {
-                let registry = EngineRegistry::with_seed(cfg.seed);
-                let sharded = sim.run_sharded(&registry, shards);
+                let ranges = shard_ranges(sim.config.total_nodes(), shards);
+                let sharded = run_sharded(&sim, &ranges);
                 let tag = format!("{label}, {shards} shards");
                 assert_runs_identical(&reference, &sharded, &tag);
                 assert_optional_stats_identical(&reference, &sharded, &tag);
@@ -2567,31 +2456,35 @@ mod tests {
 
     #[test]
     fn uneven_hand_built_shards_merge_identically() {
-        // merge_shards accepts any tiling in any order; deliberately
-        // lopsided out-of-order ranges must still reassemble the
-        // serial bytes.
-        let sim = small_episode_fleet();
-        let reference = sim.run();
-        let registry = EngineRegistry::with_seed(sim.config.seed);
-        let plan = sim.plan(&registry);
-        let ranges = [(13u32, 64u32), (0, 1), (1, 13)];
-        let shards: Vec<FleetShard> = ranges
-            .iter()
-            .map(|&(lo, hi)| sim.run_shard(&plan, lo, hi))
-            .collect();
-        let merged = sim.merge_shards(&registry, &plan, shards);
-        assert_runs_identical(&reference, &merged, "uneven shards");
-        assert_optional_stats_identical(&reference, &merged, "uneven shards");
+        // try_merge_shards accepts any tiling in any order;
+        // deliberately lopsided out-of-order ranges must still
+        // reassemble the oracle's bytes.
+        for sim in [small_fleet(), small_episode_fleet()] {
+            let reference = run_reference(&sim);
+            let merged = run_sharded(&sim, &[(13, 64), (0, 1), (1, 13)]);
+            assert_runs_identical(&reference, &merged, "uneven shards");
+            assert_optional_stats_identical(&reference, &merged, "uneven shards");
+        }
     }
 
     #[test]
-    #[should_panic(expected = "do not tile")]
     fn merge_rejects_gapped_shards() {
         let sim = small_fleet();
         let registry = EngineRegistry::with_seed(sim.config.seed);
         let plan = sim.plan(&registry);
         let shards = vec![sim.run_shard(&plan, 0, 10), sim.run_shard(&plan, 20, 64)];
-        sim.merge_shards(&registry, &plan, shards);
+        let err = sim
+            .try_merge_shards(&registry, &plan, shards)
+            .expect_err("a gap must not merge");
+        assert_eq!(err.expected_lo, 10);
+        assert_eq!(err.found_lo, Some(20));
+        assert!(err.to_string().contains("do not tile"), "{err}");
+        // Coverage that stops short is an error too.
+        let short = vec![sim.run_shard(&plan, 0, 63)];
+        let err = sim
+            .try_merge_shards(&registry, &plan, short)
+            .expect_err("a short tiling must not merge");
+        assert_eq!((err.expected_lo, err.found_lo), (63, None));
     }
 
     #[test]

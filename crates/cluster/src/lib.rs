@@ -15,7 +15,8 @@
 //! `Engine::eval` at a drawn P-state, and the sample power is the
 //! duty-cycled mix of that payload power and the node's idle floor. The
 //! CDF pipeline (60 s aggregation, 0.1 W binning) is identical to the
-//! paper's, and the fan-out over `Engine::sweep_hinted` is
+//! paper's, and the sharded fan-out (`FleetSim::plan` →
+//! `FleetSim::run_shard` → `FleetSim::try_merge_shards`) is
 //! bitwise-identical to a serial pass.
 //!
 //! On top of the i.i.d. per-node-minute sampler, [`episodes`] adds the

@@ -43,8 +43,6 @@ pub struct FleetRequest {
     /// `None` uses the Fig. 1 seed, like the CLI without `--seed`.
     pub seed: Option<u64>,
     pub temporal: TemporalMode,
-    /// Sweep threads for the plan/apply phases (0 = host cores).
-    pub threads: usize,
     pub power_cap_w: Option<f64>,
     pub budget_w: Option<f64>,
     pub budget_policy: BudgetPolicy,
@@ -76,7 +74,6 @@ impl FleetRequest {
             samples_per_node: 2000,
             seed: None,
             temporal: TemporalMode::Iid,
-            threads: 0,
             power_cap_w: None,
             budget_w: None,
             budget_policy: BudgetPolicy::default(),
@@ -93,7 +90,6 @@ impl FleetRequest {
     pub fn to_config(&self) -> FleetConfig {
         let mut cfg = FleetConfig::taurus_haswell_scaled(self.nodes);
         cfg.samples_per_node = self.samples_per_node;
-        cfg.threads = self.threads;
         cfg.temporal = self.temporal;
         cfg.power_cap_w = self.power_cap_w;
         cfg.budget_w = self.budget_w;
@@ -124,7 +120,6 @@ impl FleetRequest {
                     TemporalMode::Episodes => "episodes",
                 }),
             )
-            .set("threads", Json::of_usize(self.threads))
             .set("cap_w", opt_f64(self.power_cap_w))
             .set("budget_w", opt_f64(self.budget_w))
             .set(
@@ -209,12 +204,6 @@ impl FleetRequest {
             Some("defer") => BudgetPolicy::Defer,
             Some(other) => return Err(perr(format!("unknown budget policy `{other}`"))),
         };
-        let threads = match v.get("threads") {
-            None | Some(Json::Null) => 0,
-            Some(j) => j
-                .as_usize()
-                .ok_or_else(|| perr("`threads` must be an integer"))?,
-        };
         let shards = match v.get("shards") {
             None | Some(Json::Null) => None,
             Some(j) => Some(
@@ -248,7 +237,6 @@ impl FleetRequest {
             samples_per_node,
             seed,
             temporal,
-            threads,
             power_cap_w: opt_f64("cap_w")?,
             budget_w: opt_f64("budget_w")?,
             budget_policy,
@@ -715,7 +703,6 @@ mod tests {
             samples_per_node: 321,
             seed: Some(u64::MAX - 7),
             temporal: TemporalMode::Episodes,
-            threads: 3,
             power_cap_w: Some(250.5),
             budget_w: Some(9000.25),
             budget_policy: BudgetPolicy::Defer,

@@ -202,7 +202,10 @@ FLEET (Fig. 1)
                                   through real per-node engines
   --nodes N                       fleet size (default 612, mixed SKUs)
   --samples-per-node N            60 s means per node (default 2000)
-  --threads N                     sweep threads (default 0 = all cores)
+  --threads N                     --calibrate evaluation threads
+                                  (default 0 = all cores); --fleet and
+                                  --connect ignore it: --workers and
+                                  --shards set their fan-out
   --fleet-temporal {iid|episodes} per-node sampling: independent minutes
                                   (default) or Markov job episodes with
                                   dwell times, ramps and idle hand-backs
@@ -608,7 +611,6 @@ fn fleet_request_from_cli(cfg: &CliConfig) -> Result<fs2_service::FleetRequest, 
         // fig01/example pipeline exactly (the Fig. 1 seed).
         seed: cfg.seed,
         temporal,
-        threads: cfg.threads,
         power_cap_w: cfg.cap_w,
         budget_w: cfg.budget_w,
         budget_policy,
@@ -1372,14 +1374,17 @@ mod tests {
         assert_eq!(implicit, explicit);
     }
 
+    /// The fan-out pair the determinism tests compare: one worker and
+    /// one shard against four workers and seven shards.
+    const SERIAL: &str = "--workers 1 --shards 1";
+    const SHARDED: &str = "--workers 4 --shards 7";
+
     #[test]
     fn fleet_action_is_deterministic_per_seed() {
-        let a = run(&args("--fleet --nodes 8 --samples-per-node 40 --seed 5")).unwrap();
-        let b = run(&args(
-            "--fleet --nodes 8 --samples-per-node 40 --seed 5 --threads 3",
-        ))
-        .unwrap();
-        assert_eq!(a, b, "thread count must not change the CDF");
+        let fleet = "--fleet --nodes 8 --samples-per-node 40 --seed 5";
+        let a = run(&args(&format!("{fleet} {SERIAL}"))).unwrap();
+        let b = run(&args(&format!("{fleet} {SHARDED}"))).unwrap();
+        assert_eq!(a, b, "the shard fan-out must not change the CDF");
         let c = run(&args("--fleet --nodes 8 --samples-per-node 40 --seed 6")).unwrap();
         assert_ne!(a, c);
     }
@@ -1400,15 +1405,10 @@ mod tests {
 
     #[test]
     fn fleet_episode_mode_is_thread_invariant() {
-        let a = run(&args(
-            "--fleet --fleet-temporal episodes --nodes 8 --samples-per-node 100 --threads 1",
-        ))
-        .unwrap();
-        let b = run(&args(
-            "--fleet --fleet-temporal episodes --nodes 8 --samples-per-node 100 --threads 4",
-        ))
-        .unwrap();
-        assert_eq!(a, b, "episode CDF must not depend on thread count");
+        let fleet = "--fleet --fleet-temporal episodes --nodes 8 --samples-per-node 100";
+        let a = run(&args(&format!("{fleet} {SERIAL}"))).unwrap();
+        let b = run(&args(&format!("{fleet} {SHARDED}"))).unwrap();
+        assert_eq!(a, b, "episode CDF must not depend on the shard fan-out");
     }
 
     #[test]
@@ -1617,17 +1617,13 @@ mod tests {
     #[test]
     fn fleet_budget_is_thread_count_invariant() {
         for policy in ["shed", "defer"] {
-            let a = run(&args(&format!(
+            let fleet = format!(
                 "--fleet --fleet-temporal episodes --nodes 8 --samples-per-node 100 \
-                 --budget-w 1000 --budget-policy {policy} --threads 1"
-            )))
-            .unwrap();
-            let b = run(&args(&format!(
-                "--fleet --fleet-temporal episodes --nodes 8 --samples-per-node 100 \
-                 --budget-w 1000 --budget-policy {policy} --threads 4"
-            )))
-            .unwrap();
-            assert_eq!(a, b, "{policy}: budgeted CDF depends on thread count");
+                 --budget-w 1000 --budget-policy {policy}"
+            );
+            let a = run(&args(&format!("{fleet} {SERIAL}"))).unwrap();
+            let b = run(&args(&format!("{fleet} {SHARDED}"))).unwrap();
+            assert_eq!(a, b, "{policy}: budgeted CDF depends on the shard fan-out");
         }
     }
 

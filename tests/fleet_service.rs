@@ -4,7 +4,7 @@
 //! concurrency without panicking, and the wire format must round-trip
 //! seeds and samples exactly.
 
-use firestarter2::cluster::{FleetSim, TemporalMode};
+use firestarter2::cluster::{FleetConfig, FleetSim, TemporalMode};
 use firestarter2::service::{
     call, serve, AdmissionConfig, Broker, Client, FleetReply, FleetRequest, FleetService,
     ServiceConfig,
@@ -196,4 +196,26 @@ fn wire_format_round_trips_seeds_and_samples_exactly() {
         back.registry.cross_payload_lookups
     );
     assert_eq!(reply.shards, back.shards);
+}
+
+#[test]
+fn a_threads_key_on_the_wire_is_ignored() {
+    // Regression: a request's `threads` field used to set how many OS
+    // threads its budget apply phase spawned, so a tenant could make
+    // one cheap request start thousands. The field is gone; a line
+    // that still carries the key decodes to the same request and gets
+    // the same samples.
+    let plain = r#"{"type":"fleet","nodes":16,"samples_per_node":500,"seed":5,"temporal":"episodes","budget_w":2720}"#;
+    let with_threads = plain.replace('}', r#","threads":4000}"#);
+    let req = FleetRequest::from_line(&with_threads).expect("unknown keys decode");
+    assert_eq!(req, FleetRequest::from_line(plain).unwrap());
+    assert_eq!(req.to_config().threads, FleetConfig::default().threads);
+
+    let service = FleetService::new(ServiceConfig::small());
+    let reply = |line: &str| FleetReply::from_line(&service.handle_line(line)).unwrap();
+    let (a, b) = (reply(plain), reply(&with_threads));
+    assert!(a.ok && b.ok, "{:?} / {:?}", a.error, b.error);
+    assert_eq!(a.samples.len(), 16 * 500);
+    assert!(a.budget.as_ref().unwrap().shed_ticks.iter().sum::<u64>() > 0);
+    assert_eq!(bits(&a.samples), bits(&b.samples));
 }
