@@ -1,8 +1,10 @@
 //! Micro-benchmark for the fleet service stack: concurrent clients
-//! against one resident `FleetService` over the in-process broker,
-//! measuring request throughput, reply-latency percentiles, and the
-//! cross-request engine-cache hit rates that the shared tier exists
-//! for (repeat tenants must be mostly cache hits).
+//! against one resident `FleetService`, first calling
+//! `FleetService::handle` in-process and then sending the same requests
+//! over loopback TCP through the stock `Client`. It measures request
+//! throughput, latency percentiles for both, and the cross-request
+//! engine-cache hit rates that the shared tier exists for (repeat
+//! tenants must be mostly cache hits).
 //!
 //! Writes the measured baseline to `BENCH_service.json` (pass an
 //! output path as the first argument to override).
@@ -12,7 +14,7 @@
 //! ```
 
 use fs2_service::{
-    call_with_retry, serve_with, AdmissionConfig, Broker, ChaosConfig, FleetReply, FleetRequest,
+    call_with_retry, serve_with, AdmissionConfig, ChaosConfig, Client, FleetReply, FleetRequest,
     FleetService, RetryPolicy, ServiceConfig, TransportConfig,
 };
 use std::fmt::Write as _;
@@ -27,38 +29,98 @@ fn percentile(sorted_ms: &[f64], q: f64) -> f64 {
     sorted_ms[idx]
 }
 
+fn request(seed: u64, cap: Option<f64>) -> FleetRequest {
+    FleetRequest {
+        nodes: 64,
+        samples_per_node: 500,
+        seed: Some(seed),
+        power_cap_w: cap,
+        ..FleetRequest::fig1()
+    }
+}
+
+/// Throughput and latency of one closed-loop phase.
+struct Phase {
+    replies_ok: usize,
+    elapsed_s: f64,
+    requests_per_sec: f64,
+    p50_ms: f64,
+    p99_ms: f64,
+}
+
+/// CONCURRENT_CLIENTS threads, each opening a session with `open` and
+/// firing REQUESTS_PER_CLIENT sequential requests through `send`, which
+/// reports whether the reply came back ok. Half the tenants repeat the
+/// warmed config, half rotate fresh seeds — a realistic mixed fleet.
+/// Per-request latencies pool across clients for the percentiles.
+fn closed_loop<S>(
+    open: impl Fn() -> S + Sync,
+    send: impl Fn(&mut S, &FleetRequest) -> bool + Sync,
+) -> Phase {
+    let started = Instant::now();
+    let per_client: Vec<(Vec<f64>, usize)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..CONCURRENT_CLIENTS)
+            .map(|client| {
+                let (open, send) = (&open, &send);
+                scope.spawn(move || {
+                    let mut session = open();
+                    let mut latencies_ms = Vec::with_capacity(REQUESTS_PER_CLIENT);
+                    let mut ok = 0usize;
+                    for i in 0..REQUESTS_PER_CLIENT {
+                        let seed = if i % 2 == 0 { 1 } else { 10 + client as u64 };
+                        let req = request(seed, None);
+                        let t0 = Instant::now();
+                        if send(&mut session, &req) {
+                            ok += 1;
+                        }
+                        latencies_ms.push(t0.elapsed().as_secs_f64() * 1e3);
+                    }
+                    (latencies_ms, ok)
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("client thread"))
+            .collect()
+    });
+    let elapsed_s = started.elapsed().as_secs_f64();
+    let mut latencies_ms: Vec<f64> = Vec::new();
+    let mut replies_ok = 0usize;
+    for (lat, ok) in per_client {
+        latencies_ms.extend(lat);
+        replies_ok += ok;
+    }
+    latencies_ms.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    Phase {
+        replies_ok,
+        elapsed_s,
+        requests_per_sec: latencies_ms.len() as f64 / elapsed_s,
+        p50_ms: percentile(&latencies_ms, 0.50),
+        p99_ms: percentile(&latencies_ms, 0.99),
+    }
+}
+
 fn main() {
     let out_path = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "BENCH_service.json".to_string());
+    let host_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     let service = Arc::new(FleetService::new(ServiceConfig {
         workers: 0,        // one per host core
         default_shards: 0, // one per worker
         ..ServiceConfig::default()
     }));
-    let broker = Arc::new(Broker::new(Arc::clone(&service), CONCURRENT_CLIENTS));
-
-    let request = |seed: u64, cap: Option<f64>| FleetRequest {
-        nodes: 64,
-        samples_per_node: 500,
-        seed: Some(seed),
-        power_cap_w: cap,
-        ..FleetRequest::fig1()
-    };
 
     // Warm-up request: builds the payload/exec tier every later tenant
     // re-serves from. Its registry counters are the cold baseline.
-    let line = broker
-        .call(request(1, None).to_line())
-        .expect("warm-up reply");
-    let cold = FleetReply::from_line(&line).expect("decode warm-up");
+    let cold = service.handle(&request(1, None));
     assert!(cold.ok, "{:?}", cold.error);
 
     // A second identical request: every payload and functional pass
     // must come out of the shared tier.
-    let line = broker.call(request(1, None).to_line()).expect("repeat");
-    let repeat = FleetReply::from_line(&line).expect("decode repeat");
+    let repeat = service.handle(&request(1, None));
     assert!(repeat.ok);
     assert_eq!(
         cold.samples, repeat.samples,
@@ -69,55 +131,38 @@ fn main() {
 
     // A near-identical tenant (new power cap, same fleet): the operating
     // points differ but the payload tier still re-serves.
-    let line = broker
-        .call(request(1, Some(280.0)).to_line())
-        .expect("capped");
-    let capped = FleetReply::from_line(&line).expect("decode capped");
+    let capped = service.handle(&request(1, Some(280.0)));
     assert!(capped.ok);
     let near_payload_rate = capped.registry.cross_payload_hit_rate();
 
-    // Throughput run: CONCURRENT_CLIENTS threads, each firing
-    // REQUESTS_PER_CLIENT sequential requests at the warm service.
-    // Per-request latencies pool across clients for the percentiles.
-    let started = Instant::now();
-    let handles: Vec<_> = (0..CONCURRENT_CLIENTS)
-        .map(|client| {
-            let broker = Arc::clone(&broker);
-            std::thread::spawn(move || {
-                let mut latencies_ms = Vec::with_capacity(REQUESTS_PER_CLIENT);
-                let mut ok = 0usize;
-                for i in 0..REQUESTS_PER_CLIENT {
-                    // Half the tenants repeat the warmed config, half
-                    // rotate fresh seeds — a realistic mixed fleet.
-                    let seed = if i % 2 == 0 { 1 } else { 10 + client as u64 };
-                    let t0 = Instant::now();
-                    let line = broker
-                        .call(request(seed, None).to_line())
-                        .expect("broker reply");
-                    latencies_ms.push(t0.elapsed().as_secs_f64() * 1e3);
-                    if FleetReply::from_line(&line).is_ok_and(|r| r.ok) {
-                        ok += 1;
-                    }
-                }
-                (latencies_ms, ok)
-            })
-        })
-        .collect();
-    let mut latencies_ms: Vec<f64> = Vec::new();
-    let mut replies_ok = 0usize;
-    for h in handles {
-        let (lat, ok) = h.join().unwrap();
-        latencies_ms.extend(lat);
-        replies_ok += ok;
-    }
-    let elapsed_s = started.elapsed().as_secs_f64();
+    // Throughput run, in-process: the clients call `handle` directly.
     let requests = CONCURRENT_CLIENTS * REQUESTS_PER_CLIENT;
-    let requests_per_sec = requests as f64 / elapsed_s;
-    latencies_ms.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let p50_ms = percentile(&latencies_ms, 0.50);
-    let p99_ms = percentile(&latencies_ms, 0.99);
-
+    let local = closed_loop(|| (), |_, req| service.handle(req).ok);
     let stats = service.admission_stats();
+
+    // The same requests over loopback TCP, one stock `Client`
+    // connection per client thread. On top of `handle` each request
+    // pays its encode, the transport, the server's decode and reply
+    // encode, and the client's reply decode.
+    let server = serve_with(
+        Arc::clone(&service),
+        "127.0.0.1:0",
+        TransportConfig::default(),
+    )
+    .expect("bind the bench server");
+    let addr = server.local_addr().to_string();
+    let tcp = closed_loop(
+        || Client::connect(&addr).expect("connect to the bench server"),
+        |client, req| {
+            client
+                .request(&req.to_line())
+                .ok()
+                .and_then(|line| FleetReply::from_line(&line).ok())
+                .is_some_and(|reply| reply.ok)
+        },
+    );
+    server.shutdown();
+    assert_eq!(tcp.replies_ok, requests, "every TCP request must be served");
 
     // Fault-tolerance phase, on deliberately tiny requests: a chaotic
     // service absorbing injected shard panics, a deadline screen
@@ -216,17 +261,31 @@ fn main() {
 
     let mut json = String::new();
     json.push_str("{\n");
-    json.push_str("  \"benchmark\": \"fleet service stack (broker + shards + shared caches)\",\n");
+    json.push_str(
+        "  \"benchmark\": \"fleet service stack (handle + TCP + shards + shared caches)\",\n",
+    );
     let _ = writeln!(
         json,
         "  \"fleet\": \"64 nodes, 500 samples/node per request\","
     );
+    let _ = writeln!(json, "  \"host_threads\": {host_threads},");
     let _ = writeln!(json, "  \"concurrent_clients\": {CONCURRENT_CLIENTS},");
     let _ = writeln!(json, "  \"requests\": {requests},");
-    let _ = writeln!(json, "  \"replies_ok\": {replies_ok},");
-    let _ = writeln!(json, "  \"requests_per_sec\": {requests_per_sec:.2},");
-    let _ = writeln!(json, "  \"p50_ms\": {p50_ms:.2},");
-    let _ = writeln!(json, "  \"p99_ms\": {p99_ms:.2},");
+    let _ = writeln!(json, "  \"replies_ok\": {},", local.replies_ok);
+    let _ = writeln!(
+        json,
+        "  \"requests_per_sec\": {:.2},",
+        local.requests_per_sec
+    );
+    let _ = writeln!(json, "  \"p50_ms\": {:.2},", local.p50_ms);
+    let _ = writeln!(json, "  \"p99_ms\": {:.2},", local.p99_ms);
+    let _ = writeln!(
+        json,
+        "  \"tcp_requests_per_sec\": {:.2},",
+        tcp.requests_per_sec
+    );
+    let _ = writeln!(json, "  \"tcp_p50_ms\": {:.2},", tcp.p50_ms);
+    let _ = writeln!(json, "  \"tcp_p99_ms\": {:.2},", tcp.p99_ms);
     let _ = writeln!(
         json,
         "  \"cross_request_payload_hit_rate\": {repeat_payload_rate:.4},"
@@ -256,11 +315,14 @@ fn main() {
     json.push_str("}\n");
 
     println!("### bench_service — fleet service stack\n");
-    println!(
-        "{requests} requests from {CONCURRENT_CLIENTS} clients in {elapsed_s:.2} s \
-         ({requests_per_sec:.1} req/s), {replies_ok} ok"
-    );
-    println!("latency: p50 {p50_ms:.1} ms, p99 {p99_ms:.1} ms");
+    println!("host: {host_threads} threads");
+    for (name, phase) in [("in-process handle", &local), ("loopback TCP", &tcp)] {
+        println!(
+            "{name}: {requests} requests from {CONCURRENT_CLIENTS} clients in {:.2} s \
+             ({:.1} req/s), {} ok; latency p50 {:.1} ms, p99 {:.1} ms",
+            phase.elapsed_s, phase.requests_per_sec, phase.replies_ok, phase.p50_ms, phase.p99_ms
+        );
+    }
     println!(
         "cross-request caches: payload {:.0}% / exec {:.0}% on the repeat tenant, \
          payload {:.0}% near-identical",

@@ -5,28 +5,24 @@
 //! candidate finished execution, the values are retrieved and processed by
 //! FIRESTARTER". The essential property — samples accumulate while the
 //! workload runs and are drained afterwards — is reproduced with an
-//! in-process queue between the measurement side (sink) and the
-//! consumer (source/metric).
+//! unbounded in-process queue between the measurement side (sink) and
+//! the consumer (source/metric).
 //!
 //! The queue itself is the generic [`MetricQueue`]: a mutex/condvar
-//! MPMC channel (crates.io is unavailable offline, so no crossbeam)
-//! with an optional capacity bound. The metric sink/source pair rides
-//! it for `Sample`s, and the fleet-service broker (`fs2-service`)
-//! reuses the same seam for its JSON-line request/reply streams —
-//! the broker-mediated front-end the paper's metricq integration
-//! points at, with backpressure coming from the capacity bound.
+//! MPMC channel (crates.io is unavailable offline, so no crossbeam).
+//! The metric sink/source pair rides it for `Sample`s, and the
+//! fleet service's worker pool (`fs2-service`) reuses it as its job
+//! and result conduit.
 
 use crate::metric::Metric;
 use crate::series::{Sample, TimeSeries};
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, Weak};
 
-/// A push failed because the queue is full or closed; the rejected
-/// value is handed back so the producer can retry or shed it.
+/// A push failed because the queue is closed; the rejected value is
+/// handed back to the producer.
 #[derive(Debug, PartialEq, Eq)]
 pub enum PushError<T> {
-    /// The queue is at its capacity bound (backpressure).
-    Full(T),
     /// The queue was closed; no consumer will ever see the value.
     Closed(T),
 }
@@ -36,17 +32,16 @@ struct QueueState<T> {
     closed: bool,
 }
 
-/// Bounded or unbounded MPMC queue: the channel seam shared by the
-/// MetricQ sink/source pair and the fleet-service broker. All
-/// operations are non-blocking unless the `_wait` variant is called.
+/// Unbounded MPMC queue: the channel seam shared by the MetricQ
+/// sink/source pair and the fleet service's worker pool. All
+/// operations are non-blocking except [`MetricQueue::pop_wait`].
 pub struct MetricQueue<T> {
     state: Mutex<QueueState<T>>,
     cv: Condvar,
-    capacity: Option<usize>,
 }
 
 impl<T> MetricQueue<T> {
-    /// A queue with no capacity bound (the historical MetricQ buffer).
+    /// An empty, open queue (the historical MetricQ buffer).
     pub fn unbounded() -> MetricQueue<T> {
         MetricQueue {
             state: Mutex::new(QueueState {
@@ -54,22 +49,6 @@ impl<T> MetricQueue<T> {
                 closed: false,
             }),
             cv: Condvar::new(),
-            capacity: None,
-        }
-    }
-
-    /// A queue holding at most `capacity` items; pushes beyond that
-    /// fail ([`PushError::Full`]) or block ([`MetricQueue::push_wait`])
-    /// until a consumer drains — the broker's backpressure.
-    pub fn bounded(capacity: usize) -> MetricQueue<T> {
-        assert!(capacity > 0, "a bounded queue needs at least one slot");
-        MetricQueue {
-            state: Mutex::new(QueueState {
-                q: VecDeque::new(),
-                closed: false,
-            }),
-            cv: Condvar::new(),
-            capacity: Some(capacity),
         }
     }
 
@@ -77,52 +56,20 @@ impl<T> MetricQueue<T> {
         self.state.lock().expect("metricq queue poisoned")
     }
 
-    /// Non-blocking push; fails with the value when full or closed.
+    /// Non-blocking push; fails with the value when closed.
     pub fn try_push(&self, value: T) -> Result<(), PushError<T>> {
         let mut s = self.lock();
         if s.closed {
             return Err(PushError::Closed(value));
-        }
-        if let Some(cap) = self.capacity {
-            if s.q.len() >= cap {
-                return Err(PushError::Full(value));
-            }
         }
         s.q.push_back(value);
         self.cv.notify_one();
         Ok(())
     }
 
-    /// Blocking push: waits while the queue is at capacity. Returns the
-    /// value when the queue closes before a slot frees.
-    pub fn push_wait(&self, value: T) -> Result<(), T> {
-        let mut s = self.lock();
-        loop {
-            if s.closed {
-                return Err(value);
-            }
-            match self.capacity {
-                Some(cap) if s.q.len() >= cap => {
-                    s = self.cv.wait(s).expect("metricq queue poisoned");
-                }
-                _ => {
-                    s.q.push_back(value);
-                    self.cv.notify_one();
-                    return Ok(());
-                }
-            }
-        }
-    }
-
     /// Non-blocking pop.
     pub fn try_pop(&self) -> Option<T> {
-        let mut s = self.lock();
-        let v = s.q.pop_front();
-        if v.is_some() {
-            // A slot freed: wake one blocked producer.
-            self.cv.notify_one();
-        }
-        v
+        self.lock().q.pop_front()
     }
 
     /// Blocking pop: waits for an item; `None` once the queue is closed
@@ -131,7 +78,6 @@ impl<T> MetricQueue<T> {
         let mut s = self.lock();
         loop {
             if let Some(v) = s.q.pop_front() {
-                self.cv.notify_one();
                 return Some(v);
             }
             if s.closed {
@@ -144,12 +90,7 @@ impl<T> MetricQueue<T> {
     /// Removes and returns everything currently buffered, preserving
     /// push order.
     pub fn drain_all(&self) -> Vec<T> {
-        let mut s = self.lock();
-        let out: Vec<T> = s.q.drain(..).collect();
-        if !out.is_empty() {
-            self.cv.notify_all();
-        }
-        out
+        self.lock().q.drain(..).collect()
     }
 
     /// Items currently buffered.
@@ -161,21 +102,11 @@ impl<T> MetricQueue<T> {
         self.lock().q.is_empty()
     }
 
-    /// The capacity bound, if any.
-    pub fn capacity(&self) -> Option<usize> {
-        self.capacity
-    }
-
     /// Closes the queue: pending items stay poppable, new pushes fail,
-    /// and every blocked producer/consumer wakes.
+    /// and every blocked consumer wakes.
     pub fn close(&self) {
         self.lock().closed = true;
         self.cv.notify_all();
-    }
-
-    /// Whether [`MetricQueue::close`] was called.
-    pub fn is_closed(&self) -> bool {
-        self.lock().closed
     }
 }
 
@@ -184,7 +115,6 @@ impl<T> std::fmt::Debug for MetricQueue<T> {
         let s = self.lock();
         f.debug_struct("MetricQueue")
             .field("len", &s.q.len())
-            .field("capacity", &self.capacity)
             .field("closed", &s.closed)
             .finish()
     }
@@ -193,12 +123,9 @@ impl<T> std::fmt::Debug for MetricQueue<T> {
 /// The shared sink/source buffer.
 type Buffer = Arc<MetricQueue<Sample>>;
 
-/// A send failed: the buffer is full (bounded channels only) or the
-/// source was dropped.
+/// A send failed because the source was dropped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SendError {
-    /// Capacity bound reached — the consumer must drain first.
-    Full,
     /// No consumer: the [`MetricQSource`] is gone.
     Disconnected,
 }
@@ -206,7 +133,6 @@ pub enum SendError {
 impl std::fmt::Display for SendError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SendError::Full => f.write_str("metricq buffer full"),
             SendError::Disconnected => f.write_str("metricq source dropped"),
         }
     }
@@ -226,22 +152,19 @@ pub struct MetricQSink {
 
 impl MetricQSink {
     /// Sends one sample into the buffer, best-effort: dropped if the
-    /// source is gone or the buffer is at capacity (the real meter
-    /// keeps sampling whether anyone listens or not). Use
-    /// [`MetricQSink::try_send`] to observe backpressure instead.
+    /// source is gone (the real meter keeps sampling whether anyone
+    /// listens or not). Use [`MetricQSink::try_send`] to observe that.
     pub fn send(&self, t_s: f64, value: f64) {
         let _ = self.try_send(t_s, value);
     }
 
-    /// Sends one sample, surfacing why it could not be buffered — the
-    /// backpressure signal a bounded broker channel needs.
+    /// Sends one sample, reporting when no source is left to buffer it.
     pub fn try_send(&self, t_s: f64, value: f64) -> Result<(), SendError> {
         match self.tx.upgrade() {
             None => Err(SendError::Disconnected),
-            Some(q) => q.try_push(Sample { t_s, value }).map_err(|e| match e {
-                PushError::Full(_) => SendError::Full,
-                PushError::Closed(_) => SendError::Disconnected,
-            }),
+            Some(q) => q
+                .try_push(Sample { t_s, value })
+                .map_err(|PushError::Closed(_)| SendError::Disconnected),
         }
     }
 
@@ -269,26 +192,12 @@ pub struct MetricQSource {
     series: TimeSeries,
 }
 
-/// Creates a connected sink/source pair with an unbounded buffer.
+/// Creates a connected sink/source pair.
 ///
 /// `rate_hz` is the meter sampling rate (the paper uses 20 Sa/s).
 pub fn channel(name: impl Into<String>, rate_hz: f64) -> (MetricQSink, MetricQSource) {
-    connect(name, rate_hz, Arc::new(MetricQueue::unbounded()))
-}
-
-/// Creates a connected sink/source pair whose buffer holds at most
-/// `capacity` samples: sends beyond that fail with [`SendError::Full`]
-/// until the source drains — the broker-side backpressure bound.
-pub fn channel_bounded(
-    name: impl Into<String>,
-    rate_hz: f64,
-    capacity: usize,
-) -> (MetricQSink, MetricQSource) {
-    connect(name, rate_hz, Arc::new(MetricQueue::bounded(capacity)))
-}
-
-fn connect(name: impl Into<String>, rate_hz: f64, buffer: Buffer) -> (MetricQSink, MetricQSource) {
     assert!(rate_hz > 0.0);
+    let buffer: Buffer = Arc::new(MetricQueue::unbounded());
     (
         MetricQSink {
             tx: Arc::downgrade(&buffer),
@@ -314,24 +223,9 @@ impl MetricQSource {
         n
     }
 
-    /// Non-blocking: consumes at most one buffered sample into the
-    /// series and returns it. `None` when nothing is pending — the
-    /// incremental counterpart of [`MetricQSource::drain`] for
-    /// consumers that interleave work with the meter stream.
-    pub fn try_recv(&mut self) -> Option<Sample> {
-        let s = self.rx.try_pop()?;
-        self.series.push(s.t_s, s.value);
-        Some(s)
-    }
-
     /// Buffered samples not yet drained.
     pub fn pending(&self) -> usize {
         self.rx.len()
-    }
-
-    /// The buffer's capacity bound (`None` for unbounded channels).
-    pub fn capacity(&self) -> Option<usize> {
-        self.rx.capacity()
     }
 }
 
@@ -425,44 +319,10 @@ mod tests {
     }
 
     #[test]
-    fn bounded_channel_applies_backpressure() {
-        let (sink, mut source) = channel_bounded("metricq", 20.0, 3);
-        assert_eq!(source.capacity(), Some(3));
-        for i in 0..3 {
-            assert_eq!(sink.try_send(i as f64, 1.0), Ok(()));
-        }
-        // Full: the bounded buffer rejects instead of growing.
-        assert_eq!(sink.try_send(3.0, 1.0), Err(SendError::Full));
-        assert_eq!(source.pending(), 3);
-        // Best-effort send drops silently at capacity.
-        sink.send(3.0, 1.0);
-        assert_eq!(source.pending(), 3);
-        // Draining frees the bound.
-        assert_eq!(source.drain(), 3);
-        assert_eq!(sink.try_send(4.0, 2.0), Ok(()));
-        assert_eq!(source.pending(), 1);
-    }
-
-    #[test]
-    fn try_recv_consumes_one_in_order() {
-        let (sink, mut source) = channel("metricq", 20.0);
-        sink.send(0.0, 10.0);
-        sink.send(1.0, 11.0);
-        let first = source.try_recv().expect("first pending sample");
-        assert_eq!((first.t_s, first.value), (0.0, 10.0));
-        assert_eq!(source.pending(), 1);
-        assert_eq!(source.series().len(), 1);
-        let second = source.try_recv().expect("second pending sample");
-        assert_eq!(second.value, 11.0);
-        assert!(source.try_recv().is_none());
-        assert_eq!(source.series().len(), 2);
-    }
-
-    #[test]
     fn one_sink_many_drains_interleavings_preserve_order_and_counts() {
-        // The drain/pending contract under interleaved consumption: no
-        // sample is lost or duplicated, and the series stays in send
-        // order no matter how drains and try_recvs interleave.
+        // The drain/pending contract under interleaved sends and
+        // drains: no sample is lost or duplicated, and the series stays
+        // in send order.
         let (sink, mut source) = channel("metricq", 20.0);
         let mut sent = 0u32;
         let send_n = |sink: &MetricQSink, sent: &mut u32, n: u32| {
@@ -473,11 +333,9 @@ mod tests {
         };
         send_n(&sink, &mut sent, 3);
         assert_eq!(source.drain(), 3);
-        send_n(&sink, &mut sent, 2);
-        assert!(source.try_recv().is_some()); // partial consumption
-        send_n(&sink, &mut sent, 4);
-        assert_eq!(source.pending(), 5);
-        assert_eq!(source.drain(), 5);
+        send_n(&sink, &mut sent, 6);
+        assert_eq!(source.pending(), 6);
+        assert_eq!(source.drain(), 6);
         send_n(&sink, &mut sent, 1);
         assert_eq!(source.drain(), 1);
         assert_eq!(source.drain(), 0, "drained queue must report zero");
@@ -490,25 +348,11 @@ mod tests {
     }
 
     #[test]
-    fn bounded_queue_push_wait_unblocks_on_pop() {
-        let q = Arc::new(MetricQueue::bounded(1));
-        q.try_push(1u32).unwrap();
-        let q2 = Arc::clone(&q);
-        let producer = std::thread::spawn(move || q2.push_wait(2u32));
-        // The producer blocks on the full queue until we pop.
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        assert_eq!(q.try_pop(), Some(1));
-        assert_eq!(producer.join().unwrap(), Ok(()));
-        assert_eq!(q.try_pop(), Some(2));
-    }
-
-    #[test]
     fn closed_queue_rejects_pushes_and_drains_pops() {
         let q: MetricQueue<u32> = MetricQueue::unbounded();
         q.try_push(7).unwrap();
         q.close();
         assert!(matches!(q.try_push(8), Err(PushError::Closed(8))));
-        assert_eq!(q.push_wait(9), Err(9));
         // Pending items survive the close; then pops report the end.
         assert_eq!(q.pop_wait(), Some(7));
         assert_eq!(q.pop_wait(), None);

@@ -198,10 +198,6 @@ impl Gate {
         }
     }
 
-    pub fn config(&self) -> AdmissionConfig {
-        self.cfg
-    }
-
     /// Admits, queues, or rejects a request of the given estimated
     /// cost. Blocks while queued; costs beyond `u64` (address-space
     /// overflow upstream) are always oversize. A `deadline_ms` the

@@ -18,9 +18,10 @@
 //!   shared: all per-seed registries share one `EngineCaches` tier, and
 //!   the cross-request hit rates surface in every reply.
 //!
-//! Two transports expose the stack: [`broker`] (in-process, built on
-//! the `fs2-metrics` channel seam — the CLI's `--fleet` path) and
-//! [`tcp`] (plain TCP JSON-lines, the CLI's `--serve`/`--connect`).
+//! In-process callers, the CLI's `--fleet` among them, call
+//! [`service::FleetService::handle`] with a typed request and read the
+//! typed reply; JSON is spoken only at the one transport, [`tcp`]
+//! (plain TCP JSON-lines, the CLI's `--serve`/`--connect`).
 //!
 //! A fault-tolerance layer cuts across all of it: the pool supervises
 //! its workers (panics caught, dead workers respawned, shard panics
@@ -33,7 +34,6 @@
 //! dropped replies at reproducible points to prove all of the above.
 
 pub mod admission;
-pub mod broker;
 pub mod chaos;
 pub mod json;
 pub mod pool;
@@ -43,7 +43,6 @@ pub mod tcp;
 pub mod timing;
 
 pub use admission::{AdmissionConfig, AdmissionError, AdmissionStats, Gate, Permit};
-pub use broker::{Broker, BrokerJob};
 pub use chaos::{ChaosConfig, ChaosState};
 pub use json::{Json, JsonError};
 pub use pool::{PoolStats, ShardError, WorkerPool};

@@ -195,7 +195,7 @@ impl WorkerPool {
     /// Enqueues one fire-and-forget job.
     pub fn execute(&self, job: impl FnOnce() + Send + 'static) {
         self.jobs
-            .push_wait(Box::new(job))
+            .try_push(Box::new(job))
             // fs2-lint: allow(no-panic-service) -- the job queue closes only in Drop, which requires exclusive ownership; no live caller can observe it closed
             .unwrap_or_else(|_| panic!("worker pool is shut down"));
     }

@@ -90,10 +90,6 @@ impl FleetService {
         }
     }
 
-    pub fn admission_config(&self) -> AdmissionConfig {
-        self.gate.config()
-    }
-
     pub fn admission_stats(&self) -> AdmissionStats {
         self.gate.stats()
     }
@@ -138,7 +134,9 @@ impl FleetService {
         }
     }
 
-    /// Serves one request through the full stack.
+    /// Serves one request through the full stack. This is the
+    /// in-process entry point (the CLI's `--fleet` calls it); the TCP
+    /// transport reaches it through [`FleetService::handle_line`].
     pub fn handle(&self, req: &FleetRequest) -> FleetReply {
         let cfg = req.to_config();
         // node·samples in 128-bit: an address-space overflow becomes an

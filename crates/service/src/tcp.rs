@@ -1,8 +1,9 @@
 //! Plain-TCP front-end: JSON lines over a socket, with bounded reads
 //! and typed failure replies.
 //!
-//! The framing is the broker's, byte for byte — one request object per
-//! line in, one reply object per line out — so `nc` works as a client:
+//! This is the only place the service speaks JSON: one request object
+//! per line in, one reply object per line out, so `nc` works as a
+//! client:
 //!
 //! ```text
 //! $ echo '{"type":"fleet","nodes":12,"samples_per_node":60}' | nc 127.0.0.1 7171

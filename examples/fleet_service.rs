@@ -7,8 +7,7 @@
 //! ```
 
 use firestarter2::service::{
-    serve, AdmissionConfig, Broker, ChaosConfig, FleetReply, FleetRequest, FleetService,
-    ServiceConfig,
+    serve, AdmissionConfig, ChaosConfig, FleetReply, FleetRequest, FleetService, ServiceConfig,
 };
 use std::sync::Arc;
 
@@ -24,16 +23,15 @@ fn main() {
         chaos: ChaosConfig::default(), // off; see the chaos section below
     }));
 
-    // Transport 1: the in-process broker (what the CLI's --fleet uses).
-    let broker = Broker::new(Arc::clone(&service), 2);
+    // In-process: a typed request in, a typed reply out, no JSON
+    // (what the CLI's --fleet does).
     let req = FleetRequest {
         nodes: 64,
         samples_per_node: 240,
         seed: Some(42),
         ..FleetRequest::fig1()
     };
-    let line = broker.call(req.to_line()).expect("broker reply");
-    let first = FleetReply::from_line(&line).expect("decode");
+    let first = service.handle(&req);
     println!(
         "request 1: {} samples over {} shards, {} engines, {} payloads built",
         first.samples.len(),
@@ -44,8 +42,7 @@ fn main() {
 
     // The same configuration again: the second tenant re-serves the
     // warmed payload/exec tier instead of rebuilding it.
-    let line = broker.call(req.to_line()).expect("broker reply");
-    let second = FleetReply::from_line(&line).expect("decode");
+    let second = service.handle(&req);
     println!(
         "request 2: cross-request payload hit rate {:.2}, exec hit rate {:.2}",
         second.registry.cross_payload_hit_rate(),
@@ -56,7 +53,7 @@ fn main() {
         "identical requests must produce identical samples"
     );
 
-    // Transport 2: plain TCP JSON-lines (the CLI's --serve/--connect).
+    // The transport: plain TCP JSON-lines (the CLI's --serve/--connect).
     let server = serve(Arc::clone(&service), "127.0.0.1:0").expect("bind");
     let addr = server.local_addr().to_string();
     let line = firestarter2::service::call(&addr, &req.to_line()).expect("tcp round trip");

@@ -582,7 +582,7 @@ fn profile_from_cli(cfg: &CliConfig) -> Result<Option<fs2_calib::FleetProfile>, 
 }
 
 /// Expands the fleet flags into a service request (shared by the
-/// local `--fleet` broker path and the remote `--connect` path).
+/// in-process `--fleet` path and the remote `--connect` path).
 fn fleet_request_from_cli(cfg: &CliConfig) -> Result<fs2_service::FleetRequest, CliError> {
     use fs2_cluster::{BudgetPolicy, TemporalMode};
 
@@ -642,9 +642,11 @@ fn service_config_from_cli(cfg: &CliConfig) -> fs2_service::ServiceConfig {
 }
 
 fn write_sample_bits(path: &str, samples: &[f64]) -> Result<(), CliError> {
+    use std::fmt::Write as _;
+
     let mut text = String::with_capacity(samples.len() * 17);
     for s in samples {
-        text.push_str(&format!("{:016x}\n", s.to_bits()));
+        let _ = writeln!(text, "{:016x}", s.to_bits());
     }
     std::fs::write(path, text).map_err(|e| err(format!("--dump-samples {path}: {e}")))
 }
@@ -816,19 +818,12 @@ fn print_fleet_reply(
     Ok(out)
 }
 
-/// One-shot `--fleet`: a thin client of the in-process broker over a
+/// One-shot `--fleet`: [`fs2_service::FleetService::handle`] on a
 /// fresh service instance (the full request → admission → shard →
-/// engine stack, minus the socket).
+/// engine stack, minus the socket and the JSON codec).
 fn run_fleet(cfg: &CliConfig) -> Result<String, CliError> {
-    use std::sync::Arc;
-
     let req = fleet_request_from_cli(cfg)?;
-    let service = Arc::new(fs2_service::FleetService::new(service_config_from_cli(cfg)));
-    let broker = fs2_service::Broker::new(service, 1);
-    let line = broker
-        .call(req.to_line())
-        .ok_or_else(|| err("fleet broker shut down mid-request"))?;
-    let reply = fs2_service::FleetReply::from_line(&line).map_err(|e| err(e.to_string()))?;
+    let reply = fs2_service::FleetService::new(service_config_from_cli(cfg)).handle(&req);
     if reply.ok {
         if let Some(path) = &cfg.dump_samples {
             write_sample_bits(path, &reply.samples)?;
@@ -891,7 +886,7 @@ fn run_connect(cfg: &CliConfig) -> Result<String, CliError> {
             String::new()
         }
     };
-    let mut line = None;
+    let mut reply = None;
     let mut last_err = None;
     for attempt in 0..attempts {
         if attempt > 0 {
@@ -900,15 +895,12 @@ fn run_connect(cfg: &CliConfig) -> Result<String, CliError> {
             ));
         }
         match fs2_service::call(addr, &req.to_line()) {
-            Ok(got) => {
-                let transient = fs2_service::FleetReply::from_line(&got)
-                    .map(|r| {
-                        !r.ok
-                            && r.error_kind.as_deref()
-                                == Some(fs2_service::proto::kind::SHARD_PANIC)
-                    })
-                    .unwrap_or(false);
-                line = Some(got);
+            Ok(line) => {
+                let got = fs2_service::FleetReply::from_line(&line);
+                let transient = got.as_ref().is_ok_and(|r| {
+                    !r.ok && r.error_kind.as_deref() == Some(fs2_service::proto::kind::SHARD_PANIC)
+                });
+                reply = Some(got);
                 if !transient {
                     break;
                 }
@@ -916,12 +908,11 @@ fn run_connect(cfg: &CliConfig) -> Result<String, CliError> {
             Err(e) => last_err = Some(e),
         }
     }
-    let line = match (line, last_err) {
-        (Some(line), _) => line,
+    let reply = match (reply, last_err) {
+        (Some(got), _) => got.map_err(|e| err(e.to_string()))?,
         (None, Some(e)) => return Err(err(format!("--connect {addr}{}: {e}", suffix()))),
         (None, None) => return Err(err(format!("--connect {addr}: no attempts made"))),
     };
-    let reply = fs2_service::FleetReply::from_line(&line).map_err(|e| err(e.to_string()))?;
     if let Some(path) = &cfg.dump_samples {
         if reply.ok {
             write_sample_bits(path, &reply.samples)?;

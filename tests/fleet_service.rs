@@ -1,13 +1,12 @@
 //! Service-stack integration: a served fleet request must be
-//! byte-identical to the one-shot library run through every transport
-//! (in-process broker, TCP JSON-lines), admission control must bound
-//! concurrency without panicking, and the wire format must round-trip
-//! seeds and samples exactly.
+//! byte-identical to the one-shot library run whether it is served
+//! in-process (`FleetService::handle`) or over TCP JSON-lines,
+//! admission control must bound concurrency without panicking, and the
+//! wire format must round-trip seeds and samples exactly.
 
 use firestarter2::cluster::{FleetConfig, FleetSim, TemporalMode};
 use firestarter2::service::{
-    call, serve, AdmissionConfig, Broker, Client, FleetReply, FleetRequest, FleetService,
-    ServiceConfig,
+    call, serve, AdmissionConfig, Client, FleetReply, FleetRequest, FleetService, ServiceConfig,
 };
 use std::sync::Arc;
 
@@ -25,9 +24,8 @@ fn request(seed: u64) -> FleetRequest {
 }
 
 #[test]
-fn broker_round_trip_matches_the_library_run_bitwise() {
-    let service = Arc::new(FleetService::new(ServiceConfig::small()));
-    let broker = Broker::new(Arc::clone(&service), 2);
+fn handle_matches_the_library_run_bitwise() {
+    let service = FleetService::new(ServiceConfig::small());
     for req in [
         request(17),
         FleetRequest {
@@ -38,15 +36,12 @@ fn broker_round_trip_matches_the_library_run_bitwise() {
         },
     ] {
         let direct = FleetSim::new(req.to_config()).run();
-        let line = broker
-            .call(req.to_line())
-            .expect("broker dropped the request");
-        let reply = FleetReply::from_line(&line).unwrap();
+        let reply = service.handle(&req);
         assert!(reply.ok, "{:?}", reply.error);
         assert_eq!(
             bits(&direct.samples),
             bits(&reply.samples),
-            "brokered samples diverged from the library run"
+            "served samples diverged from the library run"
         );
     }
 }
