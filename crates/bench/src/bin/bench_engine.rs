@@ -1,7 +1,7 @@
-//! Micro-benchmark for the engine-layer optimizations: the three
-//! functional-executor tiers (interpreted → pre-decoded → SoA
-//! lane-vectorized), the engine's ExecStats cache, and the payload
-//! cache vs rebuilding.
+//! Micro-benchmark for the engine-layer optimizations: the SoA
+//! lane-vectorized functional executor against the reference
+//! interpreter, the engine's ExecStats cache, and the payload cache vs
+//! rebuilding.
 //!
 //! Writes the measured baseline to `BENCH_engine.json` (pass an output
 //! path as the first argument to override). Criterion is unavailable
@@ -56,16 +56,6 @@ fn main() {
     });
 
     let table = DecodedKernel::new(kernel);
-    let predecoded = time_ns(40, || {
-        let mut ex = Executor::new(InitScheme::V2Safe, 42);
-        ex.run_predecoded(black_box(&table), FUNC_ITERS);
-        black_box(ex.state_hash());
-    });
-    cases.push(Case {
-        name: "exec_predecoded_100_iters",
-        ns_per_iter: predecoded,
-    });
-
     let soa = time_ns(40, || {
         let mut ex = Executor::new(InitScheme::V2Safe, 42);
         ex.run_decoded(black_box(&table), FUNC_ITERS);
@@ -76,16 +66,13 @@ fn main() {
         ns_per_iter: soa,
     });
 
-    // Sanity: all three tiers agree before we publish numbers.
+    // Sanity: both implementations agree before we publish numbers.
     {
         let mut a = Executor::new(InitScheme::V2Safe, 7);
         let mut b = Executor::new(InitScheme::V2Safe, 7);
-        let mut c = Executor::new(InitScheme::V2Safe, 7);
         a.run_decoded(&table, FUNC_ITERS);
         b.run_interpreted(kernel, FUNC_ITERS);
-        c.run_predecoded(&table, FUNC_ITERS);
         assert_eq!(a.state_hash(), b.state_hash(), "dispatch paths diverge");
-        assert_eq!(a.state_hash(), c.state_hash(), "baseline tier diverges");
         assert_eq!(a.stats(), b.stats(), "stats accounting diverges");
     }
 
@@ -146,8 +133,7 @@ fn main() {
         ns_per_iter: warm,
     });
 
-    let speedup_predecoded = interpreted / predecoded;
-    let speedup_soa = predecoded / soa;
+    let speedup_soa = interpreted / soa;
     let speedup_exec_cache = exec_cold / exec_hit;
     let speedup_cache = cold / warm;
 
@@ -169,11 +155,7 @@ fn main() {
         let _ = writeln!(json, "    \"{}\": {:.0}{comma}", c.name, c.ns_per_iter);
     }
     json.push_str("  },\n");
-    let _ = writeln!(
-        json,
-        "  \"speedup_predecoded_vs_interpreted\": {speedup_predecoded:.2},"
-    );
-    let _ = writeln!(json, "  \"speedup_soa_vs_predecoded\": {speedup_soa:.2},");
+    let _ = writeln!(json, "  \"speedup_soa_vs_interpreted\": {speedup_soa:.2},");
     let _ = writeln!(
         json,
         "  \"speedup_exec_stats_cache_hit\": {speedup_exec_cache:.1},"
@@ -184,12 +166,11 @@ fn main() {
     );
     json.push_str("}\n");
 
-    println!("### bench_engine — functional-executor tiers and engine caches\n");
+    println!("### bench_engine — functional executor and engine caches\n");
     for c in &cases {
         println!("{:<42} {:>12.0} ns/iter", c.name, c.ns_per_iter);
     }
-    println!("\npre-decoded vs interpreted:    {speedup_predecoded:.2}x");
-    println!("SoA vectorized vs pre-decoded: {speedup_soa:.2}x");
+    println!("\nSoA vectorized vs interpreted: {speedup_soa:.2}x");
     println!("ExecStats cache hit vs cold:   {speedup_exec_cache:.1}x");
     println!("payload cache hit vs rebuild:  {speedup_cache:.1}x");
 

@@ -76,8 +76,8 @@ struct ExecKey {
     iters: u64,
 }
 
-/// Snapshot of the engine's cache counters — all three tiers: payload
-/// builds, kernel decodes, and functional (ExecStats) passes.
+/// Snapshot of the engine's cache counters for its three cache tiers:
+/// payload builds, kernel decodes, and functional (ExecStats) passes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheStats {
     /// Requests answered from the cache.
@@ -418,12 +418,11 @@ impl Engine {
     }
 
     /// Runs `config`'s payload on `runner` through every cache tier:
-    /// cached payload, memoized decoded kernel, and — for clean runs —
-    /// the ExecStats cache, which skips the functional pass entirely on
-    /// a hit. Armed fault injections replay the functional pass live
-    /// (their second executor is perturbed, so no cached outcome
-    /// describes them). Results are bit-identical to
-    /// [`Runner::run_kernel`] in every case.
+    /// cached payload, memoized decoded kernel, and the ExecStats cache,
+    /// which skips the functional pass entirely on a hit. An armed fault
+    /// is served from the cache too: the runner flips it into a copy of
+    /// the cached registers ([`Runner::run_with_functional`]). Results
+    /// are bit-identical to [`Runner::run_kernel`] in every case.
     pub fn run_on(
         &self,
         runner: &mut Runner,
@@ -433,18 +432,14 @@ impl Engine {
         let key = PayloadKey::of(&self.sku, config);
         let entry = self.entry_with(&key, config);
         let decoded = self.decoded_of(&entry);
-        if runner.has_pending_fault() {
-            runner.run_prepared(&entry.payload.kernel, &decoded, cfg)
-        } else {
-            let outcome = self.functional_outcome_keyed(
-                key,
-                &decoded,
-                cfg.init,
-                runner.seed(),
-                cfg.functional_iters,
-            );
-            runner.run_with_functional(&entry.payload.kernel, &outcome, cfg)
-        }
+        let outcome = self.functional_outcome_keyed(
+            key,
+            &decoded,
+            cfg.init,
+            runner.seed(),
+            cfg.functional_iters,
+        );
+        runner.run_with_functional(&entry.payload.kernel, &outcome, cfg)
     }
 
     /// Payload config for a group string with the architecture-default
@@ -1105,7 +1100,7 @@ mod tests {
     }
 
     #[test]
-    fn fault_injection_bypasses_the_exec_cache() {
+    fn armed_faults_are_detected_from_the_cached_pass() {
         let e = engine();
         let cfg = e.config_for_spec("REG:2,L1_LS:1").unwrap();
         let mut run_cfg = quick_cfg(1500.0);
@@ -1116,20 +1111,20 @@ mod tests {
         assert_eq!(clean.error_check_passed, Some(true));
         let warm = e.cache_stats();
 
-        // An armed fault must replay the functional pass live and detect
-        // the divergence — a cached outcome would report a clean pass.
+        // An armed fault is flipped into the cached outcome's registers:
+        // the divergence is detected without a live functional pass.
         let mut session = e.session();
         session.inject_fault_next_run(2, 5, 51);
         let faulted = session.run(&cfg, &run_cfg);
         assert_eq!(faulted.error_check_passed, Some(false));
         let s = e.cache_stats();
-        assert_eq!(s.exec_hits, warm.exec_hits, "fault run must not hit");
+        assert_eq!(s.exec_hits, warm.exec_hits + 1, "fault run must hit");
         assert_eq!(s.exec_misses, warm.exec_misses, "fault run must not fill");
 
         // The fault is one-shot: the next run is clean and cache-served.
         let after = session.run(&cfg, &run_cfg);
         assert_eq!(after.error_check_passed, Some(true));
-        assert_eq!(e.cache_stats().exec_hits, warm.exec_hits + 1);
+        assert_eq!(e.cache_stats().exec_hits, warm.exec_hits + 2);
     }
 
     #[test]

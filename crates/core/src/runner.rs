@@ -11,7 +11,8 @@ use fs2_metrics::metric::Summary;
 use fs2_metrics::TimeSeries;
 use fs2_power::{solve_throttle, NodePowerModel, PowerBreakdown};
 use fs2_sim::{
-    DecodedKernel, Executor, FunctionalOutcome, HwEvents, InitScheme, Kernel, SimClock, SystemSim,
+    run_functional, state_hash_of, DecodedKernel, FunctionalOutcome, HwEvents, InitScheme, Kernel,
+    SimClock, SystemSim, LANES,
 };
 
 /// Per-run parameters (CLI: `-t`, `--start-delta`, `--stop-delta`, …).
@@ -154,13 +155,6 @@ impl Runner {
         self.seed
     }
 
-    /// True when a fault is armed for the next error-detection run.
-    /// Fault runs must replay the functional pass live (the engine's
-    /// ExecStats cache only describes clean executions).
-    pub fn has_pending_fault(&self) -> bool {
-        self.pending_fault.is_some()
-    }
-
     pub fn clock(&self) -> &SimClock {
         &self.clock
     }
@@ -174,8 +168,11 @@ impl Runner {
         &self.power_model
     }
 
-    /// Arms a single-bit register fault on the *second* simulated core
-    /// for the next error-detection run (silent-data-corruption test).
+    /// Arms a single-bit register fault for the next error-detection run
+    /// (silent-data-corruption test). Every simulated core replays the
+    /// same deterministic pass, so the run flips the fault into a copy
+    /// of that pass's final registers: the state of the core that went
+    /// wrong. Runs with detection off leave the fault armed.
     pub fn inject_fault_next_run(&mut self, lane: usize, reg: usize, bit: u32) {
         self.pending_fault = Some((reg, lane, bit));
     }
@@ -218,140 +215,32 @@ impl Runner {
         self.run_kernel(&payload.kernel, cfg)
     }
 
-    /// Runs a raw kernel (used by baselines and tests). Pre-decodes the
-    /// kernel once for the run; callers that already hold a cached
-    /// [`DecodedKernel`] (the engine) use [`Runner::run_prepared`]
-    /// instead and skip the decode entirely.
+    /// Runs a raw kernel (used by baselines and tests): decodes it, runs
+    /// the §III-D value pass once, and finishes the run from that
+    /// outcome through [`Runner::run_with_functional`].
     pub fn run_kernel(&mut self, kernel: &Kernel, cfg: &RunConfig) -> RunResult {
         let decoded = DecodedKernel::new(kernel);
-        self.run_prepared(kernel, &decoded, cfg)
+        let functional = run_functional(&decoded, cfg.init, self.seed, cfg.functional_iters);
+        self.run_with_functional(kernel, &functional, cfg)
     }
 
-    /// Runs a kernel whose micro-op table is already decoded (the
-    /// engine memoizes one `DecodedKernel` per cached payload). The
-    /// error-detection second pass replays the same shared table — the
-    /// kernel is never decoded twice within a run.
-    pub fn run_prepared(
-        &mut self,
-        kernel: &Kernel,
-        decoded: &DecodedKernel,
-        cfg: &RunConfig,
-    ) -> RunResult {
-        // 1. Value-level execution: operand triviality + error detection.
-        let (outcome, error_check_passed) = self.functional_pass(decoded, cfg);
-        let trivial_fraction = outcome.stats.trivial_fraction();
-        let register_dump = cfg.dump_registers.then(|| outcome.register_dump());
-        self.finish_run(
-            kernel,
-            cfg,
-            trivial_fraction,
-            error_check_passed,
-            register_dump,
-        )
-    }
-
-    /// The §III-D value-level pass of a prepared run: the primary
-    /// functional outcome plus the error-detection verdict (if enabled).
-    /// Narrow tier: two independent [`Executor`] replays, with an armed
-    /// fault injected into the second before the hash comparison.
-    #[cfg(not(feature = "wide-lanes"))]
-    fn functional_pass(
-        &mut self,
-        decoded: &DecodedKernel,
-        cfg: &RunConfig,
-    ) -> (FunctionalOutcome, Option<bool>) {
-        let mut ex0 = Executor::new(cfg.init, self.seed);
-        ex0.run_decoded(decoded, cfg.functional_iters);
-        let error_check_passed = if cfg.error_detection {
-            let mut ex1 = Executor::new(cfg.init, self.seed);
-            ex1.run_decoded(decoded, cfg.functional_iters);
-            if let Some((reg, lane, bit)) = self.pending_fault.take() {
-                ex1.inject_bit_flip(reg, lane, bit);
-            }
-            Some(ex0.state_hash() == ex1.state_hash())
-        } else {
-            None
-        };
-        (ex0.outcome(), error_check_passed)
-    }
-
-    /// Wide-tier variant: the error-detection replay's two redundant
-    /// contexts run as one 8-lane pass ([`fs2_sim::run_functional_pair`]),
-    /// halving the replay loop count. An armed fault is applied to the
-    /// second context's extracted register file and its hash recomputed
-    /// — exactly the narrow tier's post-run [`Executor::inject_bit_flip`]
-    /// and compare, so results are bit-identical with the feature on or
-    /// off (the exec_parity suite pins the tiers to each other).
-    #[cfg(feature = "wide-lanes")]
-    fn functional_pass(
-        &mut self,
-        decoded: &DecodedKernel,
-        cfg: &RunConfig,
-    ) -> (FunctionalOutcome, Option<bool>) {
-        if cfg.error_detection {
-            let (out0, mut out1) = fs2_sim::run_functional_pair(
-                decoded,
-                cfg.init,
-                self.seed,
-                self.seed,
-                cfg.functional_iters,
-            );
-            if let Some((reg, lane, bit)) = self.pending_fault.take() {
-                let v = &mut out1.registers[reg % 16][lane % fs2_sim::LANES];
-                *v = f64::from_bits(v.to_bits() ^ (1u64 << (bit % 64)));
-                out1.state_hash = fs2_sim::state_hash_of(&out1.registers);
-            }
-            let passed = out0.state_hash == out1.state_hash;
-            (out0, Some(passed))
-        } else {
-            let mut ex = Executor::new(cfg.init, self.seed);
-            ex.run_decoded(decoded, cfg.functional_iters);
-            (ex.outcome(), None)
-        }
-    }
-
-    /// Runs a kernel whose functional pass was already computed (the
-    /// engine's ExecStats cache): the §III-D value-level replay is
-    /// skipped entirely and its results are taken from `functional`.
+    /// Runs a kernel whose functional pass is already computed (live by
+    /// [`Runner::run_kernel`], or from the engine's ExecStats cache).
     ///
-    /// `functional` must describe a clean pass of this kernel under
+    /// `functional` must describe a pass of this kernel under
     /// `(cfg.init, self.seed(), cfg.functional_iters)`; with that
-    /// contract the result is bit-identical to [`Runner::run_kernel`].
-    /// Error detection without an armed fault compares two executors
-    /// initialized from the same seed, so it deterministically passes.
-    /// Fault-injection runs cannot use this path (panics if one is
-    /// armed) — the engine routes them through [`Runner::run_prepared`].
+    /// contract the result is the same whichever front end computed it.
     pub fn run_with_functional(
         &mut self,
         kernel: &Kernel,
         functional: &FunctionalOutcome,
         cfg: &RunConfig,
     ) -> RunResult {
-        assert!(
-            self.pending_fault.is_none(),
-            "fault-injection runs must replay the functional pass live"
-        );
-        let error_check_passed = cfg.error_detection.then_some(true);
+        // 1. Results of the value-level pass: operand triviality, the
+        //    error-detection verdict and the register dump.
+        let trivial_fraction = functional.stats.trivial_fraction();
+        let error_check_passed = self.error_check(functional, cfg);
         let register_dump = cfg.dump_registers.then(|| functional.register_dump());
-        self.finish_run(
-            kernel,
-            cfg,
-            functional.stats.trivial_fraction(),
-            error_check_passed,
-            register_dump,
-        )
-    }
-
-    /// Steps 2–4 of a run, shared by every functional-pass front end:
-    /// steady state, power trace, hardware events, windowed summary.
-    fn finish_run(
-        &mut self,
-        kernel: &Kernel,
-        cfg: &RunConfig,
-        trivial_fraction: f64,
-        error_check_passed: Option<bool>,
-        register_dump: Option<String>,
-    ) -> RunResult {
         let freq = if cfg.freq_mhz > 0.0 {
             cfg.freq_mhz
         } else {
@@ -414,24 +303,44 @@ impl Runner {
             t_stop_s: t_stop,
         }
     }
+
+    /// The §III-D verdict: `None` with detection off (an armed fault
+    /// stays armed). With detection on, the second core's state is the
+    /// same replay as `functional`, with the armed fault (if any) taken
+    /// and flipped into a copy of its registers; the check passes when
+    /// the hashes agree.
+    fn error_check(&mut self, functional: &FunctionalOutcome, cfg: &RunConfig) -> Option<bool> {
+        if !cfg.error_detection {
+            return None;
+        }
+        let mut registers = functional.registers;
+        if let Some((reg, lane, bit)) = self.pending_fault.take() {
+            let v = &mut registers[reg % 16][lane % LANES];
+            *v = f64::from_bits(v.to_bits() ^ (1u64 << (bit % 64)));
+        }
+        Some(state_hash_of(&registers) == functional.state_hash)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Engine;
     use crate::groups::parse_groups;
     use crate::mix::InstructionMix;
     use crate::payload::{build_payload, PayloadConfig};
+    use fs2_sim::Executor;
+
+    fn rome_config(groups: &str, unroll: u32) -> PayloadConfig {
+        PayloadConfig {
+            mix: InstructionMix::FMA,
+            groups: parse_groups(groups).unwrap(),
+            unroll,
+        }
+    }
 
     fn rome_payload(groups: &str, unroll: u32) -> Payload {
-        build_payload(
-            &Sku::amd_epyc_7502(),
-            &PayloadConfig {
-                mix: InstructionMix::FMA,
-                groups: parse_groups(groups).unwrap(),
-                unroll,
-            },
-        )
+        build_payload(&Sku::amd_epyc_7502(), &rome_config(groups, unroll))
     }
 
     fn quick_cfg(freq: f64) -> RunConfig {
@@ -556,7 +465,7 @@ mod tests {
     }
 
     /// The fields of a [`RunResult`] that must be bit-identical across
-    /// the three functional-pass front ends.
+    /// the live and cached functional-pass front ends.
     fn fingerprint(r: &RunResult) -> (u64, u64, u64, Option<bool>, Option<String>, u64) {
         (
             r.power.mean.to_bits(),
@@ -568,64 +477,107 @@ mod tests {
         )
     }
 
-    #[test]
-    fn run_prepared_shares_one_decoded_table() {
-        // Pin the §III-D refactor: `run_kernel` == `run_prepared` with an
-        // externally decoded table, including the error-detection second
-        // pass (which replays the *same* shared table, never re-decoding).
-        let p = rome_payload("REG:2,L1_LS:1", 63);
-        let mut cfg = quick_cfg(1500.0);
-        cfg.error_detection = true;
-        cfg.dump_registers = true;
+    /// The two-core §III-D pass, kept as the oracle of the verdict: two
+    /// executors replay `decoded` from one seed, the armed fault (given
+    /// in [`Runner::inject_fault_next_run`]'s `(lane, reg, bit)` order)
+    /// is flipped into the second after its run, and the check compares
+    /// their state hashes. The first executor's outcome carries the
+    /// register dump and the trivial fraction.
+    fn two_core_oracle(
+        decoded: &DecodedKernel,
+        cfg: &RunConfig,
+        seed: u64,
+        fault: Option<(usize, usize, u32)>,
+    ) -> (FunctionalOutcome, Option<bool>) {
+        let mut ex0 = Executor::new(cfg.init, seed);
+        ex0.run_decoded(decoded, cfg.functional_iters);
+        let error_check_passed = cfg.error_detection.then(|| {
+            let mut ex1 = Executor::new(cfg.init, seed);
+            ex1.run_decoded(decoded, cfg.functional_iters);
+            if let Some((lane, reg, bit)) = fault {
+                ex1.inject_bit_flip(reg, lane, bit);
+            }
+            ex0.state_hash() == ex1.state_hash()
+        });
+        (ex0.outcome(), error_check_passed)
+    }
 
-        let mut own = Runner::new(Sku::amd_epyc_7502());
-        let via_kernel = own.run_kernel(&p.kernel, &cfg);
-
-        let decoded = DecodedKernel::new(&p.kernel);
-        let mut shared = Runner::new(Sku::amd_epyc_7502());
-        let via_prepared = shared.run_prepared(&p.kernel, &decoded, &cfg);
-        assert_eq!(fingerprint(&via_kernel), fingerprint(&via_prepared));
-
-        // The shared table also serves the armed-fault path.
-        shared.inject_fault_next_run(2, 5, 51);
-        let faulted = shared.run_prepared(&p.kernel, &decoded, &cfg);
-        assert_eq!(faulted.error_check_passed, Some(false));
+    /// The §III-D bits of a run: verdict, register dump, trivial fraction.
+    fn detection_bits(r: &RunResult) -> (Option<bool>, Option<String>, u64) {
+        (
+            r.error_check_passed,
+            r.register_dump.clone(),
+            r.trivial_fraction.to_bits(),
+        )
     }
 
     #[test]
-    fn run_with_functional_matches_live_pass() {
-        // A cached FunctionalOutcome must reproduce the live run bit for
-        // bit: trivial fraction, error check, register dump, power.
+    fn live_and_cached_verdicts_match_the_two_core_oracle() {
+        let sku = Sku::amd_epyc_7502();
         let p = rome_payload("REG:2,L1_LS:1", 63);
+        let config = rome_config("REG:2,L1_LS:1", 63);
+        let engine = Engine::new(sku.clone());
+        let decoded = DecodedKernel::new(&p.kernel);
+        let faults = [None, Some((2, 5, 51)), Some((0, 3, 0)), Some((3, 15, 63))];
         for init in [InitScheme::V2Safe, InitScheme::V174Buggy] {
-            let mut cfg = quick_cfg(1500.0);
-            cfg.init = init;
-            cfg.error_detection = true;
-            cfg.dump_registers = true;
-
-            let mut live = Runner::new(Sku::amd_epyc_7502());
-            let live_r = live.run_kernel(&p.kernel, &cfg);
-
-            let decoded = DecodedKernel::new(&p.kernel);
-            let mut cached = Runner::new(Sku::amd_epyc_7502());
-            let outcome =
-                fs2_sim::run_functional(&decoded, init, cached.seed(), cfg.functional_iters);
-            let cached_r = cached.run_with_functional(&p.kernel, &outcome, &cfg);
-            assert_eq!(fingerprint(&live_r), fingerprint(&cached_r));
+            for error_detection in [false, true] {
+                for fault in faults {
+                    let mut cfg = quick_cfg(1500.0);
+                    cfg.init = init;
+                    cfg.error_detection = error_detection;
+                    cfg.dump_registers = true;
+                    let mut live = Runner::new(sku.clone());
+                    let mut session = engine.session();
+                    if let Some((lane, reg, bit)) = fault {
+                        live.inject_fault_next_run(lane, reg, bit);
+                        session.inject_fault_next_run(lane, reg, bit);
+                    }
+                    let (outcome, verdict) = two_core_oracle(&decoded, &cfg, live.seed(), fault);
+                    let expected = (
+                        verdict,
+                        Some(outcome.register_dump()),
+                        outcome.stats.trivial_fraction().to_bits(),
+                    );
+                    let live_r = live.run_kernel(&p.kernel, &cfg);
+                    let cached_r = session.run(&config, &cfg);
+                    let case = format!("{init:?}, detection {error_detection}, fault {fault:?}");
+                    assert_eq!(detection_bits(&live_r), expected, "live: {case}");
+                    assert_eq!(detection_bits(&cached_r), expected, "cached: {case}");
+                    assert_eq!(fingerprint(&live_r), fingerprint(&cached_r), "{case}");
+                }
+            }
         }
     }
 
     #[test]
-    #[should_panic(expected = "fault-injection")]
-    fn run_with_functional_rejects_armed_faults() {
-        let p = rome_payload("REG:1", 64);
-        let mut runner = Runner::new(Sku::amd_epyc_7502());
-        runner.inject_fault_next_run(1, 1, 8);
-        let decoded = DecodedKernel::new(&p.kernel);
-        let outcome = fs2_sim::run_functional(&decoded, InitScheme::V2Safe, runner.seed(), 10);
-        let mut cfg = quick_cfg(1500.0);
-        cfg.error_detection = true;
-        let _ = runner.run_with_functional(&p.kernel, &outcome, &cfg);
+    fn a_fault_armed_without_detection_fails_the_next_detection_run() {
+        let sku = Sku::amd_epyc_7502();
+        let p = rome_payload("REG:2,L1_LS:1", 63);
+        let config = rome_config("REG:2,L1_LS:1", 63);
+        let engine = Engine::new(sku.clone());
+        let off = quick_cfg(1500.0);
+        let on = RunConfig {
+            error_detection: true,
+            ..off.clone()
+        };
+
+        let mut live = Runner::new(sku);
+        live.inject_fault_next_run(2, 5, 51);
+        assert_eq!(live.run_kernel(&p.kernel, &off).error_check_passed, None);
+        assert_eq!(
+            live.run_kernel(&p.kernel, &on).error_check_passed,
+            Some(false)
+        );
+        assert_eq!(
+            live.run_kernel(&p.kernel, &on).error_check_passed,
+            Some(true)
+        );
+
+        let mut session = engine.session();
+        session.inject_fault_next_run(2, 5, 51);
+        assert_eq!(session.run(&config, &off).error_check_passed, None);
+        assert_eq!(session.run(&config, &on).error_check_passed, Some(false));
+        assert_eq!(session.run(&config, &on).error_check_passed, Some(true));
     }
 
     #[test]

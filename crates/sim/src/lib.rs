@@ -42,7 +42,5 @@ pub use exec::{
     format_register_dump, run_functional, state_hash_of, DecodedKernel, ExecStats, Executor,
     FunctionalOutcome, InitScheme, LANES,
 };
-#[cfg(feature = "wide-lanes")]
-pub use exec::{run_functional_pair, WideExecutor, WIDE_LANES};
 pub use kernel::{Kernel, TaggedInst};
 pub use system::{NodeSteadyState, SystemSim};
