@@ -304,3 +304,42 @@ fn interleaved_budgeted_episodes_match_their_golden_hash() {
     assert_eq!(b.ticks, 701, "ticks run to the longest horizon");
     assert!(b.shed_ticks.iter().sum::<u64>() > 0, "the budget must bind");
 }
+
+#[test]
+fn interleaved_episodes_match_their_golden_hash() {
+    // Unequal horizons through the episode write path, no budget.
+    let cfg = FleetConfig {
+        temporal: TemporalMode::Episodes,
+        ..interleaved()
+    };
+    let run = assert_golden("interleaved groups, episodes", cfg, 0x7E6C_291D_B8BC_8643);
+    assert!(run.episodes.is_some(), "episode statistics reported");
+    assert!(run.budget.is_none());
+}
+
+#[test]
+fn interleaved_budgeted_iid_defer_matches_its_golden_hash() {
+    // The i.i.d. arbitrated path with unequal horizons: deferrals push
+    // proposals past the short nodes' ends.
+    let cfg = FleetConfig {
+        budget_w: Some(11.0 * 130.0),
+        budget_policy: BudgetPolicy::Defer,
+        ..interleaved()
+    };
+    let run = assert_golden(
+        "interleaved groups, budgeted iid defer",
+        cfg,
+        0x1756_E4ED_998D_8D84,
+    );
+    assert!(run.episodes.is_none());
+    let b = run.budget.expect("budget stats");
+    assert_eq!(b.ticks, 701, "ticks run to the longest horizon");
+    assert!(
+        b.deferred_ticks.iter().sum::<u64>() > 0,
+        "the budget must bind"
+    );
+    assert!(
+        b.truncated_proposals > 0,
+        "defer must push proposals past a horizon"
+    );
+}
