@@ -18,19 +18,20 @@
 //! [`FleetSim::run_shard`] proposes contiguous node ranges and
 //! [`FleetSim::try_merge_shards`] reassembles them in node order;
 //! [`FleetSim::run_with`] runs it in-process with one shard per
-//! thread. Within it, generation is a tick-synchronous three-phase
+//! thread. Within it, generation is a tick-synchronous two-phase
 //! pass: (1) **propose** — every node draws its full tick stream from
-//! its own `(seed, node_id)` RNG stream, shard by shard; (2)
+//! its own `(seed, node_id)` RNG stream, straight into its shard's
+//! buffer, and the merge appends the shards in node order; (2)
 //! **arbitrate** — when [`FleetConfig::budget_w`] is set, a serial
 //! node-id-ordered fold ([`crate::budget`]) admits proposals against
-//! the remaining fleet budget per 60 s tick and sheds or defers the
-//! rest; (3) **apply** — the merge writes the decisions, serially,
-//! straight into the run's sample buffer. Every phase is
-//! deterministic, so the result is bitwise-identical for any thread
+//! the remaining fleet budget per 60 s tick, sheds or defers the rest,
+//! and writes each tick's outcome into the run's sample buffer itself.
+//! Without a budget the merged proposals are the samples. Every phase
+//! is deterministic, so the result is bitwise-identical for any thread
 //! count and shard split, and runs without a budget reproduce the
 //! historical sample streams byte for byte.
 
-use crate::budget::{arbitrate, Arbitration, BudgetPolicy, Decision, NodeStream};
+use crate::budget::{arbitrate, BudgetPolicy, NodeStream};
 use crate::episodes::{EpisodeModel, EpisodeWalk};
 use crate::jobs::JobMix;
 use fs2_core::{EngineRegistry, GroupEvalRequest, InitScheme, RegistryStats};
@@ -409,19 +410,6 @@ struct NodeItem {
     samples: u32,
 }
 
-/// Per-node propose-phase output: the proposal stream plus the walk's
-/// state accounting (episode mode) and the per-sample cap counter.
-struct NodeOut {
-    stream: NodeStream,
-    state_ticks: Vec<u64>,
-    episode_counts: Vec<u64>,
-    capped_samples: usize,
-}
-
-/// Per-node episode accounting carried past the propose phase:
-/// `(state_ticks, episode_counts)`.
-type NodeAccounting = (Vec<u64>, Vec<u64>);
-
 /// The request-shared generation plan built by [`FleetSim::plan`]:
 /// the engine-evaluated operating-point tables, the power-cap remap,
 /// the flattened sampling lanes and the per-node work items —
@@ -454,6 +442,16 @@ impl FleetPlan {
     pub fn power_table(&self) -> &[ClassPower] {
         &self.power_table
     }
+
+    /// Each node's slots in a node-major run buffer, in node order:
+    /// every node proposes, and emits, exactly its horizon.
+    fn node_ranges(&self) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
+        self.items.iter().scan(0usize, |end, n| {
+            let lo = *end;
+            *end += n.samples as usize;
+            Some(lo..*end)
+        })
+    }
 }
 
 impl std::fmt::Debug for FleetPlan {
@@ -468,13 +466,24 @@ impl std::fmt::Debug for FleetPlan {
 }
 
 /// One shard's propose-phase output ([`FleetSim::run_shard`]): the
-/// node range it covers plus either directly-filled samples
-/// (unbudgeted i.i.d. mode) or full per-node streams for the
-/// merge-side arbitrate/apply phases.
+/// proposals of nodes `[lo, hi)`, node after node, in one buffer. Every
+/// mode has the same layout; a column the mode does not need stays
+/// empty.
 pub struct FleetShard {
     lo: u32,
     hi: u32,
-    data: ShardData,
+    /// Proposed node power per tick, W. Without a budget these are the
+    /// emitted samples.
+    watts: Vec<f64>,
+    /// State label per proposal, parallel to `watts` (budgeted runs
+    /// only: the arbiter's per-state counters read it).
+    states: Vec<u16>,
+    /// Per-state ticks and episode starts summed over the shard's
+    /// walks (episode runs only).
+    state_ticks: Vec<u64>,
+    episode_counts: Vec<u64>,
+    /// Drawn samples whose P-state the power cap remapped.
+    capped_samples: usize,
 }
 
 impl FleetShard {
@@ -516,17 +525,6 @@ impl std::fmt::Display for ShardTilingError {
 }
 
 impl std::error::Error for ShardTilingError {}
-
-enum ShardData {
-    /// Unbudgeted i.i.d. shards write final samples directly.
-    Samples {
-        samples: Vec<f64>,
-        capped_samples: usize,
-    },
-    /// Everything else keeps per-node streams: the fleet-global budget
-    /// arbitration and episode accounting happen at merge time.
-    Nodes(Vec<NodeOut>),
-}
 
 /// Splits `0..total_nodes` into at most `shards` contiguous,
 /// near-equal, non-empty ranges (fewer when the fleet has fewer nodes
@@ -1081,54 +1079,17 @@ impl FleetSim {
         }
     }
 
-    /// Proposes one node's full stream: flattened [`SkuLanes`] draws
-    /// in i.i.d. mode, the episode walk otherwise.
-    fn propose(&self, plan: &FleetPlan, item: &NodeItem) -> NodeOut {
-        match self.config.temporal {
-            TemporalMode::Iid => self.propose_iid(plan, item),
-            TemporalMode::Episodes => self.propose_episode(plan, item),
-        }
-    }
-
-    fn propose_iid(&self, plan: &FleetPlan, item: &NodeItem) -> NodeOut {
-        // Unbudgeted i.i.d. shards fill their samples directly
-        // (`lockstep_fill`), so this arm feeds the budget arbiter,
-        // which needs the state labels.
-        let cap = self.config.cap_w;
-        let l = &plan.lanes[item.sku_idx];
-        let mut capped_samples = 0usize;
-        let mut watts = Vec::with_capacity(item.samples as usize);
-        let mut states = Vec::with_capacity(item.samples as usize);
-        // Per-node RNG streams keep generation order-independent.
-        let mut rng = rng_for(self.config.seed, item.node_id);
-        for _ in 0..item.samples {
-            let (p, ci, remapped) = l.draw(&mut rng);
-            capped_samples += usize::from(remapped);
-            watts.push(p.min(cap));
-            // fs2-lint: allow(checked-cast) -- class index < catalogue size (JobMix validates); hot per-sample loop
-            states.push((ci + 1) as u16);
-        }
-        NodeOut {
-            stream: NodeStream {
-                floor_w: l.floor_w,
-                watts,
-                states,
-            },
-            state_ticks: Vec::new(),
-            episode_counts: Vec::new(),
-            capped_samples,
-        }
-    }
-
-    fn propose_episode(&self, plan: &FleetPlan, item: &NodeItem) -> NodeOut {
+    /// Appends node `item`'s episode walk to `shard`: its proposals,
+    /// their state labels when a budget will read them, and the walk's
+    /// per-state counters added to the shard's.
+    fn propose_episode(&self, plan: &FleetPlan, item: &NodeItem, shard: &mut FleetShard) {
         let cfg = &self.config;
         let cap = cfg.cap_w;
+        let labelled = cfg.budget_w.is_some();
         let idle = plan.idle_w[item.sku_idx];
         let rows = &plan.table[item.sku_idx];
         let remap = &plan.remap[item.sku_idx];
         let mut capped_samples = 0usize;
-        let mut watts = Vec::with_capacity(item.samples as usize);
-        let mut states = Vec::with_capacity(item.samples as usize);
         let mut walk = EpisodeWalk::new(&cfg.episodes, &cfg.mix, cfg.seed, item.node_id);
         for _ in 0..item.samples {
             let t = walk.next_tick();
@@ -1144,76 +1105,58 @@ impl FleetSim {
                     idle + t.duty * (load - idle)
                 }
             };
-            watts.push(p.min(cap));
-            // fs2-lint: allow(checked-cast) -- episode state index is bounded by the class count; hot per-sample loop
-            states.push(t.state as u16);
+            shard.watts.push(p.min(cap));
+            if labelled {
+                // fs2-lint: allow(checked-cast) -- episode state index is bounded by the class count; hot per-sample loop
+                shard.states.push(t.state as u16);
+            }
         }
-        NodeOut {
-            stream: NodeStream {
-                floor_w: idle.min(cap),
-                watts,
-                states,
-            },
-            state_ticks: walk.state_ticks().to_vec(),
-            episode_counts: walk.episode_counts().to_vec(),
-            capped_samples,
+        shard.capped_samples += capped_samples;
+        for (sum, n) in shard.state_ticks.iter_mut().zip(walk.state_ticks()) {
+            *sum += n;
+        }
+        for (sum, n) in shard.episode_counts.iter_mut().zip(walk.episode_counts()) {
+            *sum += n;
         }
     }
 
-    /// Phases 2 + 3 over proposed node streams, serially and in node-id
-    /// order: arbitrate the fleet budget, write each node's emitted
-    /// samples straight into the run's one sample buffer, and fold the
-    /// episode and budget accounting.
-    fn finish(
-        &self,
-        registry: &EngineRegistry,
-        plan: &FleetPlan,
-        per_node: Vec<NodeOut>,
-    ) -> FleetRun {
+    /// The serial tail of every run, over the merged proposals of the
+    /// whole fleet: with a budget, [`arbitrate`] folds them in node-id
+    /// order and writes the emitted samples into a fresh buffer;
+    /// without one, the proposals are the samples. Then the episode and
+    /// budget statistics are folded.
+    fn finish(&self, registry: &EngineRegistry, plan: &FleetPlan, merged: FleetShard) -> FleetRun {
         let cfg = &self.config;
         let classes = cfg.mix.classes();
 
-        // Per-sample cap accounting is summed in node input order, so
-        // the total is identical for any shard split.
-        let capped_samples: usize = per_node.iter().map(|n| n.capped_samples).sum();
-        let (streams, accounting): (Vec<NodeStream>, Vec<NodeAccounting>) = per_node
-            .into_iter()
-            .map(|n| (n.stream, (n.state_ticks, n.episode_counts)))
-            .unzip();
+        let (samples, arbitration) = match cfg.budget_w {
+            None => (merged.watts, None),
+            Some(budget_w) => {
+                let nodes: Vec<NodeStream> = plan
+                    .items
+                    .iter()
+                    .zip(plan.node_ranges())
+                    .map(|(n, at)| NodeStream {
+                        floor_w: plan.lanes[n.sku_idx].floor_w,
+                        watts: &merged.watts[at.clone()],
+                        states: &merged.states[at],
+                    })
+                    .collect();
+                let mut samples = vec![0.0; merged.watts.len()];
+                let n_states = classes.len() + 1;
+                let arb = arbitrate(&nodes, budget_w, cfg.budget_policy, n_states, &mut samples);
+                (samples, Some(arb))
+            }
+        };
 
-        // Phase 2 — arbitrate (serial): fold the proposals against the
-        // fleet budget in node-id order. Skipped entirely without a
-        // budget, which keeps the historical streams byte-stable.
-        let n_states = classes.len() + 1;
-        let arbitration: Option<Arbitration> = cfg
-            .budget_w
-            .map(|b| arbitrate(&streams, b, cfg.budget_policy, n_states));
-
-        // Phase 3 — apply: decisions become samples, node after node in
-        // one buffer. With no budget every decision is "admit", so the
-        // proposals are copied as they are.
-        let total: usize = streams.iter().map(|s| s.watts.len()).sum();
-        let mut samples: Vec<f64> = Vec::with_capacity(total);
-        for (i, stream) in streams.iter().enumerate() {
-            let Some(arb) = &arbitration else {
-                samples.extend_from_slice(&stream.watts);
-                continue;
-            };
-            samples.extend(arb.decisions[i].iter().map(|d| match *d {
-                Decision::Admit(k) => stream.watts[k as usize],
-                Decision::Floor => stream.floor_w,
-            }));
-        }
-
-        // Every node emits exactly its horizon, so the buffer splits
-        // back into per-node streams by proposal length.
-        let per_node_samples = streams.iter().scan(samples.as_slice(), |rest, s| {
-            let (node, tail) = rest.split_at(s.watts.len());
-            *rest = tail;
-            Some(node)
+        let episode_stats = (cfg.temporal == TemporalMode::Episodes).then(|| {
+            aggregate_episode_stats(
+                &cfg.episodes,
+                &merged.state_ticks,
+                &merged.episode_counts,
+                plan.node_ranges().map(|at| &samples[at]),
+            )
         });
-        let episode_stats = (cfg.temporal == TemporalMode::Episodes)
-            .then(|| aggregate_episode_stats(&cfg.episodes, &accounting, per_node_samples));
 
         let budget = arbitration.map(|arb| {
             let budget_w = cfg.budget_w.expect("arbitration implies a budget");
@@ -1248,16 +1191,45 @@ impl FleetSim {
             power_table: plan.power_table.clone(),
             episodes: episode_stats,
             capped_points: plan.capped_points,
-            capped_samples,
+            capped_samples: merged.capped_samples,
             infeasible_points: plan.infeasible_points,
             budget,
         }
     }
 
-    /// Whether shards write final samples directly (unbudgeted i.i.d.
-    /// runs) instead of keeping per-node streams for the merge.
-    fn fills_directly(&self) -> bool {
-        self.config.temporal == TemporalMode::Iid && self.config.budget_w.is_none()
+    /// An empty shard for the node range `[lo, hi)`, its columns
+    /// reserved. The shard at node 0 reserves room for the whole fleet:
+    /// the merge appends the other shards to its buffers in place.
+    fn empty_shard(&self, plan: &FleetPlan, lo: u32, hi: u32) -> FleetShard {
+        let cfg = &self.config;
+        assert!(
+            lo <= hi && (hi as usize) <= plan.items.len(),
+            "shard [{lo}, {hi}) out of range for {} nodes",
+            plan.items.len()
+        );
+        let end = if lo == 0 {
+            plan.items.len()
+        } else {
+            hi as usize
+        };
+        let capacity = plan.items[lo as usize..end]
+            .iter()
+            .map(|n| n.samples as usize)
+            .sum();
+        let labels = if cfg.budget_w.is_some() { capacity } else { 0 };
+        let n_states = match cfg.temporal {
+            TemporalMode::Iid => 0,
+            TemporalMode::Episodes => cfg.episodes.n_states(),
+        };
+        FleetShard {
+            lo,
+            hi,
+            watts: Vec::with_capacity(capacity),
+            states: Vec::with_capacity(labels),
+            state_ticks: vec![0; n_states],
+            episode_counts: vec![0; n_states],
+            capped_samples: 0,
+        }
     }
 
     /// Proposes the node range `[lo, hi)` of an already-built plan.
@@ -1267,55 +1239,62 @@ impl FleetSim {
     /// pure function of `(seed, node_id)`, a shard proposes exactly the
     /// bytes a one-shard run would have produced for those nodes, and
     /// [`FleetSim::try_merge_shards`] reassembles the full run
-    /// bitwise-identically. Unbudgeted i.i.d. shards draw four nodes at
-    /// a time in lockstep, straight into the shard's sample buffer.
+    /// bitwise-identically. Every node's proposals go straight into the
+    /// shard's buffer, node after node; unbudgeted i.i.d. shards draw
+    /// four nodes at a time in lockstep.
     pub fn run_shard(&self, plan: &FleetPlan, lo: u32, hi: u32) -> FleetShard {
         let cfg = &self.config;
-        assert!(
-            lo <= hi && (hi as usize) <= plan.items.len(),
-            "shard [{lo}, {hi}) out of range for {} nodes",
-            plan.items.len()
-        );
+        let mut shard = self.empty_shard(plan, lo, hi);
         let nodes = &plan.items[lo as usize..hi as usize];
-        let data = if self.fills_directly() {
-            let total: usize = nodes.iter().map(|n| n.samples as usize).sum();
-            // The shard at node 0 reserves room for the whole fleet: the
-            // merge moves its buffer into the run and appends the other
-            // shards in place.
-            let capacity = if lo == 0 { cfg.total_samples() } else { total };
-            let mut samples = Vec::with_capacity(capacity);
-            samples.resize(total, 0.0f64);
-            let mut capped_samples = 0usize;
-            let mut rest = samples.as_mut_slice();
-            let mut parts: Vec<(&SkuLanes, StdRng, &mut [f64])> = Vec::with_capacity(4);
-            let mut it = nodes.iter().peekable();
-            while it.peek().is_some() {
-                for n in it.by_ref().take(4) {
-                    let (head, tail) = rest.split_at_mut(n.samples as usize);
-                    rest = tail;
-                    parts.push((&plan.lanes[n.sku_idx], rng_for(cfg.seed, n.node_id), head));
+        match (cfg.temporal, cfg.budget_w) {
+            (TemporalMode::Iid, None) => {
+                let total: usize = nodes.iter().map(|n| n.samples as usize).sum();
+                shard.watts.resize(total, 0.0f64);
+                let mut rest = shard.watts.as_mut_slice();
+                let mut parts: Vec<(&SkuLanes, StdRng, &mut [f64])> = Vec::with_capacity(4);
+                let mut it = nodes.iter().peekable();
+                while it.peek().is_some() {
+                    for n in it.by_ref().take(4) {
+                        let (head, tail) = rest.split_at_mut(n.samples as usize);
+                        rest = tail;
+                        parts.push((&plan.lanes[n.sku_idx], rng_for(cfg.seed, n.node_id), head));
+                    }
+                    shard.capped_samples += lockstep_fill(std::mem::take(&mut parts), cfg.cap_w);
                 }
-                capped_samples += lockstep_fill(std::mem::take(&mut parts), cfg.cap_w);
             }
-            ShardData::Samples {
-                samples,
-                capped_samples,
+            (TemporalMode::Iid, Some(_)) => {
+                // Budgeted: one node at a time, every proposal labelled
+                // with its class for the arbiter's per-state counters.
+                for n in nodes {
+                    let l = &plan.lanes[n.sku_idx];
+                    let mut rng = rng_for(cfg.seed, n.node_id);
+                    for _ in 0..n.samples {
+                        let (p, ci, remapped) = l.draw(&mut rng);
+                        shard.capped_samples += usize::from(remapped);
+                        shard.watts.push(p.min(cfg.cap_w));
+                        // fs2-lint: allow(checked-cast) -- class index < catalogue size (JobMix validates); hot per-sample loop
+                        shard.states.push((ci + 1) as u16);
+                    }
+                }
             }
-        } else {
-            ShardData::Nodes(nodes.iter().map(|it| self.propose(plan, it)).collect())
-        };
-        FleetShard { lo, hi, data }
+            (TemporalMode::Episodes, _) => {
+                for n in nodes {
+                    self.propose_episode(plan, n, &mut shard);
+                }
+            }
+        }
+        shard
     }
 
     /// Merges shard results back into one [`FleetRun`].
     ///
     /// Shards must tile the plan's node range exactly, in any order
     /// (they are sorted by range here); a missing, duplicated or
-    /// overlapping shard is a typed [`ShardTilingError`]. Direct-fill
-    /// shards append to the first shard's buffer, which reserved room
-    /// for the whole run and becomes the run's buffer; per-node streams
-    /// go through the serial arbitrate/apply phases. The merged run is
-    /// byte-identical for every shard split.
+    /// overlapping shard is a typed [`ShardTilingError`]. Every shard
+    /// is appended to the node-0 shard's buffers, which reserved room
+    /// for the whole run; without a budget that buffer is the run's
+    /// samples, with one the serial arbitration reads it. The merged
+    /// run is byte-identical for every shard split.
     pub fn try_merge_shards(
         &self,
         registry: &EngineRegistry,
@@ -1323,57 +1302,39 @@ impl FleetSim {
         mut shards: Vec<FleetShard>,
     ) -> Result<FleetRun, ShardTilingError> {
         shards.sort_by_key(|s| s.lo);
+        let tiling_error = |expected_lo, found_lo| ShardTilingError {
+            expected_lo,
+            found_lo,
+            total_nodes: plan.items.len(),
+        };
         let mut expected = 0u32;
         for s in &shards {
             if s.lo != expected {
-                return Err(ShardTilingError {
-                    expected_lo: expected,
-                    found_lo: Some(s.lo),
-                    total_nodes: plan.items.len(),
-                });
+                return Err(tiling_error(expected, Some(s.lo)));
             }
             expected = s.hi;
         }
         if expected as usize != plan.items.len() {
-            return Err(ShardTilingError {
-                expected_lo: expected,
-                found_lo: None,
-                total_nodes: plan.items.len(),
-            });
+            return Err(tiling_error(expected, None));
         }
 
-        let mut samples: Vec<f64> = Vec::new();
-        let mut capped_samples = 0usize;
-        let mut per_node: Vec<NodeOut> = Vec::new();
-        for s in shards {
-            match s.data {
-                ShardData::Samples {
-                    samples: mut part,
-                    capped_samples: c,
-                } => {
-                    if samples.is_empty() {
-                        samples = part;
-                    } else {
-                        samples.append(&mut part);
-                    }
-                    capped_samples += c;
-                }
-                ShardData::Nodes(nodes) => per_node.extend(nodes),
+        let mut shards = shards.into_iter();
+        // Only a fleet without nodes tiles with no shard at all.
+        let mut all = shards
+            .next()
+            .unwrap_or_else(|| self.empty_shard(plan, 0, 0));
+        for mut s in shards {
+            all.watts.append(&mut s.watts);
+            all.states.append(&mut s.states);
+            for (sum, n) in all.state_ticks.iter_mut().zip(&s.state_ticks) {
+                *sum += n;
             }
+            for (sum, n) in all.episode_counts.iter_mut().zip(&s.episode_counts) {
+                *sum += n;
+            }
+            all.capped_samples += s.capped_samples;
         }
-        if !self.fills_directly() {
-            return Ok(self.finish(registry, plan, per_node));
-        }
-        Ok(FleetRun {
-            samples,
-            registry: registry.stats(),
-            power_table: plan.power_table.clone(),
-            episodes: None,
-            capped_points: plan.capped_points,
-            capped_samples,
-            infeasible_points: plan.infeasible_points,
-            budget: None,
-        })
+        Ok(self.finish(registry, plan, all))
     }
 
     /// Generates all 60 s-mean samples for the fleet.
@@ -1387,31 +1348,23 @@ impl FleetSim {
     }
 }
 
-/// Folds per-node walk accounting `(state_ticks, episode_counts)` and
-/// the emitted sample streams into fleet-wide episode statistics.
-/// Nodes are visited in input order, so the result is identical for
-/// any shard split. The state shares and dwells describe the
-/// *proposed* walks; the autocorrelation measures the emitted stream
-/// (post-arbitration when a budget is set).
+/// Folds the walks' summed per-state `state_ticks` and
+/// `episode_counts` and the emitted per-node sample streams into
+/// fleet-wide episode statistics. Nodes are visited in input order, so
+/// the result is identical for any shard split. The state shares and
+/// dwells describe the *proposed* walks; the autocorrelation measures
+/// the emitted stream (post-arbitration when a budget is set).
 fn aggregate_episode_stats<'a>(
     model: &EpisodeModel,
-    accounting: &[NodeAccounting],
+    ticks: &[u64],
+    episodes: &[u64],
     per_node_samples: impl IntoIterator<Item = &'a [f64]>,
 ) -> EpisodeStats {
-    let n = model.n_states();
-    let mut ticks = vec![0u64; n];
-    let mut episodes = vec![0u64; n];
     // Pooled lag-1 autocorrelation: per-node centering, fleet-wide
     // numerator/denominator (constant-power nodes contribute nothing).
     let mut num = 0.0f64;
     let mut den = 0.0f64;
-    for ((state_ticks, episode_counts), s) in accounting.iter().zip(per_node_samples) {
-        for (a, b) in ticks.iter_mut().zip(state_ticks) {
-            *a += b;
-        }
-        for (a, b) in episodes.iter_mut().zip(episode_counts) {
-            *a += b;
-        }
+    for s in per_node_samples {
         if s.len() >= 2 {
             let mean = s.iter().sum::<f64>() / s.len() as f64;
             den += s.iter().map(|&x| (x - mean) * (x - mean)).sum::<f64>();
@@ -1434,7 +1387,7 @@ fn aggregate_episode_stats<'a>(
         .collect();
     let mean_dwell_ticks = ticks
         .iter()
-        .zip(&episodes)
+        .zip(episodes)
         .map(|(&t, &e)| if e == 0 { 0.0 } else { t as f64 / e as f64 })
         .collect();
     EpisodeStats {
@@ -1455,18 +1408,21 @@ mod tests {
 
     /// The per-node oracle for the i.i.d. sampler: every draw walks the
     /// [`JobMix`]/[`crate::jobs::JobClass`] API and the nested power
-    /// tables, exactly as the historical hot loop did. The batched
-    /// composer ([`SkuLanes`], the collapsed pick chain, the lockstep
-    /// fill) is pinned against it bit for bit.
-    fn propose_iid_reference(sim: &FleetSim, plan: &FleetPlan, item: &NodeItem) -> NodeOut {
+    /// tables, exactly as the historical hot loop did, and appends to
+    /// `shard` what the production sampler would (labels only under a
+    /// budget). The batched composer ([`SkuLanes`], the collapsed pick
+    /// chain, the lockstep fill) is pinned against it bit for bit.
+    fn propose_iid_reference(
+        sim: &FleetSim,
+        plan: &FleetPlan,
+        item: &NodeItem,
+        shard: &mut FleetShard,
+    ) {
         let cap = sim.config.cap_w;
         let mix = &sim.config.mix;
         let idle = plan.idle_w[item.sku_idx];
         let rows = &plan.table[item.sku_idx];
         let remap = &plan.remap[item.sku_idx];
-        let mut capped_samples = 0usize;
-        let mut watts = Vec::with_capacity(item.samples as usize);
-        let mut states = Vec::with_capacity(item.samples as usize);
         let mut rng = rng_for(sim.config.seed, item.node_id);
         for _ in 0..item.samples {
             let ci = mix.pick_idx(&mut rng);
@@ -1475,40 +1431,33 @@ mod tests {
             let drawn = class.draw_pstate(&mut rng);
             let pstate = remap[ci][drawn];
             if pstate != drawn {
-                capped_samples += 1;
+                shard.capped_samples += 1;
             }
             let load = rows[ci][pstate];
             assert!(!load.is_nan());
-            watts.push((idle + duty * (load - idle)).min(cap));
-            states.push(u16::try_from(ci + 1).unwrap());
-        }
-        NodeOut {
-            stream: NodeStream {
-                floor_w: idle.min(cap),
-                watts,
-                states,
-            },
-            state_ticks: Vec::new(),
-            episode_counts: Vec::new(),
-            capped_samples,
+            shard.watts.push((idle + duty * (load - idle)).min(cap));
+            if sim.config.budget_w.is_some() {
+                shard.states.push(u16::try_from(ci + 1).unwrap());
+            }
         }
     }
 
     /// A whole run through the oracle: a cold registry, every node
-    /// proposed one after another (the reference sampler in i.i.d.
-    /// mode), then the serial finish — no shards, no lockstep fill.
+    /// proposed one after another into one full-range shard (the
+    /// reference sampler in i.i.d. mode), then the production merge —
+    /// no shard split, no lockstep fill.
     fn run_reference(sim: &FleetSim) -> FleetRun {
         let registry = EngineRegistry::with_seed(sim.config.seed);
         let plan = sim.plan(&registry);
-        let per_node = plan
-            .items
-            .iter()
-            .map(|item| match sim.config.temporal {
-                TemporalMode::Iid => propose_iid_reference(sim, &plan, item),
-                TemporalMode::Episodes => sim.propose_episode(&plan, item),
-            })
-            .collect();
-        sim.finish(&registry, &plan, per_node)
+        let mut shard = sim.empty_shard(&plan, 0, plan.total_nodes());
+        for item in &plan.items {
+            match sim.config.temporal {
+                TemporalMode::Iid => propose_iid_reference(sim, &plan, item, &mut shard),
+                TemporalMode::Episodes => sim.propose_episode(&plan, item, &mut shard),
+            }
+        }
+        sim.try_merge_shards(&registry, &plan, vec![shard])
+            .expect("one full-range shard tiles the node range")
     }
 
     /// `plan` → `run_shard` over `ranges`, in the order given →
@@ -1647,26 +1596,29 @@ mod tests {
         let mix = JobMix::taurus_haswell();
         let model = EpisodeModel::taurus_haswell(&mix);
         let n = model.n_states();
-        let acct = |ticks: u64| -> NodeAccounting { (vec![ticks; n], vec![1; n]) };
+        // Per-state walk totals of `nodes` walks of `ticks` ticks each.
+        let ticks = |ticks: u64, nodes: u64| vec![ticks * nodes; n];
+        let episodes = |nodes: u64| vec![nodes; n];
         // Constant streams: positive length, zero variance.
         let stats = aggregate_episode_stats(
             &model,
-            &[acct(5), acct(5)],
+            &ticks(5, 2),
+            &episodes(2),
             [&[120.0; 5][..], &[80.5; 5][..]],
         );
         assert_eq!(stats.lag1_autocorr, 0.0);
         assert!(!stats.lag1_autocorr.is_nan());
         // Streams too short for a lag-1 pair.
-        let stats = aggregate_episode_stats(&model, &[acct(1)], [&[97.0][..]]);
+        let stats = aggregate_episode_stats(&model, &ticks(1, 1), &episodes(1), [&[97.0][..]]);
         assert_eq!(stats.lag1_autocorr, 0.0);
         // Empty fleet: no nodes, no ticks, shares all zero.
-        let stats = aggregate_episode_stats(&model, &[], std::iter::empty());
+        let stats = aggregate_episode_stats(&model, &ticks(0, 0), &episodes(0), std::iter::empty());
         assert_eq!(stats.lag1_autocorr, 0.0);
         assert!(stats.empirical_shares.iter().all(|&s| s == 0.0));
         // A varying stream still measures nonzero correlation (the
         // guard must not clamp legitimate statistics to zero).
         let ramp: Vec<f64> = (0..64).map(|i| 50.0 + f64::from(i)).collect();
-        let stats = aggregate_episode_stats(&model, &[acct(64)], [ramp.as_slice()]);
+        let stats = aggregate_episode_stats(&model, &ticks(64, 1), &episodes(1), [ramp.as_slice()]);
         assert!(stats.lag1_autocorr > 0.8);
     }
 
@@ -2228,9 +2180,9 @@ mod tests {
 
     #[test]
     fn budgeted_batched_composer_matches_reference_bitwise() {
-        // With a fleet budget the i.i.d. shards keep per-node streams
-        // and state labels for the arbiter instead of filling samples
-        // directly; the draws are the same either way.
+        // With a fleet budget the i.i.d. shards draw one node at a time
+        // and label every proposal for the arbiter instead of filling
+        // in lockstep; the draws are the same either way.
         let cfg = FleetConfig {
             samples_per_node: 400,
             threads: 1,

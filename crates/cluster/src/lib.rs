@@ -32,16 +32,17 @@
 //! *sum* of node draws per 60 s tick, with a pluggable
 //! [`budget::BudgetPolicy`] that sheds denied node-minutes to the idle
 //! floor or defers the episode's remaining ticks. Generation is a
-//! tick-synchronous propose → arbitrate → apply pass that stays
-//! bitwise-identical across thread counts and byte-stable when no
-//! budget is set.
+//! tick-synchronous propose → arbitrate pass: shards propose straight
+//! into one buffer, and the serial arbiter writes the emitted samples
+//! itself. It stays bitwise-identical across thread counts and
+//! byte-stable when no budget is set.
 
 pub mod budget;
 pub mod episodes;
 pub mod fleet;
 pub mod jobs;
 
-pub use budget::{Arbitration, BudgetPolicy, Decision, NodeStream};
+pub use budget::{Arbitration, BudgetPolicy, NodeStream};
 pub use episodes::{EpisodeModel, EpisodeWalk, Tick};
 pub use fleet::{
     shard_ranges, BudgetStats, ClassPower, EpisodeStats, FleetConfig, FleetPlan, FleetRun,
