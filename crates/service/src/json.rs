@@ -368,16 +368,18 @@ impl<'a> Parser<'a> {
                 }
                 Some(b) if b < 0x20 => return Err(self.err("raw control character")),
                 Some(_) => {
-                    // Copy one UTF-8 scalar (input is valid UTF-8 by
-                    // construction: we parse &str).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
+                    // Copy the whole run of unescaped text at once. It
+                    // ends at a quote, a backslash or a control byte —
+                    // ASCII, so on a char boundary of the &str input —
+                    // and each byte is validated once: decoding stays
+                    // linear in the length of the string.
+                    let start = self.pos;
+                    while matches!(self.peek(), Some(b) if b != b'"' && b != b'\\' && b >= 0x20) {
+                        self.pos += 1;
+                    }
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
                         .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest
-                        .chars()
-                        .next()
-                        .ok_or_else(|| self.err("truncated character"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(run);
                 }
             }
         }
@@ -529,6 +531,26 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn long_strings_decode_in_linear_time() {
+        // Regression: every unescaped character used to re-validate the
+        // rest of the input, so decode time grew with the square of a
+        // string's length, and a multi-MiB peer string held a
+        // connection thread for hours. Parse on a spawned thread so a
+        // quadratic decoder fails the test instead of hanging it.
+        let chunk = "é".repeat(1 << 19) + &"x".repeat(1 << 20);
+        let line = format!(r#"{{"profile":"{chunk}\n{chunk}"}}"#);
+        assert!(line.len() > 4 << 20);
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || tx.send(Json::parse(&line)));
+        let parsed = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("a 4 MiB string decodes in well under a minute")
+            .expect("valid JSON");
+        let want = format!("{chunk}\n{chunk}");
+        assert_eq!(parsed.get("profile").and_then(Json::as_str), Some(&*want));
     }
 
     #[test]
