@@ -49,7 +49,7 @@ impl BudgetPolicy {
 /// buffers. The node emits exactly `watts.len()` samples (its
 /// horizon); under [`BudgetPolicy::Defer`] the cursor into the
 /// proposals can lag behind the tick index.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct NodeStream<'a> {
     /// The node's idle-floor draw, W (drawn even when shed).
     pub floor_w: f64,

@@ -544,11 +544,15 @@ mod tests {
         let line = format!(r#"{{"profile":"{chunk}\n{chunk}"}}"#);
         assert!(line.len() > 4 << 20);
         let (tx, rx) = std::sync::mpsc::channel();
-        std::thread::spawn(move || tx.send(Json::parse(&line)));
+        let worker = std::thread::spawn(move || tx.send(Json::parse(&line)));
         let parsed = rx
             .recv_timeout(std::time::Duration::from_secs(60))
             .expect("a 4 MiB string decodes in well under a minute")
             .expect("valid JSON");
+        worker
+            .join()
+            .expect("the decode thread does not panic")
+            .expect("the result was received");
         let want = format!("{chunk}\n{chunk}");
         assert_eq!(parsed.get("profile").and_then(Json::as_str), Some(&*want));
     }
