@@ -161,9 +161,9 @@ fn main() {
     });
     let ep_stats = ep_base.episodes.expect("episode stats");
 
-    // Budget-arbitrated episode fleet: the tick-synchronous three-phase
-    // pass (propose sharded, arbitrate and apply serial) under a
-    // binding facility budget. Uniform horizon here — with the fat
+    // Budget-arbitrated episode fleet: the tick-synchronous two-phase
+    // pass (propose sharded, arbitrate serial, writing the samples)
+    // under a binding facility budget. Uniform horizon here — with the fat
     // slice's 16k-tick tail, 87.5 % of the ticks would have only 15
     // active nodes and the arbiter would mostly idle. All 128 nodes
     // stay active for all 2000 ticks, and 18 kW sits between the floor

@@ -1644,7 +1644,7 @@ mod tests {
     #[test]
     fn restructured_run_reproduces_pre_budget_streams() {
         // Golden bit patterns captured from the pre-restructure
-        // (independent per-node streams) generator: the three-phase
+        // (independent per-node streams) generator: the tick-synchronous
         // pass without a budget must reproduce them byte for byte.
         let golden_iid: &[(usize, u64)] = &[
             (0, 0x405526E41CAD1777),
