@@ -1188,4 +1188,21 @@ mod tests {
         assert_eq!(plain, hinted);
         assert_eq!(hinted, serial);
     }
+
+    #[test]
+    fn sweep_worker_panic_reaches_the_caller() {
+        let e = engine();
+        let items: Vec<usize> = (0..12).collect();
+        for threads in [1, 4] {
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                e.sweep(&items, threads, |_, _, &x| {
+                    if x == 5 {
+                        panic!("item {x} exploded");
+                    }
+                    x
+                })
+            }));
+            assert!(caught.is_err(), "{threads} threads: the panic was lost");
+        }
+    }
 }

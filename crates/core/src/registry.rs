@@ -510,8 +510,8 @@ mod tests {
     fn payload_for_lands_in_the_right_engine_cache() {
         let reg = EngineRegistry::new();
         let sku = Sku::amd_epyc_7502();
-        let p1 = reg.payload_for(&sku, "REG:1").unwrap();
-        let p2 = reg.payload_for(&sku, "REG:1").unwrap();
+        let p1 = reg.engine(&sku).payload_for_spec("REG:1").unwrap();
+        let p2 = reg.engine(&sku).payload_for_spec("REG:1").unwrap();
         assert!(Arc::ptr_eq(&p1, &p2));
         let s = reg.stats();
         assert_eq!(s.payload_misses, 1);
@@ -532,10 +532,8 @@ mod tests {
 
         // Same spec on two SKUs: keys are SKU-tagged, so each SKU gets
         // its own entry — sharing must not alias payloads across SKUs.
-        let p_rome = reg.payload_for(&Sku::amd_epyc_7502(), "REG:1").unwrap();
-        let p_haswell = reg
-            .payload_for(&Sku::intel_xeon_e5_2680_v3(), "REG:1")
-            .unwrap();
+        let p_rome = rome.payload_for_spec("REG:1").unwrap();
+        let p_haswell = haswell.payload_for_spec("REG:1").unwrap();
         assert!(
             !Arc::ptr_eq(&p_rome, &p_haswell),
             "SKUs must get distinct cache entries even when codegen coincides"
@@ -581,7 +579,7 @@ mod tests {
         let fresh = EngineRegistry::new();
         for (req, batch) in requests.iter().zip(&batches) {
             let engine = fresh.engine(req.sku);
-            let config = fresh.config_for(req.sku, req.spec).unwrap();
+            let config = engine.config_for_spec(req.spec).unwrap();
             assert_eq!(batch.points.len(), req.freqs_mhz.len());
             for (&f, point) in req.freqs_mhz.iter().zip(&batch.points) {
                 let single = engine.eval(&config, f);
@@ -599,30 +597,28 @@ mod tests {
 
         // Request 1 warms the payload cache.
         reg.begin_request();
-        let _ = reg.payload_for(&sku, "REG:1").unwrap();
+        let _ = reg.engine(&sku).payload_for_spec("REG:1").unwrap();
         let s1 = reg.stats();
         assert_eq!(s1.requests, 1);
+        assert_eq!(s1.cross_payload_hits, 0);
         assert_eq!(s1.cross_payload_lookups, 0, "window opens at request 2");
-        assert_eq!(s1.cross_request_payload_hit_rate(), 0.0);
 
         // Request 2 replays the same spec: every lookup after the
         // baseline is a hit on request 1's entry.
         reg.begin_request();
-        let _ = reg.payload_for(&sku, "REG:1").unwrap();
+        let _ = reg.engine(&sku).payload_for_spec("REG:1").unwrap();
         let s2 = reg.stats();
         assert_eq!(s2.requests, 2);
         assert_eq!(s2.cross_payload_hits, 1);
         assert_eq!(s2.cross_payload_lookups, 1);
-        assert_eq!(s2.cross_request_payload_hit_rate(), 1.0);
 
         // A third request with a cold spec dilutes but keeps the window.
         reg.begin_request();
-        let _ = reg.payload_for(&sku, "REG:2").unwrap();
+        let _ = reg.engine(&sku).payload_for_spec("REG:2").unwrap();
         let s3 = reg.stats();
         assert_eq!(s3.requests, 3);
         assert_eq!(s3.cross_payload_hits, 1);
         assert_eq!(s3.cross_payload_lookups, 2);
-        assert_eq!(s3.cross_request_payload_hit_rate(), 0.5);
     }
 
     #[test]
@@ -631,9 +627,9 @@ mod tests {
         let a = EngineRegistry::with_caches(7, Arc::clone(&caches));
         let b = EngineRegistry::with_caches(7, Arc::clone(&caches));
         let sku = Sku::amd_epyc_7502();
-        let _ = a.payload_for(&sku, "REG:1").unwrap();
+        let _ = a.engine(&sku).payload_for_spec("REG:1").unwrap();
         // Registry `b` never built anything, yet its first lookup hits.
-        let _ = b.payload_for(&sku, "REG:1").unwrap();
+        let _ = b.engine(&sku).payload_for_spec("REG:1").unwrap();
         let s = b.stats();
         assert_eq!(s.payload_misses, 1);
         assert_eq!(s.payload_hits, 1);
@@ -642,9 +638,20 @@ mod tests {
     #[test]
     fn bad_spec_is_not_cached() {
         let reg = EngineRegistry::new();
-        assert!(reg.groups("L9_X:1").is_err());
-        assert!(reg.groups("L9_X:1").is_err());
+        let sku = Sku::amd_epyc_7502();
+        let bad = [GroupEvalRequest {
+            sku: &sku,
+            spec: "L9_X:1",
+            init: InitScheme::V2Safe,
+            freqs_mhz: vec![1500.0],
+        }];
+        for _ in 0..2 {
+            let err = reg.eval_groups(&bad).unwrap_err();
+            assert_eq!(err, parse_groups("L9_X:1").unwrap_err());
+        }
         let s = reg.stats();
-        assert_eq!(s.spec_hits + s.spec_misses, 0, "errors must not count");
+        assert_eq!(s.payload_misses, 0, "a bad spec must build nothing");
+        assert_eq!(s.payload_entries, 0);
+        assert_eq!(s.evals, 0);
     }
 }

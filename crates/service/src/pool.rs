@@ -321,12 +321,20 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
+    /// Unwraps a scatter in which no task panicked.
+    fn all_ok<R>(outcomes: Vec<Result<R, ShardError>>) -> Vec<R> {
+        outcomes
+            .into_iter()
+            .map(|o| o.expect("no task panicked"))
+            .collect()
+    }
+
     #[test]
     fn scatter_preserves_task_order() {
         let pool = WorkerPool::new(4);
         let tasks: Vec<_> = (0..64).map(|i| move || i * i).collect();
         assert_eq!(
-            pool.scatter(tasks),
+            all_ok(pool.try_scatter(tasks)),
             (0..64).map(|i| i * i).collect::<Vec<_>>()
         );
     }
@@ -348,11 +356,11 @@ mod tests {
     }
 
     #[test]
-    fn scatter_task_panic_propagates_instead_of_hanging() {
+    fn task_panic_neither_hangs_the_scatter_nor_kills_a_worker() {
         // Regression: a panicking task used to kill its worker thread
-        // before the result push, so scatter blocked forever on a
-        // result that would never arrive. It must now re-raise the
-        // panic on the caller once every task has settled.
+        // before the result push, so the scatter blocked forever on a
+        // result that would never arrive. The panic must now settle as
+        // a typed error in its own slot.
         let pool = WorkerPool::new(2);
         let tasks: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..8usize)
             .map(|i| {
@@ -364,17 +372,14 @@ mod tests {
                 }) as Box<dyn FnOnce() -> usize + Send>
             })
             .collect();
-        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| pool.scatter(tasks)));
-        let payload = caught.expect_err("the task panic must reach the caller");
-        let msg = payload
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_default();
-        assert!(msg.contains("task 3 exploded"), "wrong payload: {msg}");
+        let outcomes = pool.try_scatter(tasks);
+        let err = outcomes[3].as_ref().expect_err("task 3 must fail");
+        assert_eq!(err.index, 3);
+        assert!(err.message.contains("task 3 exploded"), "{err}");
         // The pool survives: a later scatter still completes in order.
         let tasks: Vec<_> = (0..16).map(|i| move || i + 1).collect();
         assert_eq!(
-            pool.scatter(tasks),
+            all_ok(pool.try_scatter(tasks)),
             (1..=16).collect::<Vec<_>>(),
             "pool must keep serving after a task panic"
         );
@@ -428,7 +433,7 @@ mod tests {
         // A scatter behind the panicking jobs still completes, which
         // proves both workers survived.
         let tasks: Vec<_> = (0..4).map(|i| move || i).collect();
-        assert_eq!(pool.scatter(tasks), vec![0, 1, 2, 3]);
+        assert_eq!(all_ok(pool.try_scatter(tasks)), vec![0, 1, 2, 3]);
         // The final fire-and-forget job can still be mid-flight on a
         // worker when the scatter returns; wait for it to land.
         while done.load(Ordering::Relaxed) < 5 || pool.stats().panics_caught < 5 {
@@ -472,7 +477,7 @@ mod tests {
         // The refreshed pool still serves ordered scatters.
         let tasks: Vec<_> = (0..12).map(|i| move || i * 3).collect();
         assert_eq!(
-            pool.scatter(tasks),
+            all_ok(pool.try_scatter(tasks)),
             (0..12).map(|i| i * 3).collect::<Vec<_>>()
         );
         // Nothing left to reap: supervise is idempotent.
@@ -489,11 +494,11 @@ mod tests {
                 let pool = Arc::clone(&pool);
                 move || {
                     let inner: Vec<_> = (0..4).map(|j| move || i * 10 + j).collect();
-                    pool.scatter(inner).into_iter().sum::<usize>()
+                    all_ok(pool.try_scatter(inner)).into_iter().sum::<usize>()
                 }
             })
             .collect();
-        let sums = pool.scatter(outer);
+        let sums = all_ok(pool.try_scatter(outer));
         for (i, s) in sums.iter().enumerate() {
             assert_eq!(*s, i * 40 + 6);
         }
