@@ -371,10 +371,6 @@ fn main() {
     let _ = writeln!(json, "    \"payload_misses\": {},", s.payload_misses);
     let _ = writeln!(json, "    \"payload_entries\": {},", s.payload_entries);
     let _ = writeln!(json, "    \"payload_hit_rate\": {payload_rate:.4},");
-    let _ = writeln!(json, "    \"spec_hits\": {},", s.spec_hits);
-    let _ = writeln!(json, "    \"spec_misses\": {},", s.spec_misses);
-    let _ = writeln!(json, "    \"unroll_hits\": {},", s.unroll_hits);
-    let _ = writeln!(json, "    \"unroll_misses\": {},", s.unroll_misses);
     let _ = writeln!(json, "    \"decoded_hits\": {},", s.decoded_hits);
     let _ = writeln!(json, "    \"decoded_misses\": {},", s.decoded_misses);
     let _ = writeln!(json, "    \"decoded_hit_rate\": {decoded_rate:.4},");

@@ -35,14 +35,11 @@ pub fn run() -> Report {
         cdf.samples
     ));
     rep.line(format!(
-        "engine-backed: {} engines ({} SKUs), {} payloads built, {} operating points; \
-         {} spec parses served {} requests",
+        "engine-backed: {} engines ({} SKUs), {} payloads built, {} operating points",
         run.registry.engines,
         fleet.config.groups.len(),
         run.registry.payload_misses,
         run.power_table.len(),
-        run.registry.spec_misses,
-        run.registry.spec_hits + run.registry.spec_misses,
     ));
     rep.line(format!(
         "range {} .. {} W (paper: max 359.9 W)",

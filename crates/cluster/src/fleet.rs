@@ -34,7 +34,9 @@
 use crate::budget::{arbitrate, BudgetPolicy, NodeStream};
 use crate::episodes::{EpisodeModel, EpisodeWalk};
 use crate::jobs::JobMix;
-use fs2_core::{EngineRegistry, GroupEvalRequest, InitScheme, RegistryStats};
+use fs2_core::{
+    fan_out, resolve_threads, EngineRegistry, GroupEvalRequest, InitScheme, RegistryStats,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
@@ -817,32 +819,16 @@ impl FleetSim {
     ///
     /// This is the fleet service's pipeline run in-process:
     /// [`FleetSim::plan`], then [`FleetSim::run_shard`] over
-    /// [`shard_ranges`] of [`FleetConfig::threads`] shards on scoped
-    /// threads (the first on the caller's thread), then
-    /// [`FleetSim::try_merge_shards`].
+    /// [`shard_ranges`] of [`FleetConfig::threads`] shards through
+    /// [`fan_out`] (one shard per thread, the caller's thread
+    /// included), then [`FleetSim::try_merge_shards`].
     pub fn run_with(&self, registry: &EngineRegistry) -> FleetRun {
         let plan = self.plan(registry);
-        let threads = match self.config.threads {
-            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
-            n => n,
-        };
+        let threads = resolve_threads(self.config.threads);
         let ranges = shard_ranges(plan.total_nodes(), threads);
-        let shards = std::thread::scope(|scope| {
-            let plan = &plan;
-            let (&(lo, hi), rest) = ranges
-                .split_first()
-                .expect("shard_ranges returns at least one range");
-            let spawned: Vec<_> = rest
-                .iter()
-                .map(|&(lo, hi)| scope.spawn(move || self.run_shard(plan, lo, hi)))
-                .collect();
-            let mut shards = vec![self.run_shard(plan, lo, hi)];
-            shards.extend(
-                spawned
-                    .into_iter()
-                    .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p))),
-            );
-            shards
+        let order: Vec<usize> = (0..ranges.len()).collect();
+        let shards = fan_out(&ranges, &order, threads, |_, &(lo, hi)| {
+            self.run_shard(&plan, lo, hi)
         });
         self.try_merge_shards(registry, &plan, shards)
             .expect("shard_ranges tiles the node range")
@@ -1929,9 +1915,6 @@ mod tests {
         assert_eq!(s.engines, 2);
         assert_eq!(s.payload_misses, 10);
         assert_eq!(s.payload_entries, 10);
-        // The five class specs parse once, registry-wide.
-        assert_eq!(s.spec_misses, 5);
-        assert!(s.spec_hits >= 5, "second SKU must reuse parses");
         // Every operating point is one engine eval — no sample power
         // arrives outside the engine pipeline.
         assert_eq!(s.evals as usize, run.power_table.len());

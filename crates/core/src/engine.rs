@@ -13,23 +13,24 @@
 //!   clock, for trace-producing measurement runs;
 //! * **traceless evaluation** ([`Engine::eval`]) for parameter sweeps
 //!   that only need the EDC-aware steady state;
-//! * a **parallel sweep driver** ([`Engine::sweep`]) fanning a work
-//!   queue out over scoped OS threads. Item evaluation is deterministic,
-//!   so an N-thread sweep returns bitwise-identical results to a serial
-//!   pass, in input order.
+//! * a **parallel sweep driver** ([`Engine::sweep`]), a thin wrapper
+//!   over the crate's one scoped fan-out ([`fan_out`]). Item evaluation
+//!   is deterministic, so an N-thread sweep returns bitwise-identical
+//!   results to a serial pass, in input order.
 //!
 //! The engine is `Sync`: sessions and sweep workers on different threads
 //! share one payload cache.
 
+use crate::fanout::fan_out;
 use crate::groups::GroupParseError;
-use crate::mix::{InstructionMix, MixRegistry};
+use crate::mix::MixRegistry;
 use crate::payload::{build_payload, default_unroll, Payload, PayloadConfig};
 use crate::runner::{RunConfig, RunResult, Runner};
 use fs2_arch::Sku;
 use fs2_power::{solve_throttle, NodePowerModel, ThrottleResult};
 use fs2_sim::{run_functional, DecodedKernel, FunctionalOutcome, InitScheme, SystemSim};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Cache key: the full workload specification `(SKU, I, u, M)`. The
@@ -460,22 +461,6 @@ impl Engine {
         Ok(self.payload(&self.config_for_spec(spec)?))
     }
 
-    /// Cached payload for explicit groups with a chosen mix; `unroll =
-    /// None` selects [`default_unroll`].
-    pub fn payload_for_groups(
-        &self,
-        mix: InstructionMix,
-        groups: Vec<crate::groups::AccessGroup>,
-        unroll: Option<u32>,
-    ) -> Arc<Payload> {
-        let unroll = unroll.unwrap_or_else(|| default_unroll(&self.sku, mix, &groups));
-        self.payload(&PayloadConfig {
-            mix,
-            groups,
-            unroll,
-        })
-    }
-
     /// Current cache counters (all tiers). When the engine shares a
     /// registry-wide tier, these are the shared totals, not per-engine
     /// slices.
@@ -601,8 +586,8 @@ impl Engine {
     }
 
     /// Evaluates `worker` over `items` on up to `threads` OS threads
-    /// (scoped; no detached state). Items are pulled from a shared work
-    /// queue, results land in input order. `threads == 0` uses the host
+    /// through [`fan_out`]: items are pulled from a shared work queue,
+    /// results land in input order, and `threads == 0` uses the host
     /// parallelism. Every worker sees the same `&Engine` — payload-cache
     /// hits are shared across the sweep.
     ///
@@ -616,7 +601,7 @@ impl Engine {
         F: Fn(&Engine, usize, &T) -> R + Sync,
     {
         let order: Vec<usize> = (0..items.len()).collect();
-        self.sweep_ordered(items, threads, order, worker)
+        fan_out(items, &order, threads, |i, item| worker(self, i, item))
     }
 
     /// [`Engine::sweep`] with a per-item size hint (arbitrary cost
@@ -645,62 +630,7 @@ impl Engine {
         // behave exactly like the unhinted queue. Cached key: the
         // caller's hint closure runs exactly once per item.
         order.sort_by_cached_key(|&i| std::cmp::Reverse(size_hint(i, &items[i])));
-        self.sweep_ordered(items, threads, order, worker)
-    }
-
-    /// Shared sweep core: a claim-by-index queue over `order`, results
-    /// written to input-order slots.
-    fn sweep_ordered<T, R, F>(
-        &self,
-        items: &[T],
-        threads: usize,
-        order: Vec<usize>,
-        worker: F,
-    ) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&Engine, usize, &T) -> R + Sync,
-    {
-        debug_assert_eq!(order.len(), items.len());
-        let threads = if threads == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            threads
-        }
-        .min(items.len().max(1));
-
-        if threads <= 1 || items.len() <= 1 {
-            return items
-                .iter()
-                .enumerate()
-                .map(|(i, item)| worker(self, i, item))
-                .collect();
-        }
-
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let k = next.fetch_add(1, Ordering::Relaxed);
-                    if k >= order.len() {
-                        break;
-                    }
-                    let i = order[k];
-                    let r = worker(self, i, &items[i]);
-                    *slots[i].lock().expect("sweep slot poisoned") = Some(r);
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("sweep slot poisoned")
-                    .expect("every queue index was claimed exactly once")
-            })
-            .collect()
+        fan_out(items, &order, threads, |i, item| worker(self, i, item))
     }
 }
 
@@ -1202,7 +1132,12 @@ mod tests {
                     x
                 })
             }));
-            assert!(caught.is_err(), "{threads} threads: the panic was lost");
+            let payload = caught.expect_err("the worker panic must reach the caller");
+            let msg = payload
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_default();
+            assert!(msg.contains("item 5 exploded"), "{threads} threads: {msg}");
         }
     }
 }

@@ -23,10 +23,14 @@
 //!   measurement [`Session`]s, evaluates traceless sweeps, and fans
 //!   work queues out over threads ([`Engine::sweep`]). The CLI, the
 //!   fig/table experiments and the NSGA-II loop all route through it.
+//! * [`fan_out`] — the one scoped fan-out: an input-ordered parallel map
+//!   over a claim-by-index queue, behind [`Engine::sweep`] and the
+//!   cluster fleet's shard pass ([`resolve_threads`] maps `0` threads
+//!   to one per host core).
 //! * [`registry`] — the cross-SKU layer above the engines: an
-//!   [`EngineRegistry`] owns one [`Engine`] per SKU and shares group
-//!   parsing and unroll derivation across them, feeding heterogeneous
-//!   sweeps (the cluster fleet) from one set of caches.
+//!   [`EngineRegistry`] owns one [`Engine`] per SKU and gives them one
+//!   shared cache tier, feeding heterogeneous sweeps (the cluster
+//!   fleet) from one set of caches.
 //! * [`autotune`] — the §III-C optimization loop wiring NSGA-II to the
 //!   runner and metrics, gap-free between candidates (Fig. 7).
 //! * [`legacy`] — FIRESTARTER 1.x behaviour: fixed per-SKU workloads, the
@@ -36,10 +40,10 @@
 pub mod autotune;
 pub mod distribute;
 pub mod engine;
+mod fanout;
 pub mod groups;
 pub mod legacy;
 pub mod mix;
-pub mod paracheck;
 pub mod payload;
 pub mod registry;
 pub mod runner;
@@ -47,9 +51,9 @@ pub mod runner;
 pub use autotune::{AutoTuner, TuneConfig, TuneResult};
 pub use distribute::{distribute, unroll_sequence};
 pub use engine::{CacheStats, Engine, EngineCaches, EvalBatch, EvalRequest, Session};
+pub use fanout::{fan_out, resolve_threads};
 pub use groups::{parse_groups, AccessGroup, GroupParseError, Pattern, Target};
 pub use mix::{InstructionMix, MixRegistry};
-pub use paracheck::{check_all_cores, CheckReport, InjectedFault};
 pub use payload::{default_unroll, Payload, PayloadConfig};
 pub use registry::{EngineRegistry, GroupEvalRequest, RegistryStats};
 pub use runner::{RunConfig, RunResult, Runner};

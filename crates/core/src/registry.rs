@@ -1,31 +1,22 @@
 //! Cross-SKU engine registry.
 //!
-//! [`Engine`]s are per-SKU, and so are their payload caches. A sweep
-//! over heterogeneous hardware — the cluster fleet, `--cpu` comparison
-//! runs — therefore used to re-parse every group string and re-derive
-//! every unroll factor once per SKU. An [`EngineRegistry`] owns one
-//! engine per SKU and hoists the SKU-independent work into shared
-//! caches:
-//!
-//! * **group parsing**: an access-group spec (`"REG:4,L1_L:2,L2_L:1"`)
-//!   parses to the same `Vec<AccessGroup>` on every SKU, so the parse
-//!   is memoized once registry-wide;
-//! * **unroll derivation**: [`default_unroll`] depends on the SKU's
-//!   L1I/µop-cache geometry and the mix, so it is memoized per
-//!   `(SKU, spec)` — each engine still gets its own value, but repeat
-//!   lookups (every fleet node of one SKU) are a map hit.
+//! [`Engine`]s are per-SKU. A sweep over heterogeneous hardware — the
+//! cluster fleet, `--cpu` comparison runs — needs one engine per SKU.
+//! An [`EngineRegistry`] owns them, hands every one the same
+//! registry-wide [`EngineCaches`] tier (payload builds, kernel decodes,
+//! functional passes; keys are SKU-tagged), and batches evaluations
+//! across SKUs ([`EngineRegistry::eval_groups`]). Each request's
+//! payload config comes from its engine's
+//! [`Engine::config_for_spec`], the one config derivation.
 //!
 //! The registry is `Sync` like the engines it owns: fleet sweep workers
 //! on different threads share one registry, and [`RegistryStats`]
 //! aggregates every layer's hit/miss counters for benchmark reports.
 
 use crate::engine::{Engine, EngineCaches, EvalBatch, EvalRequest};
-use crate::groups::{parse_groups, AccessGroup, GroupParseError};
-use crate::mix::MixRegistry;
-use crate::payload::{default_unroll, PayloadConfig};
+use crate::groups::GroupParseError;
 use fs2_arch::Sku;
 use fs2_sim::InitScheme;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -40,14 +31,6 @@ pub struct RegistryStats {
     pub payload_misses: u64,
     /// Distinct payloads cached, summed over all engines.
     pub payload_entries: usize,
-    /// Group-spec parses answered from the shared cache.
-    pub spec_hits: u64,
-    /// Group-spec parses that ran the parser.
-    pub spec_misses: u64,
-    /// Unroll derivations answered from the shared cache.
-    pub unroll_hits: u64,
-    /// Unroll derivations computed fresh.
-    pub unroll_misses: u64,
     /// Kernel decodes served from memoized tables, summed over engines.
     pub decoded_hits: u64,
     /// Kernel decodes run fresh, summed over all engines.
@@ -74,10 +57,6 @@ pub struct RegistryStats {
     pub cross_exec_hits: u64,
     /// ExecStats-cache lookups after the first request.
     pub cross_exec_lookups: u64,
-    /// Decoded-kernel hits after the first request.
-    pub cross_decoded_hits: u64,
-    /// Decoded-kernel lookups after the first request.
-    pub cross_decoded_lookups: u64,
 }
 
 impl RegistryStats {
@@ -90,30 +69,6 @@ impl RegistryStats {
             self.prescreen_pruned as f64 / self.prescreen_evals as f64
         }
     }
-
-    /// Payload-cache hit rate over lookups made after the first request
-    /// completed its warm-up (0.0 before a second request exists).
-    pub fn cross_request_payload_hit_rate(&self) -> f64 {
-        rate(self.cross_payload_hits, self.cross_payload_lookups)
-    }
-
-    /// ExecStats-cache hit rate over post-first-request lookups.
-    pub fn cross_request_exec_hit_rate(&self) -> f64 {
-        rate(self.cross_exec_hits, self.cross_exec_lookups)
-    }
-
-    /// Decoded-kernel hit rate over post-first-request lookups.
-    pub fn cross_request_decoded_hit_rate(&self) -> f64 {
-        rate(self.cross_decoded_hits, self.cross_decoded_lookups)
-    }
-}
-
-fn rate(hits: u64, lookups: u64) -> f64 {
-    if lookups == 0 {
-        0.0
-    } else {
-        hits as f64 / lookups as f64
-    }
 }
 
 /// Cache-counter snapshot taken when the second request begins, so the
@@ -123,8 +78,6 @@ fn rate(hits: u64, lookups: u64) -> f64 {
 struct CrossBase {
     payload_hits: u64,
     payload_misses: u64,
-    decoded_hits: u64,
-    decoded_misses: u64,
     exec_hits: u64,
     exec_misses: u64,
 }
@@ -141,8 +94,8 @@ pub struct GroupEvalRequest<'a> {
     pub freqs_mhz: Vec<f64>,
 }
 
-/// One engine per SKU plus the shared spec/unroll caches and the
-/// registry-wide [`EngineCaches`] tier every engine warms.
+/// One engine per SKU plus the registry-wide [`EngineCaches`] tier
+/// every engine warms.
 pub struct EngineRegistry {
     /// Keyed by `Sku::name`; a linear scan over a handful of SKUs beats
     /// hashing the whole `Sku` struct.
@@ -151,12 +104,6 @@ pub struct EngineRegistry {
     /// repeat fleet requests hit one registry-wide cache instead of
     /// each warming a per-engine one.
     caches: Arc<EngineCaches>,
-    specs: Mutex<HashMap<String, Arc<Vec<AccessGroup>>>>,
-    unrolls: Mutex<HashMap<(&'static str, String), u32>>,
-    spec_hits: AtomicU64,
-    spec_misses: AtomicU64,
-    unroll_hits: AtomicU64,
-    unroll_misses: AtomicU64,
     requests: AtomicU64,
     cross_base: Mutex<Option<CrossBase>>,
     seed: u64,
@@ -182,12 +129,6 @@ impl EngineRegistry {
         EngineRegistry {
             engines: Mutex::new(Vec::new()),
             caches,
-            specs: Mutex::new(HashMap::new()),
-            unrolls: Mutex::new(HashMap::new()),
-            spec_hits: AtomicU64::new(0),
-            spec_misses: AtomicU64::new(0),
-            unroll_hits: AtomicU64::new(0),
-            unroll_misses: AtomicU64::new(0),
             requests: AtomicU64::new(0),
             cross_base: Mutex::new(None),
             seed,
@@ -207,8 +148,6 @@ impl EngineRegistry {
                 *base = Some(CrossBase {
                     payload_hits: c.hits,
                     payload_misses: c.misses,
-                    decoded_hits: c.decoded_hits,
-                    decoded_misses: c.decoded_misses,
                     exec_hits: c.exec_hits,
                     exec_misses: c.exec_misses,
                 });
@@ -247,96 +186,6 @@ impl EngineRegistry {
         engine
     }
 
-    /// Parses an access-group spec through the shared cache. Specs are
-    /// SKU-independent, so one parse serves every engine.
-    pub fn groups(&self, spec: &str) -> Result<Arc<Vec<AccessGroup>>, GroupParseError> {
-        if let Some(g) = self.specs.lock().expect("spec cache poisoned").get(spec) {
-            self.spec_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(Arc::clone(g));
-        }
-        // Parse outside the lock; like the payload cache, losers of a
-        // same-spec race adopt the first insert.
-        let parsed = Arc::new(parse_groups(spec)?);
-        let mut specs = self.specs.lock().expect("spec cache poisoned");
-        match specs.entry(spec.to_string()) {
-            std::collections::hash_map::Entry::Occupied(e) => {
-                self.spec_hits.fetch_add(1, Ordering::Relaxed);
-                Ok(Arc::clone(e.get()))
-            }
-            std::collections::hash_map::Entry::Vacant(v) => {
-                self.spec_misses.fetch_add(1, Ordering::Relaxed);
-                Ok(Arc::clone(v.insert(parsed)))
-            }
-        }
-    }
-
-    /// The architecture-default unroll for `spec` on `sku`, memoized per
-    /// `(SKU, spec)`. Uses the SKU's default instruction mix (the same
-    /// choice [`Engine::config_for_spec`] makes).
-    pub fn unroll_for(&self, sku: &Sku, spec: &str) -> Result<u32, GroupParseError> {
-        let groups = self.groups(spec)?;
-        Ok(self.unroll_for_groups(sku, spec, &groups, MixRegistry::default_for(sku.uarch)))
-    }
-
-    /// Memoized unroll derivation for already-parsed groups — the
-    /// single lookup path shared by [`EngineRegistry::unroll_for`] and
-    /// [`EngineRegistry::config_for`], so neither re-fetches the spec
-    /// (which would skew the spec hit counter with internal requests).
-    fn unroll_for_groups(
-        &self,
-        sku: &Sku,
-        spec: &str,
-        groups: &[AccessGroup],
-        mix: crate::mix::InstructionMix,
-    ) -> u32 {
-        let key = (sku.name, spec.to_string());
-        if let Some(&u) = self
-            .unrolls
-            .lock()
-            .expect("unroll cache poisoned")
-            .get(&key)
-        {
-            self.unroll_hits.fetch_add(1, Ordering::Relaxed);
-            return u;
-        }
-        let u = default_unroll(sku, mix, groups);
-        let mut unrolls = self.unrolls.lock().expect("unroll cache poisoned");
-        match unrolls.entry(key) {
-            std::collections::hash_map::Entry::Occupied(e) => {
-                self.unroll_hits.fetch_add(1, Ordering::Relaxed);
-                *e.get()
-            }
-            std::collections::hash_map::Entry::Vacant(v) => {
-                self.unroll_misses.fetch_add(1, Ordering::Relaxed);
-                *v.insert(u)
-            }
-        }
-    }
-
-    /// Payload config for `spec` on `sku` (default mix, cached groups,
-    /// cached unroll) — the registry-shared equivalent of
-    /// [`Engine::config_for_spec`]. One spec lookup per call.
-    pub fn config_for(&self, sku: &Sku, spec: &str) -> Result<PayloadConfig, GroupParseError> {
-        let groups = self.groups(spec)?;
-        let mix = MixRegistry::default_for(sku.uarch);
-        let unroll = self.unroll_for_groups(sku, spec, &groups, mix);
-        Ok(PayloadConfig {
-            mix,
-            groups: groups.as_ref().clone(),
-            unroll,
-        })
-    }
-
-    /// Cached payload for `spec` on `sku`'s engine.
-    pub fn payload_for(
-        &self,
-        sku: &Sku,
-        spec: &str,
-    ) -> Result<Arc<crate::payload::Payload>, GroupParseError> {
-        let config = self.config_for(sku, spec)?;
-        Ok(self.engine(sku).payload(&config))
-    }
-
     /// Batched traceless evaluation across SKUs: requests are bucketed
     /// per SKU engine and dispatched through [`Engine::eval_batch`], so
     /// one cached payload fetch, decode and functional pass serve every
@@ -349,20 +198,18 @@ impl EngineRegistry {
     ) -> Result<Vec<EvalBatch>, GroupParseError> {
         let mut buckets: Vec<(Arc<Engine>, Vec<usize>, Vec<EvalRequest>)> = Vec::new();
         for (i, r) in requests.iter().enumerate() {
+            let engine = self.engine(r.sku);
             let req = EvalRequest {
-                config: self.config_for(r.sku, r.spec)?,
+                config: engine.config_for_spec(r.spec)?,
                 init: r.init,
                 freqs_mhz: r.freqs_mhz.clone(),
             };
-            match buckets
-                .iter_mut()
-                .find(|(e, _, _)| e.sku().name == r.sku.name)
-            {
+            match buckets.iter_mut().find(|(e, _, _)| Arc::ptr_eq(e, &engine)) {
                 Some((_, order, reqs)) => {
                     order.push(i);
                     reqs.push(req);
                 }
-                None => buckets.push((self.engine(r.sku), vec![i], vec![req])),
+                None => buckets.push((engine, vec![i], vec![req])),
             }
         }
         let mut out: Vec<Option<EvalBatch>> = requests.iter().map(|_| None).collect();
@@ -392,18 +239,12 @@ impl EngineRegistry {
                 // baseline at the current counters and every delta is 0.
                 payload_hits: c.hits,
                 payload_misses: c.misses,
-                decoded_hits: c.decoded_hits,
-                decoded_misses: c.decoded_misses,
                 exec_hits: c.exec_hits,
                 exec_misses: c.exec_misses,
             });
         let lookups = |h: u64, m: u64, bh: u64, bm: u64| (h + m).saturating_sub(bh + bm);
         let mut s = RegistryStats {
             engines: engines.len(),
-            spec_hits: self.spec_hits.load(Ordering::Relaxed),
-            spec_misses: self.spec_misses.load(Ordering::Relaxed),
-            unroll_hits: self.unroll_hits.load(Ordering::Relaxed),
-            unroll_misses: self.unroll_misses.load(Ordering::Relaxed),
             payload_hits: c.hits,
             payload_misses: c.misses,
             payload_entries: c.entries,
@@ -427,13 +268,6 @@ impl EngineRegistry {
                 c.exec_misses,
                 base.exec_hits,
                 base.exec_misses,
-            ),
-            cross_decoded_hits: c.decoded_hits.saturating_sub(base.decoded_hits),
-            cross_decoded_lookups: lookups(
-                c.decoded_hits,
-                c.decoded_misses,
-                base.decoded_hits,
-                base.decoded_misses,
             ),
             ..RegistryStats::default()
         };
@@ -461,6 +295,7 @@ impl std::fmt::Debug for EngineRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::groups::parse_groups;
 
     #[test]
     fn one_engine_per_sku_name() {
@@ -471,39 +306,6 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b));
         assert!(!Arc::ptr_eq(&a, &c));
         assert_eq!(reg.stats().engines, 2);
-    }
-
-    #[test]
-    fn spec_parse_is_shared_across_skus() {
-        let reg = EngineRegistry::new();
-        let spec = "REG:4,L1_L:2,L2_L:1";
-        let rome = reg.config_for(&Sku::amd_epyc_7502(), spec).unwrap();
-        let haswell = reg.config_for(&Sku::intel_xeon_e5_2680_v3(), spec).unwrap();
-        // Groups identical, parsed once; unroll derived per SKU.
-        assert_eq!(rome.groups, haswell.groups);
-        let s = reg.stats();
-        assert_eq!(s.spec_misses, 1, "one parse serves both SKUs");
-        assert!(s.spec_hits >= 1);
-        assert_eq!(s.unroll_misses, 2, "unroll is per-SKU");
-    }
-
-    #[test]
-    fn unroll_matches_engine_derivation() {
-        let reg = EngineRegistry::new();
-        let sku = Sku::intel_xeon_e5_2680_v3();
-        let spec = "REG:2,L1_LS:1,RAM_P:1";
-        let via_registry = reg.config_for(&sku, spec).unwrap();
-        let via_engine = Engine::new(sku.clone()).config_for_spec(spec).unwrap();
-        assert_eq!(via_registry.unroll, via_engine.unroll);
-        assert_eq!(via_registry.groups, via_engine.groups);
-        assert_eq!(via_registry.mix.kind, via_engine.mix.kind);
-        // Second lookup is a pure cache hit.
-        let before = reg.stats();
-        let _ = reg.config_for(&sku, spec).unwrap();
-        let after = reg.stats();
-        assert_eq!(after.spec_misses, before.spec_misses);
-        assert_eq!(after.unroll_misses, before.unroll_misses);
-        assert!(after.unroll_hits > before.unroll_hits);
     }
 
     #[test]

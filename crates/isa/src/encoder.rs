@@ -9,7 +9,6 @@
 
 use crate::inst::{Inst, RmYmm};
 use crate::mem::Mem;
-use crate::reg::Gp;
 use std::fmt;
 
 /// Errors produced while assembling a code buffer.
@@ -461,17 +460,12 @@ pub fn sequence_len(insts: &[Inst]) -> usize {
     insts.iter().map(encoded_len).sum()
 }
 
-/// Marker helper: the canonical loop-closing sequence `dec rdi; jnz top`.
-pub fn loop_tail(counter: Gp) -> [Inst; 1] {
-    [Inst::Dec(counter)]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::inst::PrefetchHint;
     use crate::mem::Scale;
-    use crate::reg::{Xmm, Ymm};
+    use crate::reg::{Gp, Xmm, Ymm};
 
     fn enc(i: Inst) -> Vec<u8> {
         let mut v = Vec::new();

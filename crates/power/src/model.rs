@@ -100,10 +100,6 @@ impl NodePowerModel {
         NodePowerModel { sku, coeffs }
     }
 
-    pub fn with_coeffs(sku: Sku, coeffs: PowerCoeffs) -> NodePowerModel {
-        NodePowerModel { sku, coeffs }
-    }
-
     pub fn sku(&self) -> &Sku {
         &self.sku
     }

@@ -4,8 +4,8 @@
 //! Workers live for the service's lifetime and pull boxed jobs from a
 //! shared [`MetricQueue`] — the same channel seam the metric stack
 //! uses (Fig. 10's buffered out-of-band source), reused here as the
-//! job conduit. [`WorkerPool::scatter`] fans a batch of closures out
-//! and gathers their results *in submission order*, which is what
+//! job conduit. [`WorkerPool::try_scatter`] fans a batch of closures
+//! out and gathers their results *in submission order*, which is what
 //! keeps sharded fleet runs bitwise-identical to serial ones.
 //!
 //! Fault tolerance: every job runs under `catch_unwind`, so a
@@ -17,6 +17,7 @@
 //! panics-caught / workers-respawned counters that ride into reply
 //! telemetry.
 
+use fs2_core::resolve_threads;
 use fs2_metrics::MetricQueue;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -116,15 +117,10 @@ fn spawn_worker(jobs: Arc<MetricQueue<Job>>, shared: Arc<PoolShared>) -> JoinHan
 }
 
 impl WorkerPool {
-    /// Spawns `workers` threads (0 = one per host core).
+    /// Spawns `workers` threads (0 = one per host core, see
+    /// [`resolve_threads`]).
     pub fn new(workers: usize) -> WorkerPool {
-        let n = if workers == 0 {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(4)
-        } else {
-            workers
-        };
+        let n = resolve_threads(workers);
         let jobs: Arc<MetricQueue<Job>> = Arc::new(MetricQueue::unbounded());
         let shared = Arc::new(PoolShared::default());
         let handles = (0..n)
@@ -200,11 +196,17 @@ impl WorkerPool {
             .unwrap_or_else(|_| panic!("worker pool is shut down"));
     }
 
-    /// Fans `tasks` out and gathers every outcome — completed result
-    /// or caught panic — in task order. This is the supervision-aware
-    /// core that [`scatter`](WorkerPool::scatter) and
-    /// [`try_scatter`](WorkerPool::try_scatter) wrap.
-    fn scatter_raw<R, F>(&self, tasks: Vec<F>) -> Vec<std::thread::Result<R>>
+    /// Runs every task on the pool and returns their outcomes in task
+    /// order. The calling thread also drains jobs while it waits, so
+    /// a scatter submitted *from* a pool worker (nested requests)
+    /// cannot deadlock the pool.
+    ///
+    /// A panicking task can never hang the scatter: every task runs
+    /// under `catch_unwind`, so its slot is always filled, and a panic
+    /// becomes a typed [`ShardError`] in its slot instead of
+    /// re-raising — the service layer's route to a failed reply
+    /// instead of a crashed connection thread.
+    pub fn try_scatter<R, F>(&self, tasks: Vec<F>) -> Vec<Result<R, ShardError>>
     where
         R: Send + 'static,
         F: FnOnce() -> R + Send + 'static,
@@ -250,56 +252,14 @@ impl WorkerPool {
             }
         }
         out.into_iter()
-            .map(|slot| {
+            .enumerate()
+            .map(|(index, slot)| {
                 // fs2-lint: allow(no-panic-service) -- the loop above exits only once all n slots are filled
                 slot.expect("all slots filled")
-            })
-            .collect()
-    }
-
-    /// Runs every task on the pool and returns their results in task
-    /// order. The calling thread also drains jobs while it waits, so
-    /// a scatter submitted *from* a pool worker (nested requests)
-    /// cannot deadlock the pool.
-    ///
-    /// A panicking task can never hang the scatter: every task runs
-    /// under `catch_unwind` so its result slot is always filled, and
-    /// the first panic (by task index) is re-raised on the calling
-    /// thread once all tasks have settled.
-    pub fn scatter<R, F>(&self, tasks: Vec<F>) -> Vec<R>
-    where
-        R: Send + 'static,
-        F: FnOnce() -> R + Send + 'static,
-    {
-        let mut gathered = Vec::with_capacity(tasks.len());
-        for r in self.scatter_raw(tasks) {
-            match r {
-                Ok(v) => gathered.push(v),
-                // Re-raise the first panic (lowest task index) on the
-                // caller: the legacy contract minus the deadlock.
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-        gathered
-    }
-
-    /// Like [`scatter`](WorkerPool::scatter), but a panicking task
-    /// becomes a typed [`ShardError`] in its slot instead of
-    /// re-raising — the service layer's route to a failed reply
-    /// instead of a crashed connection thread.
-    pub fn try_scatter<R, F>(&self, tasks: Vec<F>) -> Vec<Result<R, ShardError>>
-    where
-        R: Send + 'static,
-        F: FnOnce() -> R + Send + 'static,
-    {
-        self.scatter_raw(tasks)
-            .into_iter()
-            .enumerate()
-            .map(|(index, r)| {
-                r.map_err(|payload| ShardError {
-                    index,
-                    message: panic_message(payload.as_ref()),
-                })
+                    .map_err(|payload| ShardError {
+                        index,
+                        message: panic_message(payload.as_ref()),
+                    })
             })
             .collect()
     }

@@ -122,13 +122,6 @@ pub struct CoreSteadyState {
     pub iters_per_sec: f64,
 }
 
-impl CoreSteadyState {
-    /// Instructions per second.
-    pub fn insts_per_sec(&self, kernel: &Kernel) -> f64 {
-        self.iters_per_sec * kernel.meta.insts as f64
-    }
-}
-
 /// Evaluates the steady state of `kernel` on one core of `sku`.
 pub fn steady_state(
     sku: &Sku,
