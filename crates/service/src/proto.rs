@@ -194,12 +194,31 @@ impl FleetRequest {
             None | Some(Json::Null) => None,
             Some(j) => Some(j.as_u64().ok_or_else(|| perr("`seed` must be a u64"))?),
         };
-        let temporal = match v.get("temporal").and_then(Json::as_str) {
+        // An absent or null field takes its default; any other value
+        // must have the field's type.
+        let opt_str = |key: &str| -> Result<Option<&str>, ProtoError> {
+            match v.get(key) {
+                None | Some(Json::Null) => Ok(None),
+                Some(j) => j
+                    .as_str()
+                    .map(Some)
+                    .ok_or_else(|| perr(format!("`{key}` must be a string"))),
+            }
+        };
+        let bool_field = |key: &str, default: bool| -> Result<bool, ProtoError> {
+            match v.get(key) {
+                None | Some(Json::Null) => Ok(default),
+                Some(j) => j
+                    .as_bool()
+                    .ok_or_else(|| perr(format!("`{key}` must be a boolean"))),
+            }
+        };
+        let temporal = match opt_str("temporal")? {
             None | Some("iid") => TemporalMode::Iid,
             Some("episodes") => TemporalMode::Episodes,
             Some(other) => return Err(perr(format!("unknown temporal mode `{other}`"))),
         };
-        let budget_policy = match v.get("budget_policy").and_then(Json::as_str) {
+        let budget_policy = match opt_str("budget_policy")? {
             None | Some("shed") | Some("shed-to-floor") => BudgetPolicy::ShedToFloor,
             Some("defer") => BudgetPolicy::Defer,
             Some(other) => return Err(perr(format!("unknown budget policy `{other}`"))),
@@ -242,11 +261,8 @@ impl FleetRequest {
             budget_policy,
             shards,
             deadline_ms,
-            want_samples: v
-                .get("want_samples")
-                .and_then(Json::as_bool)
-                .unwrap_or(true),
-            want_cdf: v.get("want_cdf").and_then(Json::as_bool).unwrap_or(false),
+            want_samples: bool_field("want_samples", true)?,
+            want_cdf: bool_field("want_cdf", false)?,
             profile,
         })
     }
@@ -740,10 +756,19 @@ mod tests {
             r#"{"type":"fleet","seed":-1}"#,
             r#"{"type":"fleet","profile":7}"#,
             r##"{"type":"fleet","profile":"# wrong header\n"}"##,
+            r#"{"type":"fleet","temporal":5}"#,
+            r#"{"type":"fleet","budget_policy":1}"#,
+            r#"{"type":"fleet","want_samples":"no"}"#,
+            r#"{"type":"fleet","want_cdf":1}"#,
             "not json",
         ] {
             assert!(FleetRequest::from_line(bad).is_err(), "accepted {bad}");
         }
+        // An explicit null keeps the field's default.
+        let nulls =
+            FleetRequest::from_line(r#"{"type":"fleet","temporal":null,"want_samples":null}"#)
+                .unwrap();
+        assert_eq!(nulls, FleetRequest::fig1());
         // The decode error names the profile parser's complaint.
         let err =
             FleetRequest::from_line(r##"{"type":"fleet","profile":"# wrong\n"}"##).unwrap_err();
