@@ -239,17 +239,11 @@ impl FleetRequest {
                     .ok_or_else(|| perr("`deadline_ms` must be a positive integer"))?,
             ),
         };
-        let profile = match v.get("profile") {
-            None | Some(Json::Null) => None,
-            Some(j) => {
-                let text = j
-                    .as_str()
-                    .ok_or_else(|| perr("`profile` must be a profile-text string"))?;
-                Some(
-                    FleetProfile::from_text(text)
-                        .map_err(|e| perr(format!("bad `profile`: {e}")))?,
-                )
-            }
+        let profile = match opt_str("profile")? {
+            None => None,
+            Some(text) => Some(
+                FleetProfile::from_text(text).map_err(|e| perr(format!("bad `profile`: {e}")))?,
+            ),
         };
         Ok(FleetRequest {
             nodes,
