@@ -819,9 +819,9 @@ impl FleetSim {
     ///
     /// This is the fleet service's pipeline run in-process:
     /// [`FleetSim::plan`], then [`FleetSim::run_shard`] over
-    /// [`shard_ranges`] of [`FleetConfig::threads`] shards through
-    /// [`fan_out`] (one shard per thread, the caller's thread
-    /// included), then [`FleetSim::try_merge_shards`].
+    /// [`shard_ranges`] of [`FleetConfig::threads`] shards, fanned out
+    /// over as many threads (the caller's among them) by [`fan_out`],
+    /// then [`FleetSim::try_merge_shards`].
     pub fn run_with(&self, registry: &EngineRegistry) -> FleetRun {
         let plan = self.plan(registry);
         let threads = resolve_threads(self.config.threads);

@@ -67,3 +67,24 @@ where
         })
         .collect()
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::Barrier;
+
+    #[test]
+    fn caller_thread_works_the_queue() {
+        // Each worker parks until both have started, so each of the two
+        // threads runs exactly one item. One of them must be the caller:
+        // a two-way fan-out spawns a single thread.
+        let barrier = Barrier::new(2);
+        let caller = std::thread::current().id();
+        let ran_on = fan_out(&[(), ()], &[0, 1], 2, |_, _| {
+            barrier.wait();
+            std::thread::current().id()
+        });
+        assert_ne!(ran_on[0], ran_on[1]);
+        assert!(ran_on.contains(&caller), "the caller sat the fan-out out");
+    }
+}
