@@ -33,6 +33,23 @@ fn perr(msg: impl Into<String>) -> ProtoError {
     ProtoError(msg.into())
 }
 
+/// An optional request field: absent or `null` is `None`; any other
+/// value must convert through `as_t`, or the request fails naming
+/// `what` the field must be.
+fn opt_field<'a, T>(
+    v: &'a Json,
+    key: &str,
+    as_t: impl Fn(&'a Json) -> Option<T>,
+    what: &str,
+) -> Result<Option<T>, ProtoError> {
+    match v.get(key) {
+        None | Some(Json::Null) => Ok(None),
+        Some(j) => as_t(j)
+            .map(Some)
+            .ok_or_else(|| perr(format!("`{key}` must be {what}"))),
+    }
+}
+
 /// One fleet-simulation request.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetRequest {
@@ -168,19 +185,11 @@ impl FleetRequest {
             }
         };
         let opt_f64 = |key: &str| -> Result<Option<f64>, ProtoError> {
-            match v.get(key) {
-                None => Ok(None),
-                Some(Json::Null) => Ok(None),
-                Some(j) => {
-                    let w = j
-                        .as_f64()
-                        .ok_or_else(|| perr(format!("`{key}` must be a number")))?;
-                    if !w.is_finite() || w <= 0.0 {
-                        return Err(perr(format!("`{key}` must be a positive wattage")));
-                    }
-                    Ok(Some(w))
-                }
+            let w = opt_field(v, key, Json::as_f64, "a number")?;
+            if w.is_some_and(|w| !w.is_finite() || w <= 0.0) {
+                return Err(perr(format!("`{key}` must be a positive wattage")));
             }
+            Ok(w)
         };
         let nodes = u32_field("nodes", 612)?;
         if nodes == 0 {
@@ -190,56 +199,26 @@ impl FleetRequest {
         if samples_per_node == 0 {
             return Err(perr("`samples_per_node` must be at least 1"));
         }
-        let seed = match v.get("seed") {
-            None | Some(Json::Null) => None,
-            Some(j) => Some(j.as_u64().ok_or_else(|| perr("`seed` must be a u64"))?),
-        };
-        // An absent or null field takes its default; any other value
-        // must have the field's type.
-        let opt_str = |key: &str| -> Result<Option<&str>, ProtoError> {
-            match v.get(key) {
-                None | Some(Json::Null) => Ok(None),
-                Some(j) => j
-                    .as_str()
-                    .map(Some)
-                    .ok_or_else(|| perr(format!("`{key}` must be a string"))),
-            }
-        };
-        let bool_field = |key: &str, default: bool| -> Result<bool, ProtoError> {
-            match v.get(key) {
-                None | Some(Json::Null) => Ok(default),
-                Some(j) => j
-                    .as_bool()
-                    .ok_or_else(|| perr(format!("`{key}` must be a boolean"))),
-            }
-        };
-        let temporal = match opt_str("temporal")? {
+        let seed = opt_field(v, "seed", Json::as_u64, "a u64")?;
+        let temporal = match opt_field(v, "temporal", Json::as_str, "a string")? {
             None | Some("iid") => TemporalMode::Iid,
             Some("episodes") => TemporalMode::Episodes,
             Some(other) => return Err(perr(format!("unknown temporal mode `{other}`"))),
         };
-        let budget_policy = match opt_str("budget_policy")? {
+        let budget_policy = match opt_field(v, "budget_policy", Json::as_str, "a string")? {
             None | Some("shed") | Some("shed-to-floor") => BudgetPolicy::ShedToFloor,
             Some("defer") => BudgetPolicy::Defer,
             Some(other) => return Err(perr(format!("unknown budget policy `{other}`"))),
         };
-        let shards = match v.get("shards") {
-            None | Some(Json::Null) => None,
-            Some(j) => Some(
-                j.as_usize()
-                    .filter(|&s| s > 0)
-                    .ok_or_else(|| perr("`shards` must be a positive integer"))?,
-            ),
-        };
-        let deadline_ms = match v.get("deadline_ms") {
-            None | Some(Json::Null) => None,
-            Some(j) => Some(
-                j.as_u64()
-                    .filter(|&d| d > 0)
-                    .ok_or_else(|| perr("`deadline_ms` must be a positive integer"))?,
-            ),
-        };
-        let profile = match opt_str("profile")? {
+        let positive = "a positive integer";
+        let shards = opt_field(v, "shards", |j| j.as_usize().filter(|&s| s > 0), positive)?;
+        let deadline_ms = opt_field(
+            v,
+            "deadline_ms",
+            |j| j.as_u64().filter(|&d| d > 0),
+            positive,
+        )?;
+        let profile = match opt_field(v, "profile", Json::as_str, "a string")? {
             None => None,
             Some(text) => Some(
                 FleetProfile::from_text(text).map_err(|e| perr(format!("bad `profile`: {e}")))?,
@@ -255,8 +234,8 @@ impl FleetRequest {
             budget_policy,
             shards,
             deadline_ms,
-            want_samples: bool_field("want_samples", true)?,
-            want_cdf: bool_field("want_cdf", false)?,
+            want_samples: opt_field(v, "want_samples", Json::as_bool, "a boolean")?.unwrap_or(true),
+            want_cdf: opt_field(v, "want_cdf", Json::as_bool, "a boolean")?.unwrap_or(false),
             profile,
         })
     }
