@@ -13,9 +13,9 @@
 //!   clock, for trace-producing measurement runs;
 //! * **traceless evaluation** ([`Engine::eval`]) for parameter sweeps
 //!   that only need the EDC-aware steady state;
-//! * a **parallel sweep driver** ([`Engine::sweep`]), a thin wrapper
-//!   over the crate's one scoped fan-out ([`fan_out`]). Item evaluation
-//!   is deterministic, so an N-thread sweep returns bitwise-identical
+//! * **parallel sweeps** ([`Engine::sweep`]), a thin wrapper over the
+//!   crate's one scoped fan-out ([`fan_out`]). Item evaluation is
+//!   deterministic, so an N-thread sweep returns bitwise-identical
 //!   results to a serial pass, in input order.
 //!
 //! The engine is `Sync`: sessions and sweep workers on different threads
