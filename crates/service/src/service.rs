@@ -576,6 +576,42 @@ mod tests {
     }
 
     #[test]
+    fn one_worker_service_types_a_shard_panic_on_the_calling_thread() {
+        // One worker means no helper thread: every shard, the panicking
+        // one included, runs on the thread that called `handle`.
+        let service = FleetService::new(ServiceConfig {
+            workers: 1,
+            default_shards: 3,
+            chaos: ChaosConfig {
+                seed: 3,
+                panic_every: 2,
+                ..ChaosConfig::default()
+            },
+            ..ServiceConfig::small()
+        });
+        let req = request(21);
+        assert!(service.handle(&req).ok);
+        let hurt = service.handle(&req);
+        assert!(!hurt.ok);
+        assert_eq!(hurt.error_kind.as_deref(), Some(kind::SHARD_PANIC));
+        let error = hurt.error.as_deref().unwrap();
+        assert!(error.starts_with("shard task "), "{error}");
+        assert!(
+            error.contains(" panicked: chaos: injected panic"),
+            "{error}"
+        );
+        assert_eq!(hurt.pool.unwrap().panics_caught, 1);
+        let retry = service.handle(&req);
+        assert!(retry.ok, "{:?}", retry.error);
+        let direct = FleetSim::new(req.to_config()).run();
+        assert_eq!(bits(&retry.samples), bits(&direct.samples));
+        let stats = service.admission_stats();
+        assert_eq!(stats.admitted, 3);
+        assert_eq!(stats.completed, 2);
+        assert_eq!(stats.failed, 1);
+    }
+
+    #[test]
     fn shard_count_and_worker_count_do_not_change_the_bytes() {
         let req = request(13);
         let reference = FleetSim::new(req.to_config()).run();
