@@ -21,7 +21,9 @@ pub fn resolve_threads(requested: usize) -> usize {
 ///
 /// The calling thread works the queue too, so an N-way fan-out spawns
 /// N − 1 threads; with one thread or one item the map runs serially on
-/// the caller. A worker panic is re-raised on the caller once every
+/// the caller. If the OS refuses a thread, spawning stops there and the
+/// threads already running, the caller among them, work the rest of
+/// the queue. A worker panic is re-raised on the caller once every
 /// thread has stopped. Item evaluations must be independent; under
 /// that contract the result is bitwise-identical to a serial
 /// `items.iter().enumerate().map(...)` pass at any thread count.
@@ -50,7 +52,9 @@ where
         }
     };
     std::thread::scope(|scope| {
-        let spawned: Vec<_> = (1..threads).map(|_| scope.spawn(work)).collect();
+        let spawned: Vec<_> = (1..threads)
+            .map_while(|_| std::thread::Builder::new().spawn_scoped(scope, work).ok())
+            .collect();
         work();
         for handle in spawned {
             if let Err(panic) = handle.join() {
