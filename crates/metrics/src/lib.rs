@@ -30,5 +30,5 @@ pub mod series;
 pub use builtin::{IpcEstimateMetric, PerfIpcMetric, RaplPowerMetric};
 pub use csv::{CsvError, CsvReader, CsvWriter};
 pub use metric::{ExternalMetric, Metric, MetricRegistry, Summary};
-pub use metricq::{channel, MetricQSink, MetricQSource, MetricQueue};
+pub use metricq::{channel, MetricQSink, MetricQSource};
 pub use series::{Sample, TimeSeries};

@@ -8,120 +8,19 @@
 //! unbounded in-process queue between the measurement side (sink) and
 //! the consumer (source/metric).
 //!
-//! The queue itself is the generic [`MetricQueue`]: a mutex/condvar
-//! MPMC channel (crates.io is unavailable offline, so no crossbeam).
-//! The metric sink/source pair rides it for `Sample`s, and the
-//! fleet service's worker pool (`fs2-service`) reuses it as its job
-//! and result conduit.
+//! The buffer is a mutex-guarded `Vec` that the source owns and the
+//! sink reaches through a weak handle.
 
 use crate::metric::Metric;
 use crate::series::{Sample, TimeSeries};
-use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex, Weak};
-
-/// A push failed because the queue is closed; the rejected value is
-/// handed back to the producer.
-#[derive(Debug, PartialEq, Eq)]
-pub enum PushError<T> {
-    /// The queue was closed; no consumer will ever see the value.
-    Closed(T),
-}
-
-struct QueueState<T> {
-    q: VecDeque<T>,
-    closed: bool,
-}
-
-/// Unbounded MPMC queue: the channel seam shared by the MetricQ
-/// sink/source pair and the fleet service's worker pool. All
-/// operations are non-blocking except [`MetricQueue::pop_wait`].
-pub struct MetricQueue<T> {
-    state: Mutex<QueueState<T>>,
-    cv: Condvar,
-}
-
-impl<T> MetricQueue<T> {
-    /// An empty, open queue (the historical MetricQ buffer).
-    pub fn unbounded() -> MetricQueue<T> {
-        MetricQueue {
-            state: Mutex::new(QueueState {
-                q: VecDeque::new(),
-                closed: false,
-            }),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, QueueState<T>> {
-        self.state.lock().expect("metricq queue poisoned")
-    }
-
-    /// Non-blocking push; fails with the value when closed.
-    pub fn try_push(&self, value: T) -> Result<(), PushError<T>> {
-        let mut s = self.lock();
-        if s.closed {
-            return Err(PushError::Closed(value));
-        }
-        s.q.push_back(value);
-        self.cv.notify_one();
-        Ok(())
-    }
-
-    /// Non-blocking pop.
-    pub fn try_pop(&self) -> Option<T> {
-        self.lock().q.pop_front()
-    }
-
-    /// Blocking pop: waits for an item; `None` once the queue is closed
-    /// and drained.
-    pub fn pop_wait(&self) -> Option<T> {
-        let mut s = self.lock();
-        loop {
-            if let Some(v) = s.q.pop_front() {
-                return Some(v);
-            }
-            if s.closed {
-                return None;
-            }
-            s = self.cv.wait(s).expect("metricq queue poisoned");
-        }
-    }
-
-    /// Removes and returns everything currently buffered, preserving
-    /// push order.
-    pub fn drain_all(&self) -> Vec<T> {
-        self.lock().q.drain(..).collect()
-    }
-
-    /// Items currently buffered.
-    pub fn len(&self) -> usize {
-        self.lock().q.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.lock().q.is_empty()
-    }
-
-    /// Closes the queue: pending items stay poppable, new pushes fail,
-    /// and every blocked consumer wakes.
-    pub fn close(&self) {
-        self.lock().closed = true;
-        self.cv.notify_all();
-    }
-}
-
-impl<T> std::fmt::Debug for MetricQueue<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = self.lock();
-        f.debug_struct("MetricQueue")
-            .field("len", &s.q.len())
-            .field("closed", &s.closed)
-            .finish()
-    }
-}
+use std::sync::{Arc, Mutex, Weak};
 
 /// The shared sink/source buffer.
-type Buffer = Arc<MetricQueue<Sample>>;
+type Buffer = Arc<Mutex<Vec<Sample>>>;
+
+fn lock(buffer: &Mutex<Vec<Sample>>) -> std::sync::MutexGuard<'_, Vec<Sample>> {
+    buffer.lock().expect("metricq buffer poisoned")
+}
 
 /// A send failed because the source was dropped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -146,7 +45,7 @@ impl std::error::Error for SendError {}
 /// MetricQ path: samples with no consumer are discarded).
 #[derive(Debug, Clone)]
 pub struct MetricQSink {
-    tx: Weak<MetricQueue<Sample>>,
+    tx: Weak<Mutex<Vec<Sample>>>,
     rate_hz: f64,
 }
 
@@ -160,12 +59,9 @@ impl MetricQSink {
 
     /// Sends one sample, reporting when no source is left to buffer it.
     pub fn try_send(&self, t_s: f64, value: f64) -> Result<(), SendError> {
-        match self.tx.upgrade() {
-            None => Err(SendError::Disconnected),
-            Some(q) => q
-                .try_push(Sample { t_s, value })
-                .map_err(|PushError::Closed(_)| SendError::Disconnected),
-        }
+        let buffer = self.tx.upgrade().ok_or(SendError::Disconnected)?;
+        lock(&buffer).push(Sample { t_s, value });
+        Ok(())
     }
 
     /// Samples a continuous window `[t0, t1)` at the configured rate,
@@ -197,7 +93,7 @@ pub struct MetricQSource {
 /// `rate_hz` is the meter sampling rate (the paper uses 20 Sa/s).
 pub fn channel(name: impl Into<String>, rate_hz: f64) -> (MetricQSink, MetricQSource) {
     assert!(rate_hz > 0.0);
-    let buffer: Buffer = Arc::new(MetricQueue::unbounded());
+    let buffer: Buffer = Arc::new(Mutex::new(Vec::new()));
     (
         MetricQSink {
             tx: Arc::downgrade(&buffer),
@@ -215,7 +111,7 @@ impl MetricQSource {
     /// Drains all buffered samples into the local series (called after a
     /// workload candidate finishes). Returns the number of new samples.
     pub fn drain(&mut self) -> usize {
-        let drained = self.rx.drain_all();
+        let drained = std::mem::take(&mut *lock(&self.rx));
         let n = drained.len();
         for s in drained {
             self.series.push(s.t_s, s.value);
@@ -225,7 +121,7 @@ impl MetricQSource {
 
     /// Buffered samples not yet drained.
     pub fn pending(&self) -> usize {
-        self.rx.len()
+        lock(&self.rx).len()
     }
 }
 
@@ -345,17 +241,5 @@ mod tests {
         for (i, s) in source.series().samples().iter().enumerate() {
             assert_eq!(s.value, i as f64, "out-of-order sample at {i}");
         }
-    }
-
-    #[test]
-    fn closed_queue_rejects_pushes_and_drains_pops() {
-        let q: MetricQueue<u32> = MetricQueue::unbounded();
-        q.try_push(7).unwrap();
-        q.close();
-        assert!(matches!(q.try_push(8), Err(PushError::Closed(8))));
-        // Pending items survive the close; then pops report the end.
-        assert_eq!(q.pop_wait(), Some(7));
-        assert_eq!(q.pop_wait(), None);
-        assert_eq!(q.try_pop(), None);
     }
 }

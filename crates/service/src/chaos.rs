@@ -12,10 +12,9 @@
 //! samples are pure in `(seed, config)`.
 //!
 //! Faults injected, each gated by its own period knob:
-//! * worker panics — one shard task of every `panic_every`-th request
-//!   panics mid-scatter (exercises supervision + typed shard replies),
-//! * worker death — every `kill_every`-th request condemns one pool
-//!   worker after its next job (exercises respawn),
+//! * shard panics — one shard task of every `panic_every`-th request
+//!   panics (exercises the per-shard `catch_unwind` and typed shard
+//!   replies),
 //! * dropped replies — the TCP layer closes every
 //!   `drop_reply_every`-th connection-reply without writing it
 //!   (exercises client retry),
@@ -36,8 +35,6 @@ pub struct ChaosConfig {
     pub seed: u64,
     /// Panic one shard task of every Nth request (0 = never).
     pub panic_every: u64,
-    /// Condemn one pool worker on every Nth request (0 = never).
-    pub kill_every: u64,
     /// Drop (close without writing) every Nth TCP reply (0 = never).
     pub drop_reply_every: u64,
     /// Milliseconds each shard task adds to the service clock before
@@ -48,10 +45,7 @@ pub struct ChaosConfig {
 
 impl ChaosConfig {
     pub fn enabled(&self) -> bool {
-        self.panic_every > 0
-            || self.kill_every > 0
-            || self.drop_reply_every > 0
-            || self.shard_ms > 0
+        self.panic_every > 0 || self.drop_reply_every > 0 || self.shard_ms > 0
     }
 }
 
@@ -63,7 +57,6 @@ pub struct ChaosState {
     requests: AtomicU64,
     replies: AtomicU64,
     panics_injected: AtomicU64,
-    kills_injected: AtomicU64,
     drops_injected: AtomicU64,
 }
 
@@ -74,7 +67,6 @@ impl ChaosState {
             requests: AtomicU64::new(0),
             replies: AtomicU64::new(0),
             panics_injected: AtomicU64::new(0),
-            kills_injected: AtomicU64::new(0),
             drops_injected: AtomicU64::new(0),
         }
     }
@@ -86,15 +78,6 @@ impl ChaosState {
     /// Claims the next request index (1-based) in the schedule.
     pub fn next_request(&self) -> u64 {
         self.requests.fetch_add(1, Ordering::SeqCst) + 1
-    }
-
-    /// Whether request `idx` should kill a worker; counts the kill.
-    pub fn take_kill(&self, idx: u64) -> bool {
-        let hit = self.cfg.kill_every > 0 && idx.is_multiple_of(self.cfg.kill_every);
-        if hit {
-            self.kills_injected.fetch_add(1, Ordering::Relaxed);
-        }
-        hit
     }
 
     /// Which shard (if any) of request `idx` panics, drawn
@@ -131,10 +114,6 @@ impl ChaosState {
         self.panics_injected.load(Ordering::Relaxed)
     }
 
-    pub fn kills_injected(&self) -> u64 {
-        self.kills_injected.load(Ordering::Relaxed)
-    }
-
     pub fn drops_injected(&self) -> u64 {
         self.drops_injected.load(Ordering::Relaxed)
     }
@@ -151,7 +130,6 @@ mod tests {
         for _ in 0..100 {
             let idx = state.next_request();
             assert!(state.take_panic_shard(idx, 8).is_none());
-            assert!(!state.take_kill(idx));
             assert!(!state.take_drop_reply());
         }
         assert_eq!(state.panics_injected(), 0);
@@ -163,7 +141,6 @@ mod tests {
         let cfg = ChaosConfig {
             seed: 42,
             panic_every: 3,
-            kill_every: 4,
             drop_reply_every: 2,
             shard_ms: 0,
         };
@@ -180,7 +157,6 @@ mod tests {
                 b.take_panic_shard(ib, 5),
                 "draw must be pure in (seed, idx)"
             );
-            assert_eq!(a.take_kill(ia), ib.is_multiple_of(4));
             if let Some(s) = sa {
                 assert!(s < 5);
                 hits.push(ia);
@@ -188,7 +164,6 @@ mod tests {
         }
         assert_eq!(hits, vec![3, 6, 9, 12]);
         assert_eq!(a.panics_injected(), 4);
-        assert_eq!(a.kills_injected(), 3);
         let drops: Vec<bool> = (0..6).map(|_| a.take_drop_reply()).collect();
         assert_eq!(drops, vec![false, true, false, true, false, true]);
         // A different seed may pick different shards but the same

@@ -10,10 +10,11 @@
 //! * [`admission`] — the control layer: per-request node·sample cost
 //!   estimates, a bounded wait queue, and a queue/shed/reject policy
 //!   so floods of requests degrade gracefully instead of OOMing.
-//! * [`pool`] + the scheduler inside [`service::FleetService`] — the
-//!   shard layer: each request's node range splits across a persistent
-//!   worker pool via `FleetSim::run_shard`, and merges back
-//!   bitwise-identically to the serial result.
+//! * [`service::FleetService`] — the shard layer: each request's node
+//!   range splits into shards that `FleetSim::run_shard` proposes on
+//!   the scoped fan-out ([`fs2_core::fan_out`]), the caller's thread
+//!   among the workers, and merges back bitwise-identically to the
+//!   serial result.
 //! * the engine layer stays `fs2-core`'s [`fs2_core::EngineRegistry`],
 //!   shared: all per-seed registries share one `EngineCaches` tier, and
 //!   the cross-request hit rates surface in every reply.
@@ -23,20 +24,19 @@
 //! typed reply; JSON is spoken only at the one transport, [`tcp`]
 //! (plain TCP JSON-lines, the CLI's `--serve`/`--connect`).
 //!
-//! A fault-tolerance layer cuts across all of it: the pool supervises
-//! its workers (panics caught, dead workers respawned, shard panics
-//! typed as [`pool::ShardError`]), requests carry optional deadlines
-//! checked at admission and between shards ([`timing`] is the lone
-//! clock seam), the TCP transport bounds line length / read stalls /
-//! connection count and drains connections on shutdown, clients
-//! reconnect-and-retry on a deterministic backoff schedule, and a
-//! seeded [`chaos`] harness injects worker panics, worker deaths, and
-//! dropped replies at reproducible points to prove all of the above.
+//! A fault-tolerance layer cuts across all of it: every shard task runs
+//! under `catch_unwind`, so a panic is counted and typed as a
+//! [`service::ShardError`] in its own slot, requests carry optional
+//! deadlines checked at admission and between shards ([`timing`] is the
+//! lone clock seam), the TCP transport bounds line length / read
+//! stalls / connection count and drains connections on shutdown,
+//! clients reconnect-and-retry on a deterministic backoff schedule, and
+//! a seeded [`chaos`] harness injects shard panics, dropped replies and
+//! shard latency at reproducible points to prove all of the above.
 
 pub mod admission;
 pub mod chaos;
 pub mod json;
-pub mod pool;
 pub mod proto;
 pub mod service;
 pub mod tcp;
@@ -45,11 +45,10 @@ pub mod timing;
 pub use admission::{AdmissionConfig, AdmissionError, AdmissionStats, Gate, Permit};
 pub use chaos::{ChaosConfig, ChaosState};
 pub use json::{Json, JsonError};
-pub use pool::{PoolStats, ShardError, WorkerPool};
 pub use proto::{
     BudgetWire, CdfWire, EpisodeWire, FleetReply, FleetRequest, PoolWire, ProtoError, RegistryWire,
 };
-pub use service::{FleetService, ServiceConfig};
+pub use service::{FleetService, ServiceConfig, ShardError};
 pub use tcp::{
     call, call_with_retry, serve, serve_with, Client, ClientError, RetryPolicy, Server,
     TransportConfig,

@@ -286,7 +286,8 @@ impl RegistryWire {
         }
     }
 
-    /// Mirror of `RegistryStats::prescreen_prune_rate`.
+    /// Fraction of pre-screened tuning candidates pruned before full
+    /// measurement (0.0 when the pre-screen never ran).
     pub fn prescreen_prune_rate(&self) -> f64 {
         if self.prescreen_evals == 0 {
             0.0
@@ -405,7 +406,7 @@ pub mod kind {
     pub const ADMISSION_DEADLINE: &str = "admission-deadline";
     /// Admitted, but the deadline expired between shards.
     pub const DEADLINE_EXCEEDED: &str = "deadline-exceeded";
-    /// A shard task panicked; supervision contained it.
+    /// A shard task panicked; the service caught it in its slot.
     pub const SHARD_PANIC: &str = "shard-panic";
     /// The shard set failed to merge (should never happen; typed so
     /// it degrades to a reply instead of a crashed thread if it does).
@@ -418,27 +419,21 @@ pub mod kind {
     pub const OVER_CAPACITY: &str = "transport-over-capacity";
 }
 
-/// Worker-pool supervision counters on the wire.
+/// The service's shard-panic counter on the wire.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolWire {
-    /// Job/task panics contained by the pool's `catch_unwind`.
+    /// Shard-task panics caught over the service's lifetime.
     pub panics_caught: u64,
-    /// Dead workers replaced by supervision.
-    pub workers_respawned: u64,
 }
 
 impl PoolWire {
     fn to_json(self) -> Json {
-        Json::obj()
-            .set("panics_caught", Json::of_u64(self.panics_caught))
-            .set("workers_respawned", Json::of_u64(self.workers_respawned))
+        Json::obj().set("panics_caught", Json::of_u64(self.panics_caught))
     }
 
     fn from_json(v: &Json) -> PoolWire {
-        let u = |k: &str| v.get(k).and_then(Json::as_u64).unwrap_or(0);
         PoolWire {
-            panics_caught: u("panics_caught"),
-            workers_respawned: u("workers_respawned"),
+            panics_caught: v.get("panics_caught").and_then(Json::as_u64).unwrap_or(0),
         }
     }
 }
@@ -452,7 +447,7 @@ pub struct FleetReply {
     /// Machine-readable failure kind (one of the [`kind`] constants)
     /// when `ok` is false and the failure is typed.
     pub error_kind: Option<String>,
-    /// Pool supervision counters at reply time (present whenever the
+    /// The shard-panic counter at reply time (present whenever the
     /// request reached the shard layer).
     pub pool: Option<PoolWire>,
     /// Raw 60 s-mean samples (empty unless requested).
@@ -767,10 +762,7 @@ mod tests {
             ok: true,
             error: None,
             error_kind: None,
-            pool: Some(PoolWire {
-                panics_caught: 3,
-                workers_respawned: 1,
-            }),
+            pool: Some(PoolWire { panics_caught: 3 }),
             samples: vec![83.25, 359.9, f64::from_bits(0x405526E41CAD1777)],
             cdf: Some(CdfWire {
                 bins: vec![(100.0, 0.25), (360.0, 1.0)],
@@ -834,10 +826,7 @@ mod tests {
     #[test]
     fn typed_failures_round_trip_kind_and_pool_counters() {
         let mut reply = FleetReply::failure_kind(kind::SHARD_PANIC, "shard task 2 panicked: boom");
-        reply.pool = Some(PoolWire {
-            panics_caught: 1,
-            workers_respawned: 0,
-        });
+        reply.pool = Some(PoolWire { panics_caught: 1 });
         let back = FleetReply::from_line(&reply.to_line()).unwrap();
         assert!(!back.ok);
         assert_eq!(back.error_kind.as_deref(), Some(kind::SHARD_PANIC));
@@ -847,5 +836,9 @@ mod tests {
         let old = FleetReply::from_line(legacy).unwrap();
         assert_eq!(old.error_kind, None);
         assert_eq!(old.pool, None);
+        // Counters this build does not know are skipped.
+        let extra = r#"{"type":"reply","ok":false,"samples":[],"pool":{"panics_caught":2,"retired_counter":1}}"#;
+        let old = FleetReply::from_line(extra).unwrap();
+        assert_eq!(old.pool, Some(PoolWire { panics_caught: 2 }));
     }
 }

@@ -1,38 +1,74 @@
-//! The fleet service core: admission gate in front, persistent worker
-//! pool underneath, one shared engine-cache tier across everything.
+//! The fleet service core: admission gate in front, the scoped shard
+//! fan-out underneath, one shared engine-cache tier across everything.
 //!
 //! A request travels the full stack: decode → cost estimate →
 //! [`Gate::admit`] (which also screens unmeetable deadlines) →
 //! per-seed [`EngineRegistry`] (all registries share one
 //! [`EngineCaches`] tier, so repeated configurations re-serve payloads
-//! and functional passes across requests) → plan → shards scattered on
-//! the [`WorkerPool`] → bitwise-identical merge → reply.
+//! and functional passes across requests) → plan → shards proposed on
+//! [`fan_out`] → bitwise-identical merge → reply.
 //!
 //! Every fault on that path degrades to a *typed* failure reply
 //! instead of a hung or crashed connection: a panicking shard task is
-//! contained by the pool and surfaces as [`kind::SHARD_PANIC`], a
+//! caught in its own slot and surfaces as [`kind::SHARD_PANIC`], a
 //! deadline that expires between shards as
 //! [`kind::DEADLINE_EXCEEDED`], and a shard set that fails to tile as
-//! [`kind::SHARD_MERGE`]. Supervision counters (panics caught, workers
-//! respawned) ride every reply that reached the shard layer, and the
-//! seeded [`ChaosState`] — off unless [`ServiceConfig::chaos`] enables
-//! it — injects those faults at deterministic points.
+//! [`kind::SHARD_MERGE`]. The count of caught shard panics rides every
+//! reply that reached the shard layer, and the seeded [`ChaosState`] —
+//! off unless [`ServiceConfig::chaos`] enables it — injects those
+//! faults at deterministic points.
 
 use crate::admission::{AdmissionConfig, AdmissionError, AdmissionStats, Gate};
 use crate::chaos::{ChaosConfig, ChaosState};
-use crate::pool::{PoolStats, ShardError, WorkerPool};
 use crate::proto::{
     kind, BudgetWire, CdfWire, EpisodeWire, FleetReply, FleetRequest, PoolWire, RegistryWire,
 };
 use crate::timing::{Clock, WallClock};
 use fs2_cluster::{shard_ranges, FleetShard, FleetSim, PowerCdf};
-use fs2_core::{EngineCaches, EngineRegistry, RegistryStats};
+use fs2_core::{fan_out, resolve_threads, EngineCaches, EngineRegistry, RegistryStats};
+use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+
+/// A shard task that panicked instead of returning: the typed shape
+/// the service turns into a `shard-panic` failure reply.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ShardError {
+    /// Shard index within the request.
+    pub index: usize,
+    /// Stringified panic payload.
+    pub message: String,
+}
+
+impl fmt::Display for ShardError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "shard task {} panicked: {}", self.index, self.message)
+    }
+}
+
+impl std::error::Error for ShardError {}
+
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "<non-string panic payload>".to_string()
+    }
+}
 
 /// Service-level knobs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServiceConfig {
-    /// Worker threads in the shard pool (0 = one per host core).
+    /// Threads that propose one request's shards (0 = one per host
+    /// core). The thread that calls [`FleetService::handle`] is one of
+    /// them, so a request spawns at most `workers − 1` threads, and
+    /// none with one worker or one shard. The threads live only as long
+    /// as their request, so concurrent requests run up to
+    /// `max_active × workers` shard threads in all: 8 with the default
+    /// 4 active requests on a 2-core host.
     pub workers: usize,
     /// Default shards per request (0 = one per worker); requests may
     /// override via [`FleetRequest::shards`].
@@ -57,7 +93,10 @@ impl ServiceConfig {
 /// A long-running fleet-simulation service.
 pub struct FleetService {
     gate: Gate,
-    pool: WorkerPool,
+    /// [`ServiceConfig::workers`], resolved.
+    workers: usize,
+    /// Shard panics caught over the service's lifetime.
+    panics_caught: AtomicU64,
     caches: Arc<EngineCaches>,
     /// One registry per engine seed (the seed keys cached functional
     /// passes); all of them share `caches`, so cross-seed requests
@@ -78,7 +117,8 @@ impl FleetService {
     pub fn with_clock(cfg: ServiceConfig, clock: Arc<dyn Clock>) -> FleetService {
         FleetService {
             gate: Gate::new(cfg.admission),
-            pool: WorkerPool::new(cfg.workers),
+            workers: resolve_threads(cfg.workers),
+            panics_caught: AtomicU64::new(0),
             caches: Arc::new(EngineCaches::new()),
             registries: Mutex::new(Vec::new()),
             default_shards: cfg.default_shards,
@@ -94,9 +134,11 @@ impl FleetService {
         self.gate.stats()
     }
 
-    /// Supervision counters of the shard pool.
-    pub fn pool_stats(&self) -> PoolStats {
-        self.pool.stats()
+    /// The shard-panic counter every reply carries.
+    pub fn pool_stats(&self) -> PoolWire {
+        PoolWire {
+            panics_caught: self.panics_caught.load(Ordering::Relaxed),
+        }
     }
 
     /// The live chaos state, when fault injection is enabled. The TCP
@@ -126,14 +168,6 @@ impl FleetService {
         r
     }
 
-    fn pool_wire(&self) -> PoolWire {
-        let s = self.pool.stats();
-        PoolWire {
-            panics_caught: s.panics_caught,
-            workers_respawned: s.workers_respawned,
-        }
-    }
-
     /// Serves one request through the full stack. This is the
     /// in-process entry point (the CLI's `--fleet` calls it); the TCP
     /// transport reaches it through [`FleetService::handle_line`].
@@ -159,11 +193,11 @@ impl FleetService {
 
         let registry = self.registry_for(cfg.seed);
         let shards = match req.shards.unwrap_or(self.default_shards) {
-            0 => self.pool.workers(),
+            0 => self.workers,
             n => n,
         };
-        let sim = Arc::new(FleetSim::new(cfg));
-        let plan = Arc::new(sim.plan(&registry));
+        let sim = FleetSim::new(cfg);
+        let plan = sim.plan(&registry);
         let ranges = shard_ranges(plan.total_nodes(), shards);
 
         // Fault injection: claim this request's slot in the chaos
@@ -172,9 +206,6 @@ impl FleetService {
         let mut panic_shard = None;
         let mut chaos_shard_ms = 0;
         if let (Some(c), Some(idx)) = (self.chaos.as_ref(), chaos_idx) {
-            if c.take_kill(idx) {
-                self.pool.condemn(1);
-            }
             panic_shard = c.take_panic_shard(idx, ranges.len());
             chaos_shard_ms = c.shard_ms();
         }
@@ -182,40 +213,37 @@ impl FleetService {
         let deadline_at = req
             .deadline_ms
             .map(|d| self.clock.now_ms().saturating_add(d));
-        let tasks: Vec<_> = ranges
-            .iter()
-            .enumerate()
-            .map(|(k, &(lo, hi))| {
-                let sim = Arc::clone(&sim);
-                let plan = Arc::clone(&plan);
-                let clock = Arc::clone(&self.clock);
-                let boom = panic_shard == Some(k);
-                // Each task checks the deadline *before* proposing its
-                // shard: an expired request degrades to a typed reply
-                // instead of burning workers on doomed work. The Err
-                // payload is the overshoot in ms.
-                move || -> Result<FleetShard, u64> {
-                    if chaos_shard_ms > 0 {
-                        clock.advance_ms(chaos_shard_ms);
-                    }
-                    if let Some(deadline) = deadline_at {
-                        let now = clock.now_ms();
-                        if now > deadline {
-                            return Err(now - deadline);
-                        }
-                    }
-                    if boom {
-                        // fs2-lint: allow(no-panic-service) -- chaos injection: this panic IS the fault under test; the pool's catch_unwind contains it
-                        panic!("chaos: injected panic in shard task {k}");
-                    }
-                    Ok(sim.run_shard(&plan, lo, hi))
+        // Each task checks the deadline *before* proposing its shard: an
+        // expired request degrades to a typed reply instead of burning
+        // threads on doomed work. The Err payload is the overshoot in ms.
+        let shard_task = |k: usize, lo: u32, hi: u32| -> Result<FleetShard, u64> {
+            if chaos_shard_ms > 0 {
+                self.clock.advance_ms(chaos_shard_ms);
+            }
+            if let Some(deadline) = deadline_at {
+                let now = self.clock.now_ms();
+                if now > deadline {
+                    return Err(now - deadline);
+                }
+            }
+            if panic_shard == Some(k) {
+                // fs2-lint: allow(no-panic-service) -- chaos injection: this panic IS the fault under test; the shard's catch_unwind contains it
+                panic!("chaos: injected panic in shard task {k}");
+            }
+            Ok(sim.run_shard(&plan, lo, hi))
+        };
+        let order: Vec<usize> = (0..ranges.len()).collect();
+        let outcomes = fan_out(&ranges, &order, self.workers, |k, &(lo, hi)| {
+            // A panic settles as a typed error in its own slot instead
+            // of unwinding into the caller's connection thread.
+            catch_unwind(AssertUnwindSafe(|| shard_task(k, lo, hi))).map_err(|payload| {
+                self.panics_caught.fetch_add(1, Ordering::Relaxed);
+                ShardError {
+                    index: k,
+                    message: panic_message(payload.as_ref()),
                 }
             })
-            .collect();
-        let outcomes = self.pool.try_scatter(tasks);
-        // Reap any worker the scatter (or chaos) killed before the
-        // next request needs full capacity.
-        self.pool.supervise();
+        });
 
         let mut parts = Vec::with_capacity(outcomes.len());
         let mut first_panic: Option<ShardError> = None;
@@ -237,7 +265,7 @@ impl FleetService {
             permit.fail();
             drop(permit);
             let mut reply = FleetReply::failure_kind(kind::SHARD_PANIC, e.to_string());
-            reply.pool = Some(self.pool_wire());
+            reply.pool = Some(self.pool_stats());
             return reply;
         }
         if let Some(over) = worst_overshoot {
@@ -247,7 +275,7 @@ impl FleetService {
                 kind::DEADLINE_EXCEEDED,
                 format!("deadline exceeded mid-flight by {over} ms"),
             );
-            reply.pool = Some(self.pool_wire());
+            reply.pool = Some(self.pool_stats());
             return reply;
         }
         let run = match sim.try_merge_shards(&registry, &plan, parts) {
@@ -256,7 +284,7 @@ impl FleetService {
                 permit.fail();
                 drop(permit);
                 let mut reply = FleetReply::failure_kind(kind::SHARD_MERGE, e.to_string());
-                reply.pool = Some(self.pool_wire());
+                reply.pool = Some(self.pool_stats());
                 return reply;
             }
         };
@@ -295,7 +323,7 @@ impl FleetService {
             ok: true,
             error: None,
             error_kind: None,
-            pool: Some(self.pool_wire()),
+            pool: Some(self.pool_stats()),
             samples: if req.want_samples {
                 run.samples
             } else {

@@ -84,10 +84,9 @@ fn main() {
     );
 
     // Fault tolerance: a second service with seeded chaos on. Request
-    // #2 gets a worker panic injected into one shard; the reply is a
-    // typed failure, the pool self-heals, and the retry reproduces the
-    // undisturbed bytes exactly — the injection schedule is
-    // deterministic and the samples are pure.
+    // #2 gets a panic injected into one shard; the reply is a typed
+    // failure, and the retry reproduces the undisturbed bytes exactly —
+    // the injection schedule is deterministic and the samples are pure.
     let chaotic = FleetService::new(ServiceConfig {
         workers: 4,
         default_shards: 4,
@@ -109,10 +108,9 @@ fn main() {
         retry.ok,
         retry.samples == first.samples
     );
-    let pool = chaotic.pool_stats();
     println!(
-        "supervision: {} panics caught, {} workers respawned, {} live",
-        pool.panics_caught, pool.workers_respawned, pool.live_workers
+        "supervision: {} shard panics caught",
+        chaotic.pool_stats().panics_caught
     );
 
     // Deadlines: with a cost model configured, an unmeetable deadline

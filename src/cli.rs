@@ -83,7 +83,7 @@ pub struct CliConfig {
     connect_addr: Option<String>,
     /// Shards per fleet request (0 = one per worker).
     shards: usize,
-    /// Service worker-pool size (0 = host cores).
+    /// Threads per request's shard pass (0 = host cores).
     workers: usize,
     /// Admission wait-queue bound.
     queue_depth: usize,
@@ -95,7 +95,6 @@ pub struct CliConfig {
     retries: u32,
     /// Chaos injection periods (0 = off) and schedule seed.
     chaos_panic_every: u64,
-    chaos_kill_every: u64,
     chaos_drop_every: u64,
     chaos_seed: u64,
     /// Write the reply's raw sample bits here (one hex u64 per line).
@@ -155,7 +154,6 @@ impl Default for CliConfig {
             deadline_ms: None,
             retries: 1,
             chaos_panic_every: 0,
-            chaos_kill_every: 0,
             chaos_drop_every: 0,
             chaos_seed: 0,
             dump_samples: None,
@@ -229,7 +227,8 @@ FLEET SERVICE
                                   to a --serve instance and print the
                                   reply like a local --fleet run
   --shards N                      shards per request (0 = one/worker)
-  --workers N                     worker-pool threads (0 = host cores)
+  --workers N                     threads per request's shards
+                                  (0 = host cores)
   --queue-depth N                 admission wait-queue bound before the
                                   service sheds requests (default 64)
   --max-cost N                    reject requests above N node-samples
@@ -245,8 +244,6 @@ FLEET SERVICE
 
 FAULT INJECTION (--serve / --fleet; off by default)
   --chaos-panic-every N           panic one shard task every Nth request
-  --chaos-kill-every N            kill one pool worker every Nth request
-                                  (supervision respawns it)
   --chaos-drop-every N            drop every Nth reply mid-stream and
                                   close the connection (TCP only)
   --chaos-seed N                  seeds the injection schedule; the
@@ -435,9 +432,6 @@ pub fn parse_args(argv: &[String]) -> Result<CliConfig, CliError> {
                     cfg.chaos_panic_every,
                     |v: &String| v.parse::<u64>().map_err(|_| ())
                 );
-                opt!("--chaos-kill-every", cfg.chaos_kill_every, |v: &String| v
-                    .parse::<u64>()
-                    .map_err(|_| ()));
                 opt!("--chaos-drop-every", cfg.chaos_drop_every, |v: &String| v
                     .parse::<u64>()
                     .map_err(|_| ()));
@@ -488,8 +482,7 @@ pub fn parse_args(argv: &[String]) -> Result<CliConfig, CliError> {
     if cfg.retries == 0 {
         return Err(err("--retries must be at least 1 (the first attempt)"));
     }
-    let chaos_on =
-        cfg.chaos_panic_every > 0 || cfg.chaos_kill_every > 0 || cfg.chaos_drop_every > 0;
+    let chaos_on = cfg.chaos_panic_every > 0 || cfg.chaos_drop_every > 0;
     if chaos_on && cfg.connect_addr.is_some() {
         return Err(err(
             "chaos injection lives server-side (use --serve or --fleet, not --connect)",
@@ -634,7 +627,6 @@ fn service_config_from_cli(cfg: &CliConfig) -> fs2_service::ServiceConfig {
         chaos: fs2_service::ChaosConfig {
             seed: cfg.chaos_seed,
             panic_every: cfg.chaos_panic_every,
-            kill_every: cfg.chaos_kill_every,
             drop_reply_every: cfg.chaos_drop_every,
             ..fs2_service::ChaosConfig::default()
         },
@@ -710,12 +702,12 @@ fn print_fleet_reply(
         reply.registry.prescreen_prune_rate(),
     ));
     // Quiet on a healthy service so local and served runs print the
-    // same bytes; only faults surface the supervision ledger.
+    // same bytes; only a caught panic surfaces the supervision line.
     if let Some(pool) = &reply.pool {
-        if pool.panics_caught > 0 || pool.workers_respawned > 0 {
+        if pool.panics_caught > 0 {
             out.push_str(&format!(
-                "  supervision: {} shard panics caught, {} workers respawned\n",
-                pool.panics_caught, pool.workers_respawned
+                "  supervision: {} shard panics caught\n",
+                pool.panics_caught
             ));
         }
     }

@@ -1,9 +1,9 @@
-//! Chaos-harness integration: under seeded fault injection (worker
-//! panics, worker deaths, dropped replies, truncated frames, stalled
-//! peers) the service stack must never hang or leak threads, must keep
-//! its admission ledger balanced and its queue depth bounded, and a
-//! retried request must come back bitwise-identical to an undisturbed
-//! run — the faults are deterministic, the samples are pure.
+//! Chaos-harness integration: under seeded fault injection (shard
+//! panics, dropped replies, truncated frames, stalled peers) the
+//! service stack must never hang, must keep its admission ledger
+//! balanced and its queue depth bounded, and a retried request must
+//! come back bitwise-identical to an undisturbed run — the faults are
+//! deterministic, the samples are pure.
 
 use firestarter2::cluster::FleetSim;
 use firestarter2::service::proto::kind;
@@ -37,12 +37,11 @@ fn chaotic_config(chaos: ChaosConfig) -> ServiceConfig {
 }
 
 #[test]
-fn injected_panics_and_kills_never_hang_and_never_leak_threads() {
-    // Panic every 3rd request, kill a worker every 4th: a hostile mix.
+fn injected_panics_never_hang_and_keep_the_ledger_balanced() {
+    // Panic one shard of every 3rd request.
     let service = Arc::new(FleetService::new(chaotic_config(ChaosConfig {
         seed: 41,
         panic_every: 3,
-        kill_every: 4,
         ..ChaosConfig::default()
     })));
     let baseline = FleetSim::new(request(7).to_config()).run();
@@ -65,11 +64,7 @@ fn injected_panics_and_kills_never_hang_and_never_leak_threads() {
     assert_eq!(ok + panicked, 12, "every request resolved");
     assert_eq!(panicked, 4, "panic_every=3 over 12 requests");
 
-    // No thread leak: supervision restored the pool to full strength.
-    let pool = service.pool_stats();
-    assert_eq!(pool.live_workers, 3, "dead workers were not respawned");
-    assert!(pool.workers_respawned >= 1, "kill_every=4 never fired");
-    assert_eq!(pool.panics_caught, 4);
+    assert_eq!(service.pool_stats().panics_caught, 4);
 
     // The ledger balances: everything admitted either completed or
     // failed, nothing vanished.
@@ -84,7 +79,6 @@ fn injected_panics_and_kills_never_hang_and_never_leak_threads() {
     // Chaos accounting matches what we observed on the wire.
     let chaos = service.chaos().expect("chaos was configured on");
     assert_eq!(chaos.panics_injected(), 4);
-    assert_eq!(chaos.kills_injected(), 3);
 }
 
 #[test]
@@ -123,9 +117,9 @@ fn retried_request_is_bitwise_identical_to_an_undisturbed_run() {
 
 #[test]
 fn deadline_pressure_keeps_the_queue_bounded_and_the_ledger_balanced() {
-    // Workers die, deadlines reject, and a 12-caller storm hits a
-    // 1-active / 2-queued gate: depth must stay bounded and every
-    // request must land in exactly one ledger column.
+    // Deadlines reject, and a 12-caller storm hits a 1-active /
+    // 2-queued gate: depth must stay bounded and every request must
+    // land in exactly one ledger column.
     let service = Arc::new(FleetService::new(ServiceConfig {
         workers: 2,
         default_shards: 2,
@@ -135,11 +129,7 @@ fn deadline_pressure_keeps_the_queue_bounded_and_the_ledger_balanced() {
             cost_per_ms: 1, // 8 × 40 = 320 node·samples → ~320 ms estimate
             ..AdmissionConfig::default()
         },
-        chaos: ChaosConfig {
-            seed: 5,
-            kill_every: 2,
-            ..ChaosConfig::default()
-        },
+        chaos: ChaosConfig::default(),
     }));
     let tight = FleetRequest {
         deadline_ms: Some(10), // unmeetable: estimate is ~320 ms
@@ -189,9 +179,6 @@ fn deadline_pressure_keeps_the_queue_bounded_and_the_ledger_balanced() {
     );
     assert_eq!(stats.active, 0);
     assert_eq!(stats.queue_depth, 0);
-
-    // Worker deaths during the storm were all repaired.
-    assert_eq!(service.pool_stats().live_workers, 2);
 }
 
 #[test]
