@@ -59,18 +59,6 @@ pub struct RegistryStats {
     pub cross_exec_lookups: u64,
 }
 
-impl RegistryStats {
-    /// Fraction of pre-screened tuning candidates pruned before full
-    /// measurement (0.0 when the pre-screen never ran).
-    pub fn prescreen_prune_rate(&self) -> f64 {
-        if self.prescreen_evals == 0 {
-            0.0
-        } else {
-            self.prescreen_pruned as f64 / self.prescreen_evals as f64
-        }
-    }
-}
-
 /// Cache-counter snapshot taken when the second request begins, so the
 /// cross-request deltas in [`RegistryStats`] measure only traffic that
 /// could plausibly hit another request's warm entries.
