@@ -83,7 +83,7 @@ pub struct FleetConfig {
     /// Shards [`FleetSim::run_with`] proposes on scoped threads, one
     /// per thread; 0 = host parallelism, 1 = serial. The samples are
     /// identical either way. The fleet service does not read it: its
-    /// worker pool and the request's shard count set that fan-out.
+    /// worker count and the request's shard count set that fan-out.
     pub threads: usize,
     /// Facility-side clamp, W (the paper's observed 359.9 W maximum).
     pub cap_w: f64,
