@@ -67,8 +67,8 @@ pub struct ServiceConfig {
     /// them, so a request spawns at most `workers − 1` threads, and
     /// none with one worker or one shard. The threads live only as long
     /// as their request, so concurrent requests run up to
-    /// `max_active × workers` shard threads in all: 8 with the default
-    /// 4 active requests on a 2-core host.
+    /// [`AdmissionConfig::max_active`] × `workers` shard threads in all:
+    /// 8 with the default 4 active requests on a 2-core host.
     pub workers: usize,
     /// Default shards per request (0 = one per worker); requests may
     /// override via [`FleetRequest::shards`].
