@@ -202,13 +202,13 @@ impl FleetService {
 
         // Fault injection: claim this request's slot in the chaos
         // schedule (a no-op when chaos is off).
-        let chaos_idx = self.chaos.as_ref().map(|c| c.next_request());
-        let mut panic_shard = None;
-        let mut chaos_shard_ms = 0;
-        if let (Some(c), Some(idx)) = (self.chaos.as_ref(), chaos_idx) {
-            panic_shard = c.take_panic_shard(idx, ranges.len());
-            chaos_shard_ms = c.shard_ms();
-        }
+        let (panic_shard, chaos_shard_ms) = match &self.chaos {
+            Some(c) => (
+                c.take_panic_shard(c.next_request(), ranges.len()),
+                c.shard_ms(),
+            ),
+            None => (None, 0),
+        };
 
         let deadline_at = req
             .deadline_ms
