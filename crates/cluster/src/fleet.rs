@@ -2221,6 +2221,34 @@ mod tests {
     }
 
     #[test]
+    fn one_registry_serves_every_fleet_seed_from_the_same_passes() {
+        // The engine seed sets only the initial values of a payload's
+        // functional pass, and under `InitScheme::V2Safe` no payload a
+        // fleet reaches has a trivial lane-op whatever those values are.
+        // So one default-seeded registry serves every fleet seed the
+        // bytes of a registry seeded like the fleet, and a new fleet
+        // seed reruns no pass.
+        let shared = EngineRegistry::new();
+        for seed in [0, 7, 0xF1EE7, u64::MAX] {
+            for temporal in [TemporalMode::Iid, TemporalMode::Episodes] {
+                let sim = FleetSim::new(FleetConfig {
+                    samples_per_node: 60,
+                    seed,
+                    temporal,
+                    ..FleetConfig::taurus_haswell_scaled(24)
+                });
+                let own = sim.run_with(&EngineRegistry::with_seed(seed));
+                let run = sim.run_with(&shared);
+                assert_runs_identical(&own, &run, &format!("seed {seed:#x}, {temporal:?}"));
+            }
+        }
+        let stats = shared.stats();
+        assert_eq!(stats.engines, 2);
+        assert_eq!(stats.payload_misses, 10, "5 job classes on 2 SKUs");
+        assert_eq!(stats.exec_misses, 10, "one functional pass per payload");
+    }
+
+    #[test]
     fn collapsed_pick_chain_matches_reference_scan() {
         // Exhaustive cross-check of the threshold collapse against the
         // reference subtract/compare chain on many draws and several
