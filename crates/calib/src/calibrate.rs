@@ -18,9 +18,11 @@
 //!   the floor share, a dwell scale and the class weights too. Each
 //!   candidate profile is applied to a small evaluation fleet and
 //!   scored by running `FleetSim` (seeded, bitwise thread-invariant);
-//!   all candidates share one `EngineRegistry`, so after the first
-//!   candidate warms the `(SKU, spec, P-state)` tables every later
-//!   evaluation is pure cache hits plus sampling.
+//!   all candidates, and the final clone fleet, share one
+//!   `EngineRegistry`, so after the first candidate warms the
+//!   `(SKU, spec, P-state)` tables every later evaluation is pure
+//!   cache hits plus sampling. Its engine seed is the default one:
+//!   the evaluation and clone seeds key only the fleets' node streams.
 //!
 //! Objectives (all errors, negated for the maximizing optimizer):
 //! power-CDF distance, pooled lag-1 autocorrelation error, and mean
@@ -36,10 +38,9 @@
 use crate::profile::{FleetProfile, PSTATE_SETS};
 use crate::trace::{FitTargets, Trace};
 use fs2_cluster::fleet::{FleetConfig, FleetSim, PowerCdf};
-use fs2_core::{EngineCaches, EngineRegistry};
+use fs2_core::EngineRegistry;
 use fs2_tuning::{Nsga2, Nsga2Config, Problem};
 use std::fmt;
-use std::sync::Arc;
 
 /// Seed salt for the candidate-evaluation fleet.
 const EVAL_SALT: u64 = 0xCA11_B0A7;
@@ -474,9 +475,8 @@ pub fn calibrate(trace: &Trace, cfg: &CalibConfig) -> Result<CalibrationResult, 
         None => Vec::new(),
     };
 
-    let caches = Arc::new(EngineCaches::new());
+    let registry = EngineRegistry::new();
     let eval_seed = cfg.seed ^ EVAL_SALT;
-    let registry = EngineRegistry::with_caches(eval_seed, Arc::clone(&caches));
     let eval_cfg = FleetConfig {
         samples_per_node: cfg.eval_ticks,
         seed: eval_seed,
@@ -532,7 +532,6 @@ pub fn calibrate(trace: &Trace, cfg: &CalibConfig) -> Result<CalibrationResult, 
         ((targets.n_ticks / targets.n_nodes.max(1)) as u32).max(2)
     };
     let clone_seed = cfg.seed ^ CLONE_SALT;
-    let clone_registry = EngineRegistry::with_caches(clone_seed, caches);
     let mut clone_cfg = FleetConfig {
         samples_per_node: clone_ticks,
         seed: clone_seed,
@@ -540,7 +539,7 @@ pub fn calibrate(trace: &Trace, cfg: &CalibConfig) -> Result<CalibrationResult, 
         ..FleetConfig::taurus_haswell_scaled(clone_nodes)
     };
     profile.apply(&mut clone_cfg);
-    let clone_run = FleetSim::new(clone_cfg.clone()).run_with(&clone_registry);
+    let clone_run = FleetSim::new(clone_cfg.clone()).run_with(&registry);
     let clone_targets = Trace::from_fleet(&clone_cfg, &clone_run.samples).targets();
 
     let report = fidelity(&targets, &clone_targets, clone_nodes, clone_ticks);

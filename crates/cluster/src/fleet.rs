@@ -804,18 +804,24 @@ impl FleetSim {
     }
 
     /// Generates every 60 s-mean sample plus the run's cache counters.
+    /// Plans on a fresh [`EngineRegistry::new`], seeded like the one
+    /// registry the fleet service plans every request on; the fleet's
+    /// seed keys only its node RNG streams.
     pub fn run(&self) -> FleetRun {
-        self.run_with(&EngineRegistry::with_seed(self.config.seed))
+        self.run_with(&EngineRegistry::new())
     }
 
     /// [`FleetSim::run`] against a caller-owned registry. Repeat fleet
     /// requests (a service loop, the benches) that hold one registry
     /// reuse its registry-wide payload/decode/ExecStats tier instead of
     /// rewarming fresh caches per run — the second request's table
-    /// build is pure cache hits. The samples are identical to
-    /// [`FleetSim::run`] whenever the registry was created with the
-    /// fleet's seed (the engine seed keys the cached functional
-    /// passes).
+    /// build is pure cache hits. Any registry gives the samples and
+    /// power table of [`FleetSim::run`], whatever its seed. The engine
+    /// seed sets only the initial values of each payload's
+    /// [`InitScheme::V2Safe`] functional pass, whose operands stay
+    /// finite and non-zero, and the plan reads only that pass's trivial
+    /// fraction: 0 for every job class of [`JobMix::taurus_haswell`] on
+    /// either Taurus SKU, the only payloads a service request reaches.
     ///
     /// This is the fleet service's pipeline run in-process:
     /// [`FleetSim::plan`], then [`FleetSim::run_shard`] over

@@ -1,12 +1,15 @@
 //! The fleet service core: admission gate in front, the scoped shard
-//! fan-out underneath, one shared engine-cache tier across everything.
+//! fan-out underneath, one engine registry across every request.
 //!
 //! A request travels the full stack: decode → cost estimate →
-//! [`Gate::admit`] (which also screens unmeetable deadlines) →
-//! per-seed [`EngineRegistry`] (all registries share one
-//! [`EngineCaches`] tier, so repeated configurations re-serve payloads
-//! and functional passes across requests) → plan → shards proposed on
-//! [`fan_out`] → bitwise-identical merge → reply.
+//! [`Gate::admit`] (which also screens unmeetable deadlines) → plan on
+//! the service's one [`EngineRegistry`] → shards proposed on
+//! [`fan_out`] → bitwise-identical merge → reply. The registry's
+//! caches re-serve payloads and functional passes to every later
+//! request, whatever its seed: a fleet's seed keys only its node RNG
+//! streams, so the caches hold one payload and one functional pass per
+//! job class and SKU a request can reach (10 in all), however many
+//! seeds arrive.
 //!
 //! Every fault on that path degrades to a *typed* failure reply
 //! instead of a hung or crashed connection: a panicking shard task is
@@ -25,11 +28,11 @@ use crate::proto::{
 };
 use crate::timing::{Clock, WallClock};
 use fs2_cluster::{shard_ranges, FleetShard, FleetSim, PowerCdf};
-use fs2_core::{fan_out, resolve_threads, EngineCaches, EngineRegistry, RegistryStats};
+use fs2_core::{fan_out, resolve_threads, EngineRegistry, RegistryStats};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// A shard task that panicked instead of returning: the typed shape
 /// the service turns into a `shard-panic` failure reply.
@@ -97,11 +100,8 @@ pub struct FleetService {
     workers: usize,
     /// Shard panics caught over the service's lifetime.
     panics_caught: AtomicU64,
-    caches: Arc<EngineCaches>,
-    /// One registry per engine seed (the seed keys cached functional
-    /// passes); all of them share `caches`, so cross-seed requests
-    /// still reuse payload builds.
-    registries: Mutex<Vec<(u64, Arc<EngineRegistry>)>>,
+    /// Plans every request, whatever its seed.
+    registry: EngineRegistry,
     default_shards: usize,
     clock: Arc<dyn Clock>,
     chaos: Option<Arc<ChaosState>>,
@@ -119,8 +119,7 @@ impl FleetService {
             gate: Gate::new(cfg.admission),
             workers: resolve_threads(cfg.workers),
             panics_caught: AtomicU64::new(0),
-            caches: Arc::new(EngineCaches::new()),
-            registries: Mutex::new(Vec::new()),
+            registry: EngineRegistry::new(),
             default_shards: cfg.default_shards,
             clock,
             chaos: cfg
@@ -147,25 +146,11 @@ impl FleetService {
         self.chaos.as_ref()
     }
 
-    /// Counters of the registry serving `seed`, if any request used it.
-    pub fn registry_stats(&self, seed: u64) -> Option<RegistryStats> {
-        // fs2-lint: allow(no-panic-service) -- lock poisoning, not peer input: the table only pairs seeds with Arc handles
-        let registries = self.registries.lock().expect("registry table poisoned");
-        registries
-            .iter()
-            .find(|(s, _)| *s == seed)
-            .map(|(_, r)| r.stats())
-    }
-
-    fn registry_for(&self, seed: u64) -> Arc<EngineRegistry> {
-        // fs2-lint: allow(no-panic-service) -- lock poisoning, not peer input
-        let mut registries = self.registries.lock().expect("registry table poisoned");
-        if let Some((_, r)) = registries.iter().find(|(s, _)| *s == seed) {
-            return Arc::clone(r);
-        }
-        let r = Arc::new(EngineRegistry::with_caches(seed, Arc::clone(&self.caches)));
-        registries.push((seed, Arc::clone(&r)));
-        r
+    /// Counters of the registry that plans every request. `seed`
+    /// selects nothing: every seed is served by the one registry, so
+    /// this is `Some` for any seed.
+    pub fn registry_stats(&self, _seed: u64) -> Option<RegistryStats> {
+        Some(self.registry.stats())
     }
 
     /// Serves one request through the full stack. This is the
@@ -191,13 +176,12 @@ impl FleetService {
             }
         };
 
-        let registry = self.registry_for(cfg.seed);
         let shards = match req.shards.unwrap_or(self.default_shards) {
             0 => self.workers,
             n => n,
         };
         let sim = FleetSim::new(cfg);
-        let plan = sim.plan(&registry);
+        let plan = sim.plan(&self.registry);
         let ranges = shard_ranges(plan.total_nodes(), shards);
 
         // Fault injection: claim this request's slot in the chaos
@@ -278,7 +262,7 @@ impl FleetService {
             reply.pool = Some(self.pool_stats());
             return reply;
         }
-        let run = match sim.try_merge_shards(&registry, &plan, parts) {
+        let run = match sim.try_merge_shards(&self.registry, &plan, parts) {
             Ok(run) => run,
             Err(e) => {
                 permit.fail();
@@ -456,19 +440,26 @@ mod tests {
     }
 
     #[test]
-    fn distinct_seeds_share_the_payload_tier_across_registries() {
+    fn every_seed_is_served_from_one_bounded_registry() {
         let service = FleetService::new(ServiceConfig::small());
-        let a = service.handle(&request(1));
-        assert!(a.registry.payload_misses > 0);
-        let b = service.handle(&request(2));
-        // Seed 2 runs on its own registry, but the cache tier is
-        // shared service-wide, so part of the payload work re-serves
-        // (the seed-keyed entries still build fresh).
-        assert!(
-            b.registry.payload_hits > 0,
-            "second seed saw none of the shared tier: {:?}",
-            b.registry
-        );
+        for seed in 1..=20 {
+            let req = request(seed);
+            let direct = FleetSim::new(req.to_config()).run();
+            let reply = service.handle(&req);
+            assert!(reply.ok, "{:?}", reply.error);
+            assert_eq!(
+                bits(&direct.samples),
+                bits(&reply.samples),
+                "seed {seed} diverged from the one-shot run"
+            );
+        }
+        // 5 job classes on 2 SKUs: the first request builds 10 payloads
+        // and runs their 10 functional passes, and the other 19 seeds
+        // are served from them.
+        let stats = service.registry_stats(20).expect("one registry");
+        assert_eq!(stats.engines, 2);
+        assert_eq!((stats.payload_misses, stats.payload_hits), (10, 190));
+        assert_eq!((stats.exec_misses, stats.exec_hits), (10, 190));
     }
 
     #[test]
