@@ -37,7 +37,8 @@ pub struct TuneConfig {
     /// space, so such candidates can never be the selected optimum).
     /// Pruned candidates keep their traceless objectives, so NSGA-II
     /// still ranks them; pruning decisions are counted in
-    /// [`crate::engine::CacheStats`] / [`crate::RegistryStats`].
+    /// [`TuneResult::prescreen_evals`] and
+    /// [`TuneResult::prescreen_pruned`].
     pub prescreen: bool,
 }
 
@@ -85,6 +86,11 @@ pub struct TuneResult {
     pub best_groups: Vec<AccessGroup>,
     /// Unroll factor used for every candidate.
     pub unroll: u32,
+    /// Candidates scored by the traceless pre-screen (0 with
+    /// [`TuneConfig::prescreen`] off).
+    pub prescreen_evals: u64,
+    /// Pre-screened candidates pruned before full measurement.
+    pub prescreen_pruned: u64,
 }
 
 /// Decodes a genome into access groups (zero counts drop out).
@@ -113,6 +119,8 @@ struct FirestarterProblem<'a> {
     /// preheat workload; `Some` iff the pre-screen is enabled. The prune
     /// bar is [`PRESCREEN_MARGIN`] times this value.
     prescreen_best_w: Option<f64>,
+    prescreen_evals: u64,
+    prescreen_pruned: u64,
 }
 
 impl Problem for FirestarterProblem<'_> {
@@ -161,10 +169,10 @@ impl Problem for FirestarterProblem<'_> {
                 .engine
                 .eval_init(&config, self.run_cfg.freq_mhz, self.run_cfg.init);
             let est_w = est.power.total_w();
-            let pruned = est_w < best_w * PRESCREEN_MARGIN;
-            self.engine.caches().note_prescreen(pruned);
+            self.prescreen_evals += 1;
             self.prescreen_best_w = Some(best_w.max(est_w));
-            if pruned {
+            if est_w < best_w * PRESCREEN_MARGIN {
+                self.prescreen_pruned += 1;
                 return vec![est_w, est.node.core.ipc];
             }
         }
@@ -248,6 +256,8 @@ impl AutoTuner {
             unroll,
             run_cfg,
             prescreen_best_w,
+            prescreen_evals: 0,
+            prescreen_pruned: 0,
         };
         let nsga2 = Nsga2::new(cfg.nsga2.clone()).run(&mut problem);
         let best = nsga2
@@ -260,6 +270,8 @@ impl AutoTuner {
             best,
             best_groups,
             unroll,
+            prescreen_evals: problem.prescreen_evals,
+            prescreen_pruned: problem.prescreen_pruned,
         }
     }
 }
@@ -380,17 +392,16 @@ mod tests {
             ..small_cfg(1500.0, 11)
         };
         let result = AutoTuner::run_with_engine(&engine, &mut runner, &cfg);
-        let stats = engine.cache_stats();
         assert_eq!(
-            stats.prescreen_evals as usize,
+            result.prescreen_evals as usize,
             result.nsga2.history.len() - result.nsga2.cache_hits as usize,
             "every live evaluation must be scored by the pre-screen"
         );
         assert!(
-            stats.prescreen_pruned > 0,
+            result.prescreen_pruned > 0,
             "a 6-count random search space always draws clear losers"
         );
-        assert!(stats.prescreen_pruned < stats.prescreen_evals);
+        assert!(result.prescreen_pruned < result.prescreen_evals);
         // The optimum is unaffected in kind: memory accesses beating the
         // REG-only level (pruned candidates sit below the bar, so the
         // power winner is always fully measured).
@@ -406,10 +417,9 @@ mod tests {
     fn prescreen_off_counts_nothing() {
         let engine = Engine::new(Sku::amd_epyc_7502());
         let mut runner = Runner::new(Sku::amd_epyc_7502());
-        let _ = AutoTuner::run_with_engine(&engine, &mut runner, &small_cfg(1500.0, 11));
-        let stats = engine.cache_stats();
-        assert_eq!(stats.prescreen_evals, 0);
-        assert_eq!(stats.prescreen_pruned, 0);
+        let result = AutoTuner::run_with_engine(&engine, &mut runner, &small_cfg(1500.0, 11));
+        assert_eq!(result.prescreen_evals, 0);
+        assert_eq!(result.prescreen_pruned, 0);
     }
 
     #[test]

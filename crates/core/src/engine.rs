@@ -97,10 +97,6 @@ pub struct CacheStats {
     pub exec_misses: u64,
     /// Distinct `(payload, init, seed, iters)` outcomes cached.
     pub exec_entries: usize,
-    /// Tuning candidates scored by the traceless pre-screen.
-    pub prescreen_evals: u64,
-    /// Pre-screened candidates pruned before full measurement.
-    pub prescreen_pruned: u64,
 }
 
 impl CacheStats {
@@ -129,8 +125,6 @@ pub struct EngineCaches {
     decoded_misses: AtomicU64,
     exec_hits: AtomicU64,
     exec_misses: AtomicU64,
-    prescreen_evals: AtomicU64,
-    prescreen_pruned: AtomicU64,
 }
 
 impl EngineCaches {
@@ -145,8 +139,6 @@ impl EngineCaches {
             decoded_misses: AtomicU64::new(0),
             exec_hits: AtomicU64::new(0),
             exec_misses: AtomicU64::new(0),
-            prescreen_evals: AtomicU64::new(0),
-            prescreen_pruned: AtomicU64::new(0),
         }
     }
 
@@ -163,17 +155,6 @@ impl EngineCaches {
             exec_hits: self.exec_hits.load(Ordering::Relaxed),
             exec_misses: self.exec_misses.load(Ordering::Relaxed),
             exec_entries: self.execs.lock().expect("exec cache poisoned").len(),
-            prescreen_evals: self.prescreen_evals.load(Ordering::Relaxed),
-            prescreen_pruned: self.prescreen_pruned.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Records one tuner pre-screen decision (see
-    /// [`crate::autotune::TuneConfig::prescreen`]).
-    pub(crate) fn note_prescreen(&self, pruned: bool) {
-        self.prescreen_evals.fetch_add(1, Ordering::Relaxed);
-        if pruned {
-            self.prescreen_pruned.fetch_add(1, Ordering::Relaxed);
         }
     }
 }

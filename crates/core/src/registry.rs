@@ -41,10 +41,6 @@ pub struct RegistryStats {
     pub exec_misses: u64,
     /// `Engine::eval` operating-point solves summed over all engines.
     pub evals: u64,
-    /// Tuning candidates scored by the traceless pre-screen.
-    pub prescreen_evals: u64,
-    /// Pre-screened candidates pruned before full measurement.
-    pub prescreen_pruned: u64,
     /// Fleet requests announced via [`EngineRegistry::begin_request`].
     pub requests: u64,
     /// Payload-cache hits landed after the first request finished — the
@@ -240,8 +236,6 @@ impl EngineRegistry {
             decoded_misses: c.decoded_misses,
             exec_hits: c.exec_hits,
             exec_misses: c.exec_misses,
-            prescreen_evals: c.prescreen_evals,
-            prescreen_pruned: c.prescreen_pruned,
             requests: self.requests.load(Ordering::Relaxed),
             cross_payload_hits: c.hits.saturating_sub(base.payload_hits),
             cross_payload_lookups: lookups(

@@ -257,8 +257,6 @@ pub struct RegistryWire {
     pub decoded_misses: u64,
     pub exec_hits: u64,
     pub exec_misses: u64,
-    pub prescreen_evals: u64,
-    pub prescreen_pruned: u64,
     pub requests: u64,
     pub cross_payload_hits: u64,
     pub cross_payload_lookups: u64,
@@ -276,23 +274,11 @@ impl RegistryWire {
             decoded_misses: s.decoded_misses,
             exec_hits: s.exec_hits,
             exec_misses: s.exec_misses,
-            prescreen_evals: s.prescreen_evals,
-            prescreen_pruned: s.prescreen_pruned,
             requests: s.requests,
             cross_payload_hits: s.cross_payload_hits,
             cross_payload_lookups: s.cross_payload_lookups,
             cross_exec_hits: s.cross_exec_hits,
             cross_exec_lookups: s.cross_exec_lookups,
-        }
-    }
-
-    /// Fraction of pre-screened tuning candidates pruned before full
-    /// measurement (0.0 when the pre-screen never ran).
-    pub fn prescreen_prune_rate(&self) -> f64 {
-        if self.prescreen_evals == 0 {
-            0.0
-        } else {
-            self.prescreen_pruned as f64 / self.prescreen_evals as f64
         }
     }
 
@@ -313,8 +299,6 @@ impl RegistryWire {
             .set("decoded_misses", Json::of_u64(self.decoded_misses))
             .set("exec_hits", Json::of_u64(self.exec_hits))
             .set("exec_misses", Json::of_u64(self.exec_misses))
-            .set("prescreen_evals", Json::of_u64(self.prescreen_evals))
-            .set("prescreen_pruned", Json::of_u64(self.prescreen_pruned))
             .set("requests", Json::of_u64(self.requests))
             .set("cross_payload_hits", Json::of_u64(self.cross_payload_hits))
             .set(
@@ -335,8 +319,6 @@ impl RegistryWire {
             decoded_misses: u("decoded_misses"),
             exec_hits: u("exec_hits"),
             exec_misses: u("exec_misses"),
-            prescreen_evals: u("prescreen_evals"),
-            prescreen_pruned: u("prescreen_pruned"),
             requests: u("requests"),
             cross_payload_hits: u("cross_payload_hits"),
             cross_payload_lookups: u("cross_payload_lookups"),
@@ -812,6 +794,16 @@ mod tests {
             "sample bits must survive the wire"
         );
         assert!((back.registry.cross_payload_hit_rate() - 0.75).abs() < 1e-12);
+        // A peer that still sends the retired pre-screen counters is
+        // understood; the keys are skipped.
+        let older = r#"{"type":"reply","ok":true,"samples":[],"registry":{"exec_hits":5,"prescreen_evals":9,"prescreen_pruned":4}}"#;
+        assert_eq!(
+            FleetReply::from_line(older).unwrap().registry,
+            RegistryWire {
+                exec_hits: 5,
+                ..RegistryWire::default()
+            }
+        );
     }
 
     #[test]

@@ -695,12 +695,6 @@ fn print_fleet_reply(
         reply.registry.exec_hits,
         reply.registry.exec_hits + reply.registry.exec_misses,
     ));
-    out.push_str(&format!(
-        "  tuner pre-screen: {} scored, {} pruned (rate {:.2})\n",
-        reply.registry.prescreen_evals,
-        reply.registry.prescreen_pruned,
-        reply.registry.prescreen_prune_rate(),
-    ));
     // Quiet on a healthy service so local and served runs print the
     // same bytes; only a caught panic surfaces the supervision line.
     if let Some(pool) = &reply.pool {
@@ -1140,14 +1134,13 @@ fn run_optimize(cfg: &CliConfig) -> Result<String, CliError> {
         cfg.optimization_metrics
     ));
     if cfg.prescreen {
-        let stats = engine.cache_stats();
         out.push_str(&format!(
             "pre-screen: {} candidates scored traceless, {} pruned before measurement \
              ({:.1} % prune rate)\n",
-            stats.prescreen_evals,
-            stats.prescreen_pruned,
-            if stats.prescreen_evals > 0 {
-                stats.prescreen_pruned as f64 / stats.prescreen_evals as f64 * 100.0
+            result.prescreen_evals,
+            result.prescreen_pruned,
+            if result.prescreen_evals > 0 {
+                result.prescreen_pruned as f64 / result.prescreen_evals as f64 * 100.0
             } else {
                 0.0
             }
