@@ -71,7 +71,7 @@ fn main() {
     // One registry for the whole benchmark run: every case after the
     // first hits the registry-wide payload/decode/ExecStats tier, the
     // way a resident fleet service would.
-    let registry = EngineRegistry::with_seed(cfg.seed);
+    let registry = EngineRegistry::new();
 
     let serial = {
         let mut c = cfg.clone();

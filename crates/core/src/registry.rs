@@ -43,15 +43,16 @@ pub struct RegistryStats {
     pub evals: u64,
     /// Fleet requests announced via [`EngineRegistry::begin_request`].
     pub requests: u64,
-    /// Payload-cache hits landed after the first request finished — the
-    /// service-tier "warm registry" signal (0 until a second request
-    /// starts).
+    /// Payload-cache hits landed since this registry's second request
+    /// began — the "warm registry" signal (0 until then). The fleet
+    /// service plans every request on one registry, so there the window
+    /// opens at the service's own second request.
     pub cross_payload_hits: u64,
-    /// Payload-cache lookups (hits + misses) after the first request.
+    /// Payload-cache lookups (hits + misses) in the same window.
     pub cross_payload_lookups: u64,
-    /// ExecStats-cache hits after the first request.
+    /// ExecStats-cache hits in the same window.
     pub cross_exec_hits: u64,
-    /// ExecStats-cache lookups after the first request.
+    /// ExecStats-cache lookups in the same window.
     pub cross_exec_lookups: u64,
 }
 
@@ -105,10 +106,10 @@ impl EngineRegistry {
     }
 
     /// Registry whose engines are created with `seed` and warm a
-    /// caller-provided cache tier. The fleet service uses this to share
-    /// one payload/decode/ExecStats tier across the per-seed registries
-    /// it keeps (cache keys are SKU-tagged and, where results depend on
-    /// the engine seed, seed-tagged, so sharing is sound).
+    /// caller-provided cache tier, so several registries can share one
+    /// payload/decode/ExecStats tier (cache keys are SKU-tagged and,
+    /// where results depend on the engine seed, seed-tagged, so sharing
+    /// is sound).
     pub fn with_caches(seed: u64, caches: Arc<EngineCaches>) -> EngineRegistry {
         EngineRegistry {
             engines: Mutex::new(Vec::new()),

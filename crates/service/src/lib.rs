@@ -15,9 +15,10 @@
 //!   the scoped fan-out ([`fs2_core::fan_out`]), the caller's thread
 //!   among the workers, and merges back bitwise-identically to the
 //!   serial result.
-//! * the engine layer stays `fs2-core`'s [`fs2_core::EngineRegistry`],
-//!   shared: all per-seed registries share one `EngineCaches` tier, and
-//!   the cross-request hit rates surface in every reply.
+//! * the engine layer stays `fs2-core`'s [`fs2_core::EngineRegistry`]:
+//!   one registry plans every request, whatever its seed (a fleet's
+//!   seed keys only its node streams), and the cross-request hit rates
+//!   surface in every reply.
 //!
 //! In-process callers, the CLI's `--fleet` among them, call
 //! [`service::FleetService::handle`] with a typed request and read the
