@@ -2231,8 +2231,8 @@ mod tests {
         // The engine seed sets only the initial values of a payload's
         // functional pass, and under `InitScheme::V2Safe` no payload a
         // fleet reaches has a trivial lane-op whatever those values are.
-        // So one default-seeded registry serves every fleet seed the
-        // bytes of a registry seeded like the fleet, and a new fleet
+        // So one default-seeded registry gives every fleet seed the
+        // bytes a registry seeded like the fleet gives, and a new fleet
         // seed reruns no pass.
         let shared = EngineRegistry::new();
         for seed in [0, 7, 0xF1EE7, u64::MAX] {
