@@ -233,12 +233,6 @@ impl Engine {
         }
     }
 
-    /// The engine's cache tier (shared when the engine came from a
-    /// registry).
-    pub fn caches(&self) -> &Arc<EngineCaches> {
-        &self.caches
-    }
-
     pub fn sku(&self) -> &Sku {
         &self.sku
     }
