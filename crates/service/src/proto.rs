@@ -794,16 +794,6 @@ mod tests {
             "sample bits must survive the wire"
         );
         assert!((back.registry.cross_payload_hit_rate() - 0.75).abs() < 1e-12);
-        // A peer that still sends the retired pre-screen counters is
-        // understood; the keys are skipped.
-        let older = r#"{"type":"reply","ok":true,"samples":[],"registry":{"exec_hits":5,"prescreen_evals":9,"prescreen_pruned":4}}"#;
-        assert_eq!(
-            FleetReply::from_line(older).unwrap().registry,
-            RegistryWire {
-                exec_hits: 5,
-                ..RegistryWire::default()
-            }
-        );
     }
 
     #[test]
