@@ -69,8 +69,8 @@ fn main() {
     let total_samples = cfg.total_samples();
 
     // One registry for the whole benchmark run: every case after the
-    // first hits the registry-wide payload/decode/ExecStats tier, the
-    // way a resident fleet service would.
+    // first hits the registry-wide payload/ExecStats tier, the way a
+    // resident fleet service would.
     let registry = EngineRegistry::new();
 
     let serial = {
@@ -212,7 +212,6 @@ fn main() {
     };
     let payload_rate = rate(s.payload_hits, s.payload_misses);
     let exec_rate = rate(s.exec_hits, s.exec_misses);
-    let decoded_rate = rate(s.decoded_hits, s.decoded_misses);
 
     // Service case: the same fleet served through the request/shard
     // stack, measuring the *cross-request* tier — a repeat tenant with
@@ -371,9 +370,6 @@ fn main() {
     let _ = writeln!(json, "    \"payload_misses\": {},", s.payload_misses);
     let _ = writeln!(json, "    \"payload_entries\": {},", s.payload_entries);
     let _ = writeln!(json, "    \"payload_hit_rate\": {payload_rate:.4},");
-    let _ = writeln!(json, "    \"decoded_hits\": {},", s.decoded_hits);
-    let _ = writeln!(json, "    \"decoded_misses\": {},", s.decoded_misses);
-    let _ = writeln!(json, "    \"decoded_hit_rate\": {decoded_rate:.4},");
     let _ = writeln!(json, "    \"exec_hits\": {},", s.exec_hits);
     let _ = writeln!(json, "    \"exec_misses\": {},", s.exec_misses);
     let _ = writeln!(json, "    \"exec_hit_rate\": {exec_rate:.4},");

@@ -34,9 +34,7 @@
 use crate::budget::{arbitrate, BudgetPolicy, NodeStream};
 use crate::episodes::{EpisodeModel, EpisodeWalk};
 use crate::jobs::JobMix;
-use fs2_core::{
-    fan_out, resolve_threads, EngineRegistry, GroupEvalRequest, InitScheme, RegistryStats,
-};
+use fs2_core::{fan_out, resolve_threads, EngineRegistry, InitScheme, RegistryStats};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
@@ -813,7 +811,7 @@ impl FleetSim {
 
     /// [`FleetSim::run`] against a caller-owned registry. Repeat fleet
     /// requests (a service loop, the benches) that hold one registry
-    /// reuse its registry-wide payload/decode/ExecStats tier instead of
+    /// reuse its registry-wide payload/ExecStats tier instead of
     /// rewarming fresh caches per run — the second request's table
     /// build is pure cache hits. Any registry gives the samples and
     /// power table of [`FleetSim::run`], whatever its seed. The engine
@@ -840,8 +838,8 @@ impl FleetSim {
             .expect("shard_ranges tiles the node range")
     }
 
-    /// Builds the request-shared generation plan: one batched
-    /// engine-evaluation of the operating-point table, the power-cap
+    /// Builds the request-shared generation plan: the engine-evaluated
+    /// operating-point table (one engine call per `(SKU, class)`), the power-cap
     /// remap and the flattened sampling lanes. This is the only phase
     /// that touches the engine registry (plus the final merge, for its
     /// counters), so shard workers stay pure table readers. Also
@@ -854,20 +852,21 @@ impl FleetSim {
         // Engine-evaluate each (SKU, class, P-state) operating point
         // once; the per-sample loop then only composes duty cycles.
         // `table[sku][class][pstate]` is the payload's node power.
-        // All of a class's P-state frequencies ride one batched
-        // request, so each (SKU, class) row costs a single cached
-        // payload fetch, one memoized decode and one cached functional
-        // pass regardless of how many P-states it spans.
+        // All of a class's P-state frequencies ride one engine call, so
+        // each (SKU, class) row costs a single cached payload fetch and
+        // one cached functional pass regardless of how many P-states it
+        // spans.
         let mut idle_w: Vec<f64> = Vec::with_capacity(cfg.groups.len());
-        let mut requests: Vec<GroupEvalRequest<'_>> = Vec::new();
-        // Distinct `(pstate, freq)` pairs per request, in first-seen
-        // class order (the historical NaN-dedup order).
-        let mut req_pstates: Vec<Vec<(usize, u32)>> = Vec::new();
+        let mut table: Vec<Vec<Vec<f64>>> = Vec::with_capacity(cfg.groups.len());
+        let mut power_table: Vec<ClassPower> = Vec::new();
         for group in &cfg.groups {
             let engine = registry.engine(&group.sku);
             idle_w.push(engine.idle_power_w());
             let n_pstates = group.sku.pstates.states.len();
+            let mut rows = Vec::with_capacity(classes.len());
             for (class, _) in classes {
+                // Distinct `(pstate, freq)` pairs in first-seen order
+                // (the historical NaN-dedup order).
                 let mut seen: Vec<(usize, u32)> = Vec::new();
                 for &p in class.pstates {
                     assert!(
@@ -880,29 +879,13 @@ impl FleetSim {
                         seen.push((p, group.sku.pstates.states[p].freq_mhz));
                     }
                 }
-                requests.push(GroupEvalRequest {
-                    sku: &group.sku,
-                    spec: class.spec,
-                    init: InitScheme::V2Safe,
-                    freqs_mhz: seen.iter().map(|&(_, f)| f64::from(f)).collect(),
-                });
-                req_pstates.push(seen);
-            }
-        }
-        let batches = registry
-            .eval_groups(&requests)
-            .unwrap_or_else(|e| panic!("fleet job-class spec rejected: {e}"));
-
-        let mut table: Vec<Vec<Vec<f64>>> = Vec::with_capacity(cfg.groups.len());
-        let mut power_table: Vec<ClassPower> = Vec::new();
-        let mut batch_iter = req_pstates.iter().zip(&batches);
-        for group in &cfg.groups {
-            let n_pstates = group.sku.pstates.states.len();
-            let mut rows = Vec::with_capacity(classes.len());
-            for (class, _) in classes {
-                let (pstates, batch) = batch_iter.next().expect("one batch per (group, class)");
+                let config = engine
+                    .config_for_spec(class.spec)
+                    .unwrap_or_else(|e| panic!("fleet job-class spec rejected: {e}"));
+                let freqs: Vec<f64> = seen.iter().map(|&(_, f)| f64::from(f)).collect();
+                let points = engine.eval_points(&config, InitScheme::V2Safe, &freqs);
                 let mut row = vec![f64::NAN; n_pstates];
-                for (&(p, freq), point) in pstates.iter().zip(&batch.points) {
+                for (&(p, freq), point) in seen.iter().zip(&points) {
                     row[p] = point.power.total_w();
                     power_table.push(ClassPower {
                         sku: group.sku.name,
@@ -2093,9 +2076,9 @@ mod tests {
 
     #[test]
     fn batched_run_matches_per_node_reference_bitwise() {
-        // The batched composer (group-deduplicated `eval_groups` table
-        // build + flattened lockstep sampler) reproduces the per-node
-        // oracle byte-for-byte at any thread count.
+        // The batched composer (the flattened lockstep sampler over the
+        // plan's per-(SKU, class) table) reproduces the per-node oracle
+        // byte-for-byte at any thread count.
         let cfg = FleetConfig {
             samples_per_node: 300,
             threads: 1,
@@ -2120,11 +2103,10 @@ mod tests {
     #[test]
     fn batched_grouping_order_is_immaterial() {
         // Interleaved duplicate-SKU groups with unequal per-group
-        // sample counts: eval_groups buckets and deduplicates the
-        // (SKU, spec, P-state) requests in a different order than the
-        // per-group reference iteration, and the odd node count plus
-        // long-tail groups leave unequal tails for the lockstep
-        // sampler. Bytes must not care.
+        // sample counts: the plan's second group of each SKU reads its
+        // rows from the payload and ExecStats entries the first one
+        // filled, and the odd node count plus long-tail groups leave
+        // unequal tails for the lockstep sampler. Bytes must not care.
         let thin = fs2_arch::Sku::intel_xeon_e5_2680_v3();
         let fat = fs2_arch::Sku::intel_xeon_e5_2695_v3();
         let cfg = FleetConfig {

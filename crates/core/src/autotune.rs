@@ -158,9 +158,9 @@ impl Problem for FirestarterProblem<'_> {
             unroll: self.unroll,
         };
         // Fast-simulator pre-screen: the traceless evaluation reuses
-        // every shared cache tier (payload, decoded kernel, ExecStats),
-        // so scoring a candidate costs a steady-state solve instead of
-        // a full measured run. Candidates clearly below the preheat
+        // both shared cache tiers (payload, ExecStats), so scoring a
+        // candidate costs a steady-state solve instead of a full
+        // measured run. Candidates clearly below the preheat
         // workload's power keep their traceless objectives — they are
         // dominated by the always-present REG:1 baseline on the power
         // axis, so the selected optimum is never a pruned individual.

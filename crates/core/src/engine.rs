@@ -5,10 +5,12 @@
 //! used to rebuild payloads from scratch and drive its own ad-hoc
 //! `Runner` glue. An [`Engine`] centralizes that plumbing for one SKU:
 //!
-//! * a **payload cache** memoizing [`build_payload`] results keyed by
-//!   `(mix, groups, unroll)` — sweeps over mixes, unroll factors and
-//!   access groups (the dominant usage pattern; Figs. 6–12 are all
-//!   sweeps) stop paying for redundant code generation;
+//! * two **cache tiers** ([`EngineCaches`]): a payload cache memoizing
+//!   [`build_payload`] results keyed by `(mix, groups, unroll)` — sweeps
+//!   over mixes, unroll factors and access groups (the dominant usage
+//!   pattern; Figs. 6–12 are all sweeps) stop paying for redundant code
+//!   generation — and an ExecStats cache memoizing each payload's
+//!   functional pass, which decodes the kernel inside the pass on a miss;
 //! * **[`Session`]s**, each owning a [`Runner`] on its own simulated
 //!   clock, for trace-producing measurement runs;
 //! * **traceless evaluation** ([`Engine::eval`]) for parameter sweeps
@@ -29,9 +31,10 @@ use crate::runner::{RunConfig, RunResult, Runner};
 use fs2_arch::Sku;
 use fs2_power::{solve_throttle, NodePowerModel, ThrottleResult};
 use fs2_sim::{run_functional, DecodedKernel, FunctionalOutcome, InitScheme, SystemSim};
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 /// Cache key: the full workload specification `(SKU, I, u, M)`. The
 /// cache tiers behind an engine can be shared registry-wide across SKU
@@ -56,16 +59,6 @@ impl PayloadKey {
     }
 }
 
-/// One payload-cache slot: the built payload plus its lazily decoded
-/// micro-op table. The decode is memoized per cache entry, so repeat
-/// runs of a cached payload (every NSGA-II re-evaluation, every fleet
-/// warm-up) replay the same shared [`DecodedKernel`] instead of
-/// re-decoding the instruction stream per run.
-struct PayloadEntry {
-    payload: Arc<Payload>,
-    decoded: OnceLock<Arc<DecodedKernel>>,
-}
-
 /// ExecStats-cache key: a [`FunctionalOutcome`] is a pure function of
 /// `(payload, init scheme, executor seed, iteration count)`, nothing
 /// else — which is exactly what makes memoizing it sound.
@@ -77,8 +70,8 @@ struct ExecKey {
     iters: u64,
 }
 
-/// Snapshot of the engine's cache counters for its three cache tiers:
-/// payload builds, kernel decodes, and functional (ExecStats) passes.
+/// Snapshot of the engine's cache counters for its two cache tiers:
+/// payload builds and functional (ExecStats) passes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheStats {
     /// Requests answered from the cache.
@@ -87,10 +80,6 @@ pub struct CacheStats {
     pub misses: u64,
     /// Distinct payloads currently cached.
     pub entries: usize,
-    /// Decoded-kernel requests served from a memoized table.
-    pub decoded_hits: u64,
-    /// Decoded-kernel requests that ran the decoder.
-    pub decoded_misses: u64,
     /// Functional passes answered from the ExecStats cache.
     pub exec_hits: u64,
     /// Functional passes executed live (then cached).
@@ -107,8 +96,10 @@ impl CacheStats {
 }
 
 /// The shareable cache tier behind one or more [`Engine`]s: payload
-/// builds, memoized kernel decodes, and functional (ExecStats)
-/// outcomes, plus their hit/miss counters.
+/// builds and functional (ExecStats) outcomes, plus their hit/miss
+/// counters. No decoded micro-op table is kept: an ExecStats miss
+/// decodes its payload's kernel inside the pass it feeds, and a hit
+/// never reads the table.
 ///
 /// A standalone engine owns a private tier; an
 /// [`crate::EngineRegistry`] hands every SKU engine one shared
@@ -117,12 +108,10 @@ impl CacheStats {
 /// SKU-tagged (`PayloadKey`), so sharing is safe across SKUs — a hit
 /// can only come from the same `(SKU, mix, groups, unroll)` workload.
 pub struct EngineCaches {
-    payloads: Mutex<HashMap<PayloadKey, Arc<PayloadEntry>>>,
+    payloads: Mutex<HashMap<PayloadKey, Arc<Payload>>>,
     execs: Mutex<HashMap<ExecKey, Arc<FunctionalOutcome>>>,
     hits: AtomicU64,
     misses: AtomicU64,
-    decoded_hits: AtomicU64,
-    decoded_misses: AtomicU64,
     exec_hits: AtomicU64,
     exec_misses: AtomicU64,
 }
@@ -135,8 +124,6 @@ impl EngineCaches {
             execs: Mutex::new(HashMap::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            decoded_hits: AtomicU64::new(0),
-            decoded_misses: AtomicU64::new(0),
             exec_hits: AtomicU64::new(0),
             exec_misses: AtomicU64::new(0),
         }
@@ -150,8 +137,6 @@ impl EngineCaches {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             entries: self.payloads.lock().expect("payload cache poisoned").len(),
-            decoded_hits: self.decoded_hits.load(Ordering::Relaxed),
-            decoded_misses: self.decoded_misses.load(Ordering::Relaxed),
             exec_hits: self.exec_hits.load(Ordering::Relaxed),
             exec_misses: self.exec_misses.load(Ordering::Relaxed),
             exec_entries: self.execs.lock().expect("exec cache poisoned").len(),
@@ -173,26 +158,37 @@ impl std::fmt::Debug for EngineCaches {
     }
 }
 
-/// One batched traceless-evaluation request: a workload plus every
-/// frequency the caller needs operating points for (see
-/// [`Engine::eval_batch`]).
-#[derive(Debug, Clone)]
-pub struct EvalRequest {
-    pub config: PayloadConfig,
-    /// Init scheme of the cached functional pass that supplies the
-    /// trivial fraction ([`InitScheme::V2Safe`] matches
-    /// [`Engine::eval`]).
-    pub init: InitScheme,
-    pub freqs_mhz: Vec<f64>,
-}
-
-/// The result for one [`EvalRequest`]: the payload's cached trivial
-/// fraction and one operating point per requested frequency, in
-/// request order.
-#[derive(Debug, Clone)]
-pub struct EvalBatch {
-    pub trivial_fraction: f64,
-    pub points: Vec<ThrottleResult>,
+/// Looks `key` up in one cache tier, building its value on a miss.
+/// The build runs outside the lock: payload generation and functional
+/// passes are the expensive part, and concurrent sweep workers must not
+/// serialize on them. Threads racing on the same key all build, but
+/// only the one whose insert lands in the vacant entry counts the miss;
+/// losers drop their (identical) copy, take the winner's `Arc`, and
+/// count as late hits — so `misses` equals the number of distinct keys
+/// ever built into the tier.
+fn memo<K: Clone + Eq + Hash, V>(
+    map: &Mutex<HashMap<K, Arc<V>>>,
+    hits: &AtomicU64,
+    misses: &AtomicU64,
+    key: &K,
+    build: impl FnOnce() -> V,
+) -> Arc<V> {
+    if let Some(v) = map.lock().expect("engine cache poisoned").get(key) {
+        hits.fetch_add(1, Ordering::Relaxed);
+        return Arc::clone(v);
+    }
+    let built = Arc::new(build());
+    let mut cache = map.lock().expect("engine cache poisoned");
+    match cache.entry(key.clone()) {
+        Entry::Occupied(e) => {
+            hits.fetch_add(1, Ordering::Relaxed);
+            Arc::clone(e.get())
+        }
+        Entry::Vacant(v) => {
+            misses.fetch_add(1, Ordering::Relaxed);
+            Arc::clone(v.insert(built))
+        }
+    }
 }
 
 /// A per-SKU workload engine: payload cache + session factory + sweep
@@ -260,81 +256,27 @@ impl Engine {
         self.power_model.idle_power().total_w()
     }
 
-    /// The cache entry for `config`, building the payload at most once.
-    fn entry(&self, config: &PayloadConfig) -> Arc<PayloadEntry> {
-        self.entry_with(&PayloadKey::of(&self.sku, config), config)
-    }
-
-    /// [`Engine::entry`] for a caller that already computed the key
-    /// (`run_on` builds it once and reuses it for the ExecStats tier —
-    /// one groups-vector clone per run instead of two).
-    fn entry_with(&self, key: &PayloadKey, config: &PayloadConfig) -> Arc<PayloadEntry> {
-        let caches = &self.caches;
-        if let Some(e) = caches
-            .payloads
-            .lock()
-            .expect("payload cache poisoned")
-            .get(key)
-        {
-            caches.hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(e);
-        }
-        // Build outside the lock: payload generation is the expensive
-        // part, and concurrent sweep workers must not serialize on it.
-        // Threads racing on the same key all build, but only the one
-        // whose insert lands in the vacant entry counts the miss; losers
-        // drop their (identical) copy, take the winner's Arc, and count
-        // as late hits — so `misses` equals the number of distinct
-        // payloads ever built into the cache.
-        let built = Arc::new(PayloadEntry {
-            payload: Arc::new(build_payload(&self.sku, config)),
-            decoded: OnceLock::new(),
-        });
-        let mut cache = caches.payloads.lock().expect("payload cache poisoned");
-        match cache.entry(key.clone()) {
-            std::collections::hash_map::Entry::Occupied(e) => {
-                caches.hits.fetch_add(1, Ordering::Relaxed);
-                Arc::clone(e.get())
-            }
-            std::collections::hash_map::Entry::Vacant(v) => {
-                caches.misses.fetch_add(1, Ordering::Relaxed);
-                Arc::clone(v.insert(built))
-            }
-        }
-    }
-
     /// Returns the payload for `config`, building it at most once.
     /// Cached payloads are deterministic: a hit hands back the same
     /// `machine_code` bytes a fresh [`build_payload`] would produce.
     pub fn payload(&self, config: &PayloadConfig) -> Arc<Payload> {
-        Arc::clone(&self.entry(config).payload)
+        self.payload_keyed(&PayloadKey::of(&self.sku, config), config)
     }
 
-    /// The cached payload for `config` together with its memoized
-    /// micro-op table. The decode runs at most once per cache entry —
-    /// every later run of the same payload (any seed, any init scheme)
-    /// replays the shared table.
-    pub fn payload_decoded(&self, config: &PayloadConfig) -> (Arc<Payload>, Arc<DecodedKernel>) {
-        let entry = self.entry(config);
-        let decoded = self.decoded_of(&entry);
-        (Arc::clone(&entry.payload), decoded)
+    /// [`Engine::payload`] for a caller that already computed the key.
+    fn payload_keyed(&self, key: &PayloadKey, config: &PayloadConfig) -> Arc<Payload> {
+        let c = &self.caches;
+        memo(&c.payloads, &c.hits, &c.misses, key, || {
+            build_payload(&self.sku, config)
+        })
     }
 
-    /// The entry's memoized micro-op table, decoding on first request.
-    fn decoded_of(&self, entry: &PayloadEntry) -> Arc<DecodedKernel> {
-        match entry.decoded.get() {
-            Some(d) => {
-                self.caches.decoded_hits.fetch_add(1, Ordering::Relaxed);
-                Arc::clone(d)
-            }
-            // OnceLock runs the init closure exactly once even under a
-            // race, so `decoded_misses` counts distinct decodes; a racer
-            // that blocked on the winner counts neither hit nor miss.
-            None => Arc::clone(entry.decoded.get_or_init(|| {
-                self.caches.decoded_misses.fetch_add(1, Ordering::Relaxed);
-                Arc::new(DecodedKernel::new(&entry.payload.kernel))
-            })),
-        }
+    /// The cached payload for `config` together with its micro-op table.
+    /// The table is not cached: every call runs the decoder afresh.
+    pub fn payload_decoded(&self, config: &PayloadConfig) -> (Arc<Payload>, DecodedKernel) {
+        let payload = self.payload(config);
+        let decoded = DecodedKernel::new(&payload.kernel);
+        (payload, decoded)
     }
 
     /// The functional (§III-D value-level) outcome of running `config`'s
@@ -349,73 +291,50 @@ impl Engine {
         seed: u64,
         iters: u64,
     ) -> Arc<FunctionalOutcome> {
-        let key = PayloadKey::of(&self.sku, config);
-        let entry = self.entry_with(&key, config);
-        let decoded = self.decoded_of(&entry);
-        self.functional_outcome_keyed(key, &decoded, init, seed, iters)
+        self.payload_and_outcome(config, init, seed, iters).1
     }
 
-    /// [`Engine::functional_outcome`] for a caller already holding the
-    /// payload key and decoded table (no second payload-cache lookup or
-    /// groups clone; a miss replays `decoded` directly).
-    fn functional_outcome_keyed(
+    /// `config`'s cached payload and its cached functional outcome: one
+    /// lookup in each tier, with one payload key (one groups clone)
+    /// serving both. An ExecStats miss decodes the payload's kernel and
+    /// runs the pass.
+    fn payload_and_outcome(
         &self,
-        payload: PayloadKey,
-        decoded: &DecodedKernel,
+        config: &PayloadConfig,
         init: InitScheme,
         seed: u64,
         iters: u64,
-    ) -> Arc<FunctionalOutcome> {
+    ) -> (Arc<Payload>, Arc<FunctionalOutcome>) {
+        let payload_key = PayloadKey::of(&self.sku, config);
+        let payload = self.payload_keyed(&payload_key, config);
         let key = ExecKey {
-            payload,
+            payload: payload_key,
             init,
             seed,
             iters,
         };
-        let caches = &self.caches;
-        if let Some(o) = caches.execs.lock().expect("exec cache poisoned").get(&key) {
-            caches.exec_hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(o);
-        }
-        // Same discipline as the payload cache: run outside the lock,
-        // entry-based insert so a same-key race counts one miss.
-        let outcome = Arc::new(run_functional(decoded, init, seed, iters));
-        let mut cache = caches.execs.lock().expect("exec cache poisoned");
-        match cache.entry(key) {
-            std::collections::hash_map::Entry::Occupied(e) => {
-                caches.exec_hits.fetch_add(1, Ordering::Relaxed);
-                Arc::clone(e.get())
-            }
-            std::collections::hash_map::Entry::Vacant(v) => {
-                caches.exec_misses.fetch_add(1, Ordering::Relaxed);
-                Arc::clone(v.insert(outcome))
-            }
-        }
+        let c = &self.caches;
+        let outcome = memo(&c.execs, &c.exec_hits, &c.exec_misses, &key, || {
+            run_functional(&DecodedKernel::new(&payload.kernel), init, seed, iters)
+        });
+        (payload, outcome)
     }
 
-    /// Runs `config`'s payload on `runner` through every cache tier:
-    /// cached payload, memoized decoded kernel, and the ExecStats cache,
-    /// which skips the functional pass entirely on a hit. An armed fault
-    /// is served from the cache too: the runner flips it into a copy of
-    /// the cached registers ([`Runner::run_with_functional`]). Results
-    /// are bit-identical to [`Runner::run_kernel`] in every case.
+    /// Runs `config`'s payload on `runner` through both cache tiers:
+    /// the cached payload, then the ExecStats cache, which skips the
+    /// functional pass (and its decode) entirely on a hit. An armed
+    /// fault is served from the cache too: the runner flips it into a
+    /// copy of the cached registers ([`Runner::run_with_functional`]).
+    /// Results are bit-identical to [`Runner::run_kernel`] in every case.
     pub fn run_on(
         &self,
         runner: &mut Runner,
         config: &PayloadConfig,
         cfg: &RunConfig,
     ) -> RunResult {
-        let key = PayloadKey::of(&self.sku, config);
-        let entry = self.entry_with(&key, config);
-        let decoded = self.decoded_of(&entry);
-        let outcome = self.functional_outcome_keyed(
-            key,
-            &decoded,
-            cfg.init,
-            runner.seed(),
-            cfg.functional_iters,
-        );
-        runner.run_with_functional(&entry.payload.kernel, &outcome, cfg)
+        let (payload, outcome) =
+            self.payload_and_outcome(config, cfg.init, runner.seed(), cfg.functional_iters);
+        runner.run_with_functional(&payload.kernel, &outcome, cfg)
     }
 
     /// Payload config for a group string with the architecture-default
@@ -469,17 +388,28 @@ impl Engine {
         freq_mhz: f64,
         init: InitScheme,
     ) -> ThrottleResult {
-        let key = PayloadKey::of(&self.sku, config);
-        let entry = self.entry_with(&key, config);
-        let decoded = self.decoded_of(&entry);
-        let outcome = self.functional_outcome_keyed(
-            key,
-            &decoded,
-            init,
-            self.seed,
-            Engine::EVAL_FUNCTIONAL_ITERS,
-        );
-        self.eval_payload(&entry.payload, freq_mhz, outcome.stats.trivial_fraction())
+        let mut points = self.eval_points(config, init, &[freq_mhz]);
+        points.pop().expect("one point per frequency")
+    }
+
+    /// [`Engine::eval_init`] at every frequency in `freqs_mhz`: one
+    /// payload lookup and one cached functional pass serve all of them —
+    /// the fleet table build asks for all of a class's P-states in one
+    /// call. Results are bit-identical to per-frequency
+    /// [`Engine::eval_init`] calls, in input order.
+    pub fn eval_points(
+        &self,
+        config: &PayloadConfig,
+        init: InitScheme,
+        freqs_mhz: &[f64],
+    ) -> Vec<ThrottleResult> {
+        let (payload, outcome) =
+            self.payload_and_outcome(config, init, self.seed, Engine::EVAL_FUNCTIONAL_ITERS);
+        let trivial_fraction = outcome.stats.trivial_fraction();
+        freqs_mhz
+            .iter()
+            .map(|&f| self.eval_payload(&payload, f, trivial_fraction))
+            .collect()
     }
 
     /// Raw operating-point solve for an already-built payload with an
@@ -500,39 +430,6 @@ impl Engine {
             None,
             trivial_fraction,
         )
-    }
-
-    /// Batched traceless evaluation: one payload fetch, one memoized
-    /// decode, and one cached functional pass per request serve every
-    /// requested frequency — the fleet table build asks for all of a
-    /// class's P-states in one request instead of per-node solves.
-    /// Results are bit-identical to calling [`Engine::eval_init`] per
-    /// `(config, freq)` pair, in request order.
-    pub fn eval_batch(&self, requests: &[EvalRequest]) -> Vec<EvalBatch> {
-        requests
-            .iter()
-            .map(|req| {
-                let key = PayloadKey::of(&self.sku, &req.config);
-                let entry = self.entry_with(&key, &req.config);
-                let decoded = self.decoded_of(&entry);
-                let outcome = self.functional_outcome_keyed(
-                    key,
-                    &decoded,
-                    req.init,
-                    self.seed,
-                    Engine::EVAL_FUNCTIONAL_ITERS,
-                );
-                let trivial_fraction = outcome.stats.trivial_fraction();
-                EvalBatch {
-                    trivial_fraction,
-                    points: req
-                        .freqs_mhz
-                        .iter()
-                        .map(|&f| self.eval_payload(&entry.payload, f, trivial_fraction))
-                        .collect(),
-                }
-            })
-            .collect()
     }
 
     /// Number of [`Engine::eval`] operating-point solves so far (the
@@ -639,8 +536,8 @@ impl<'e> Session<'e> {
     }
 
     /// Runs the cached payload for `config` under `run_cfg`, advancing
-    /// the session clock. Goes through all three engine cache tiers
-    /// (payload → decoded kernel → ExecStats); see [`Engine::run_on`].
+    /// the session clock. Goes through both engine cache tiers
+    /// (payload → ExecStats); see [`Engine::run_on`].
     pub fn run(&mut self, config: &PayloadConfig, run_cfg: &RunConfig) -> RunResult {
         self.engine.run_on(&mut self.runner, config, run_cfg)
     }
@@ -865,25 +762,24 @@ mod tests {
     }
 
     #[test]
-    fn eval_batch_matches_per_call_eval_bitwise() {
+    fn eval_points_matches_per_call_eval_bitwise() {
         let e = engine();
         let specs = ["REG:1", "REG:4,L1_L:2", "REG:2,RAM_LS:2"];
         let freqs = [1200.0, 1500.0, 2200.0];
-        let requests: Vec<EvalRequest> = specs
+        let configs: Vec<PayloadConfig> = specs
             .iter()
-            .map(|s| EvalRequest {
-                config: e.config_for_spec(s).unwrap(),
-                init: InitScheme::V2Safe,
-                freqs_mhz: freqs.to_vec(),
-            })
+            .map(|s| e.config_for_spec(s).unwrap())
             .collect();
-        let batched = e.eval_batch(&requests);
+        let batched: Vec<Vec<ThrottleResult>> = configs
+            .iter()
+            .map(|c| e.eval_points(c, InitScheme::V2Safe, &freqs))
+            .collect();
 
         let fresh = engine();
-        for (req, batch) in requests.iter().zip(&batched) {
-            assert_eq!(batch.points.len(), freqs.len());
-            for (&f, point) in freqs.iter().zip(&batch.points) {
-                let single = fresh.eval(&req.config, f);
+        for (config, points) in configs.iter().zip(&batched) {
+            assert_eq!(points.len(), freqs.len());
+            for (&f, point) in freqs.iter().zip(points) {
+                let single = fresh.eval(config, f);
                 assert_eq!(point.power, single.power);
                 assert_eq!(point.applied_mhz.to_bits(), single.applied_mhz.to_bits());
             }
@@ -912,8 +808,12 @@ mod tests {
     #[test]
     fn bad_spec_is_reported() {
         let e = engine();
-        assert!(e.payload_for_spec("L9_X:1").is_err());
-        assert!(parse_groups("L9_X:1").is_err());
+        let err = e.payload_for_spec("L9_X:1").unwrap_err();
+        assert_eq!(err, parse_groups("L9_X:1").unwrap_err());
+        // A bad spec is rejected before either tier is consulted.
+        let s = e.cache_stats();
+        assert_eq!(s.requests(), 0, "a bad spec must build nothing");
+        assert_eq!(s.exec_hits + s.exec_misses, 0);
     }
 
     #[test]
@@ -951,23 +851,6 @@ mod tests {
     }
 
     #[test]
-    fn decoded_kernel_is_memoized_per_payload_entry() {
-        let e = engine();
-        let cfg = e.config_for_spec("REG:2,L1_LS:1").unwrap();
-        let (p1, d1) = e.payload_decoded(&cfg);
-        let (p2, d2) = e.payload_decoded(&cfg);
-        assert!(Arc::ptr_eq(&p1, &p2));
-        assert!(Arc::ptr_eq(&d1, &d2), "decode must run once per entry");
-        let s = e.cache_stats();
-        assert_eq!((s.decoded_hits, s.decoded_misses), (1, 1));
-        // A different payload gets its own table.
-        let cfg2 = e.config_for_spec("REG:1").unwrap();
-        let (_, d3) = e.payload_decoded(&cfg2);
-        assert!(!Arc::ptr_eq(&d1, &d3));
-        assert_eq!(e.cache_stats().decoded_misses, 2);
-    }
-
-    #[test]
     fn exec_stats_cache_hits_are_bit_identical() {
         let e = engine();
         let cfg = e.config_for_spec("REG:2,L1_LS:1").unwrap();
@@ -1001,7 +884,6 @@ mod tests {
         let s = e.cache_stats();
         assert_eq!(s.exec_misses, 1, "one live functional pass");
         assert_eq!(s.exec_hits, 1, "repeat run must be served from cache");
-        assert_eq!(s.decoded_misses, 1, "one decode for both runs");
     }
 
     #[test]

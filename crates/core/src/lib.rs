@@ -50,15 +50,15 @@ pub mod runner;
 
 pub use autotune::{AutoTuner, TuneConfig, TuneResult};
 pub use distribute::{distribute, unroll_sequence};
-pub use engine::{CacheStats, Engine, EngineCaches, EvalBatch, EvalRequest, Session};
+pub use engine::{CacheStats, Engine, EngineCaches, Session};
 pub use fanout::{fan_out, resolve_threads};
 pub use groups::{parse_groups, AccessGroup, GroupParseError, Pattern, Target};
 pub use mix::{InstructionMix, MixRegistry};
 pub use payload::{default_unroll, Payload, PayloadConfig};
-pub use registry::{EngineRegistry, GroupEvalRequest, RegistryStats};
+pub use registry::{EngineRegistry, RegistryStats};
 pub use runner::{RunConfig, RunResult, Runner};
 
 // Re-exported so registry-level consumers (the cluster fleet) can name
-// the init scheme of batched evaluations without a direct fs2-sim
+// the init scheme of `Engine::eval_points` without a direct fs2-sim
 // dependency.
 pub use fs2_sim::InitScheme;

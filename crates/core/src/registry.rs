@@ -2,21 +2,18 @@
 //!
 //! [`Engine`]s are per-SKU. A sweep over heterogeneous hardware — the
 //! cluster fleet, `--cpu` comparison runs — needs one engine per SKU.
-//! An [`EngineRegistry`] owns them, hands every one the same
-//! registry-wide [`EngineCaches`] tier (payload builds, kernel decodes,
-//! functional passes; keys are SKU-tagged), and batches evaluations
-//! across SKUs ([`EngineRegistry::eval_groups`]). Each request's
-//! payload config comes from its engine's
-//! [`Engine::config_for_spec`], the one config derivation.
+//! An [`EngineRegistry`] owns them and hands every one the same
+//! registry-wide [`EngineCaches`] tier (payload builds and functional
+//! passes; keys are SKU-tagged). Callers evaluate on the engine the
+//! registry hands out ([`EngineRegistry::engine`]), deriving each
+//! payload config through its [`Engine::config_for_spec`].
 //!
 //! The registry is `Sync` like the engines it owns: fleet sweep workers
 //! on different threads share one registry, and [`RegistryStats`]
 //! aggregates every layer's hit/miss counters for benchmark reports.
 
-use crate::engine::{Engine, EngineCaches, EvalBatch, EvalRequest};
-use crate::groups::GroupParseError;
+use crate::engine::{Engine, EngineCaches};
 use fs2_arch::Sku;
-use fs2_sim::InitScheme;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -31,10 +28,6 @@ pub struct RegistryStats {
     pub payload_misses: u64,
     /// Distinct payloads cached, summed over all engines.
     pub payload_entries: usize,
-    /// Kernel decodes served from memoized tables, summed over engines.
-    pub decoded_hits: u64,
-    /// Kernel decodes run fresh, summed over all engines.
-    pub decoded_misses: u64,
     /// Functional passes served from the ExecStats caches.
     pub exec_hits: u64,
     /// Functional passes executed live (then cached).
@@ -67,25 +60,13 @@ struct CrossBase {
     exec_misses: u64,
 }
 
-/// One registry-level batched evaluation request: a SKU + group spec
-/// plus every frequency to solve (see [`EngineRegistry::eval_groups`]).
-#[derive(Debug, Clone)]
-pub struct GroupEvalRequest<'a> {
-    pub sku: &'a Sku,
-    pub spec: &'a str,
-    /// Init scheme of the cached functional pass supplying the trivial
-    /// fraction ([`InitScheme::V2Safe`] matches [`Engine::eval`]).
-    pub init: InitScheme,
-    pub freqs_mhz: Vec<f64>,
-}
-
 /// One engine per SKU plus the registry-wide [`EngineCaches`] tier
 /// every engine warms.
 pub struct EngineRegistry {
     /// Keyed by `Sku::name`; a linear scan over a handful of SKUs beats
     /// hashing the whole `Sku` struct.
     engines: Mutex<Vec<(&'static str, Arc<Engine>)>>,
-    /// The shared payload/decode/ExecStats tier (SKU-tagged keys), so
+    /// The shared payload/ExecStats tier (SKU-tagged keys), so
     /// repeat fleet requests hit one registry-wide cache instead of
     /// each warming a per-engine one.
     caches: Arc<EngineCaches>,
@@ -107,7 +88,7 @@ impl EngineRegistry {
 
     /// Registry whose engines are created with `seed` and warm a
     /// caller-provided cache tier, so several registries can share one
-    /// payload/decode/ExecStats tier (cache keys are SKU-tagged and,
+    /// payload/ExecStats tier (cache keys are SKU-tagged and,
     /// where results depend on the engine seed, seed-tagged, so sharing
     /// is sound).
     pub fn with_caches(seed: u64, caches: Arc<EngineCaches>) -> EngineRegistry {
@@ -166,46 +147,8 @@ impl EngineRegistry {
         engine
     }
 
-    /// Batched traceless evaluation across SKUs: requests are bucketed
-    /// per SKU engine and dispatched through [`Engine::eval_batch`], so
-    /// one cached payload fetch, decode and functional pass serve every
-    /// frequency a `(SKU, spec)` pair asks for. Results come back in
-    /// request order, bit-identical to per-call [`Engine::eval_init`]
-    /// solves.
-    pub fn eval_groups(
-        &self,
-        requests: &[GroupEvalRequest<'_>],
-    ) -> Result<Vec<EvalBatch>, GroupParseError> {
-        let mut buckets: Vec<(Arc<Engine>, Vec<usize>, Vec<EvalRequest>)> = Vec::new();
-        for (i, r) in requests.iter().enumerate() {
-            let engine = self.engine(r.sku);
-            let req = EvalRequest {
-                config: engine.config_for_spec(r.spec)?,
-                init: r.init,
-                freqs_mhz: r.freqs_mhz.clone(),
-            };
-            match buckets.iter_mut().find(|(e, _, _)| Arc::ptr_eq(e, &engine)) {
-                Some((_, order, reqs)) => {
-                    order.push(i);
-                    reqs.push(req);
-                }
-                None => buckets.push((engine, vec![i], vec![req])),
-            }
-        }
-        let mut out: Vec<Option<EvalBatch>> = requests.iter().map(|_| None).collect();
-        for (engine, order, reqs) in buckets {
-            for (i, batch) in order.into_iter().zip(engine.eval_batch(&reqs)) {
-                out[i] = Some(batch);
-            }
-        }
-        Ok(out
-            .into_iter()
-            .map(|b| b.expect("every request is dispatched to exactly one bucket"))
-            .collect())
-    }
-
     /// Aggregated counters across the registry and all engines. The
-    /// payload/decode/ExecStats tier is shared, so it is read once —
+    /// payload/ExecStats tier is shared, so it is read once —
     /// summing per-engine snapshots would count it once per engine.
     pub fn stats(&self) -> RegistryStats {
         let engines = self.engines.lock().expect("engine registry poisoned");
@@ -228,8 +171,6 @@ impl EngineRegistry {
             payload_hits: c.hits,
             payload_misses: c.misses,
             payload_entries: c.entries,
-            decoded_hits: c.decoded_hits,
-            decoded_misses: c.decoded_misses,
             exec_hits: c.exec_hits,
             exec_misses: c.exec_misses,
             requests: self.requests.load(Ordering::Relaxed),
@@ -273,7 +214,6 @@ impl std::fmt::Debug for EngineRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::groups::parse_groups;
 
     #[test]
     fn one_engine_per_sku_name() {
@@ -323,50 +263,6 @@ mod tests {
     }
 
     #[test]
-    fn eval_groups_matches_per_engine_eval_bitwise() {
-        use fs2_sim::InitScheme;
-        let reg = EngineRegistry::new();
-        let rome = Sku::amd_epyc_7502();
-        let haswell = Sku::intel_xeon_e5_2680_v3();
-        // Interleave SKUs to exercise the bucketing order mapping.
-        let requests = vec![
-            GroupEvalRequest {
-                sku: &rome,
-                spec: "REG:1",
-                init: InitScheme::V2Safe,
-                freqs_mhz: vec![1500.0, 2200.0],
-            },
-            GroupEvalRequest {
-                sku: &haswell,
-                spec: "REG:4,L1_L:2",
-                init: InitScheme::V2Safe,
-                freqs_mhz: vec![1200.0],
-            },
-            GroupEvalRequest {
-                sku: &rome,
-                spec: "REG:4,L1_L:2",
-                init: InitScheme::V2Safe,
-                freqs_mhz: vec![2500.0],
-            },
-        ];
-        let batches = reg.eval_groups(&requests).unwrap();
-        assert_eq!(batches.len(), requests.len());
-
-        let fresh = EngineRegistry::new();
-        for (req, batch) in requests.iter().zip(&batches) {
-            let engine = fresh.engine(req.sku);
-            let config = engine.config_for_spec(req.spec).unwrap();
-            assert_eq!(batch.points.len(), req.freqs_mhz.len());
-            for (&f, point) in req.freqs_mhz.iter().zip(&batch.points) {
-                let single = engine.eval(&config, f);
-                assert_eq!(point.power, single.power);
-                assert_eq!(point.applied_mhz.to_bits(), single.applied_mhz.to_bits());
-            }
-        }
-        assert_eq!(reg.stats().evals, 4, "one solve per (request, freq)");
-    }
-
-    #[test]
     fn cross_request_counters_open_on_the_second_request() {
         let reg = EngineRegistry::new();
         let sku = Sku::amd_epyc_7502();
@@ -409,25 +305,5 @@ mod tests {
         let s = b.stats();
         assert_eq!(s.payload_misses, 1);
         assert_eq!(s.payload_hits, 1);
-    }
-
-    #[test]
-    fn bad_spec_is_not_cached() {
-        let reg = EngineRegistry::new();
-        let sku = Sku::amd_epyc_7502();
-        let bad = [GroupEvalRequest {
-            sku: &sku,
-            spec: "L9_X:1",
-            init: InitScheme::V2Safe,
-            freqs_mhz: vec![1500.0],
-        }];
-        for _ in 0..2 {
-            let err = reg.eval_groups(&bad).unwrap_err();
-            assert_eq!(err, parse_groups("L9_X:1").unwrap_err());
-        }
-        let s = reg.stats();
-        assert_eq!(s.payload_misses, 0, "a bad spec must build nothing");
-        assert_eq!(s.payload_entries, 0);
-        assert_eq!(s.evals, 0);
     }
 }

@@ -253,8 +253,6 @@ pub struct RegistryWire {
     pub engines: usize,
     pub payload_hits: u64,
     pub payload_misses: u64,
-    pub decoded_hits: u64,
-    pub decoded_misses: u64,
     pub exec_hits: u64,
     pub exec_misses: u64,
     pub requests: u64,
@@ -270,8 +268,6 @@ impl RegistryWire {
             engines: s.engines,
             payload_hits: s.payload_hits,
             payload_misses: s.payload_misses,
-            decoded_hits: s.decoded_hits,
-            decoded_misses: s.decoded_misses,
             exec_hits: s.exec_hits,
             exec_misses: s.exec_misses,
             requests: s.requests,
@@ -295,8 +291,6 @@ impl RegistryWire {
             .set("engines", Json::of_usize(self.engines))
             .set("payload_hits", Json::of_u64(self.payload_hits))
             .set("payload_misses", Json::of_u64(self.payload_misses))
-            .set("decoded_hits", Json::of_u64(self.decoded_hits))
-            .set("decoded_misses", Json::of_u64(self.decoded_misses))
             .set("exec_hits", Json::of_u64(self.exec_hits))
             .set("exec_misses", Json::of_u64(self.exec_misses))
             .set("requests", Json::of_u64(self.requests))
@@ -315,8 +309,6 @@ impl RegistryWire {
             engines: v.get("engines").and_then(Json::as_usize).unwrap_or(0),
             payload_hits: u("payload_hits"),
             payload_misses: u("payload_misses"),
-            decoded_hits: u("decoded_hits"),
-            decoded_misses: u("decoded_misses"),
             exec_hits: u("exec_hits"),
             exec_misses: u("exec_misses"),
             requests: u("requests"),

@@ -689,9 +689,7 @@ fn print_fleet_reply(
         cdf.samples, reply.registry.engines, reply.registry.payload_misses, reply.power_points
     ));
     out.push_str(&format!(
-        "  exec caches: decoded-kernel {}/{} hits, ExecStats {}/{} hits\n",
-        reply.registry.decoded_hits,
-        reply.registry.decoded_hits + reply.registry.decoded_misses,
+        "  exec caches: ExecStats {}/{} hits\n",
         reply.registry.exec_hits,
         reply.registry.exec_hits + reply.registry.exec_misses,
     ));
@@ -1026,9 +1024,9 @@ fn run_measure(cfg: &CliConfig) -> Result<String, CliError> {
         external_w,
         ..RunConfig::default()
     };
-    // Session::run goes through the engine's payload / decoded-kernel /
-    // ExecStats cache tiers (not that a one-shot CLI run repeats much —
-    // but it keeps the CLI on the same path the experiments use).
+    // Session::run goes through the engine's payload and ExecStats
+    // cache tiers (not that a one-shot CLI run repeats much — but it
+    // keeps the CLI on the same path the experiments use).
     let r = engine.session().run(&workload, &run_cfg);
 
     let mut out = String::new();
@@ -1278,10 +1276,9 @@ mod tests {
     fn fleet_reports_exec_cache_counters() {
         let out = run(&args("--fleet --nodes 8 --samples-per-node 40")).unwrap();
         assert!(
-            out.contains("exec caches: decoded-kernel"),
+            out.contains("exec caches: ExecStats 0/"),
             "missing exec-cache counters: {out}"
         );
-        assert!(out.contains("ExecStats"));
     }
 
     #[test]

@@ -74,7 +74,7 @@ fn iid_fleet_reports_the_same_bytes_locally_and_served() {
     let (report, samples) =
         fleet_and_connect_agree("iid", &words("--nodes 16 --samples-per-node 120 --seed 7"));
     assert_eq!(samples, 16 * 120);
-    assert!(report.contains("decoded-kernel 0/"), "{report}");
+    assert!(report.contains("ExecStats 0/"), "{report}");
 }
 
 #[test]
