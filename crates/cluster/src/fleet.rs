@@ -838,10 +838,10 @@ impl FleetSim {
             .expect("shard_ranges tiles the node range")
     }
 
-    /// Builds the request-shared generation plan: the engine-evaluated
-    /// operating-point table (one engine call per `(SKU, class)`), the power-cap
-    /// remap and the flattened sampling lanes. This is the only phase
-    /// that touches the engine registry (plus the final merge, for its
+    /// Builds the request-shared generation plan: the operating-point
+    /// table (one engine call per `(SKU, class)`), the power-cap remap
+    /// and the flattened sampling lanes. This is the only phase that
+    /// touches the engine registry (plus the final merge, for its
     /// counters), so shard workers stay pure table readers. Also
     /// announces the request to the registry's cross-request counters.
     pub fn plan(&self, registry: &EngineRegistry) -> FleetPlan {
