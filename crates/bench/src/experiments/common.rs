@@ -92,26 +92,18 @@ pub fn optimize_rung(
         .filter(|groups| !groups.is_empty())
         .collect();
 
-    let evaluated = engine.sweep_hinted(
-        &candidates,
-        0,
-        // Known per-candidate cost: payload generation dominates a
-        // cache-miss evaluation and scales with the total access
-        // count, so dense grids queue ahead of the trivial ones.
-        |_, groups| groups.iter().map(|g| u64::from(g.count)).sum(),
-        |engine, _, groups| {
-            let mix = MixRegistry::default_for(engine.sku().uarch);
-            let unroll = default_unroll(engine.sku(), mix, groups);
-            engine.eval(
-                &PayloadConfig {
-                    mix,
-                    groups: groups.clone(),
-                    unroll,
-                },
-                freq_mhz,
-            )
-        },
-    );
+    let evaluated = engine.sweep(&candidates, 0, |engine, _, groups| {
+        let mix = MixRegistry::default_for(engine.sku().uarch);
+        let unroll = default_unroll(engine.sku(), mix, groups);
+        engine.eval(
+            &PayloadConfig {
+                mix,
+                groups: groups.clone(),
+                unroll,
+            },
+            freq_mhz,
+        )
+    });
 
     // Deterministic selection: strict improvement, first index wins ties
     // (identical to the previous serial loop).
@@ -175,11 +167,10 @@ mod tests {
     }
 
     #[test]
-    fn hinted_experiment_queue_matches_unhinted_bitwise() {
-        // Regression for the duration-hint wiring: the experiment
-        // worker shape (cached payload + traceless eval) must return
-        // identical results through the hinted queue, the unhinted
-        // queue and a serial pass.
+    fn experiment_sweep_parallel_matches_serial_bitwise() {
+        // The experiment worker shape (cached payload + traceless eval)
+        // must return identical results on a parallel and a serial
+        // pass.
         let engine = engine_for(Sku::amd_epyc_7502());
         let candidates: Vec<Vec<AccessGroup>> = [
             "REG:1",
@@ -205,13 +196,9 @@ mod tests {
             );
             (r.power.total_w().to_bits(), r.applied_mhz.to_bits())
         };
-        let hint =
-            |_: usize, groups: &Vec<AccessGroup>| groups.iter().map(|g| u64::from(g.count)).sum();
         let serial = engine.sweep(&candidates, 1, worker);
-        let unhinted = engine.sweep(&candidates, 4, worker);
-        let hinted = engine.sweep_hinted(&candidates, 4, hint, worker);
-        assert_eq!(hinted, unhinted, "hinted queue changed results");
-        assert_eq!(hinted, serial, "parallel queue diverged from serial");
+        let parallel = engine.sweep(&candidates, 4, worker);
+        assert_eq!(parallel, serial, "parallel queue diverged from serial");
     }
 
     #[test]

@@ -40,45 +40,19 @@ impl Matrix {
     }
 }
 
-/// The per-frequency tuning fan-out. `hinted` selects the hinted queue
-/// (the production path: each item's size hint is the tuning's known
-/// simulated duration); the unhinted variant exists so the regression
-/// test can assert both queues return identical results.
-pub(crate) fn tune_all(
-    engine: &fs2_core::engine::Engine,
-    quick: bool,
-    hinted: bool,
-) -> Vec<(f64, Vec<AccessGroup>, u32)> {
-    let tunings: Vec<(usize, f64)> = FREQS.iter().copied().enumerate().collect();
-    let worker = |engine: &fs2_core::engine::Engine, _: usize, &(i, freq): &(usize, f64)| {
-        let cfg = tune_config(quick, freq, 100 + i as u64);
-        let result = engine.session().tune(&cfg);
-        (freq, result.best_groups, result.unroll)
-    };
-    if hinted {
-        engine.sweep_hinted(
-            &tunings,
-            0,
-            |_, &(_, freq)| {
-                // Known per-item cost: the full tuning's simulated
-                // duration (preheat + evaluation budget × test time).
-                (tune_config(quick, freq, 0).expected_duration_s() * 1000.0) as u64
-            },
-            worker,
-        )
-    } else {
-        engine.sweep(&tunings, 0, worker)
-    }
-}
-
 pub fn cross_evaluate(quick: bool) -> Matrix {
     let engine = engine_for(Sku::amd_epyc_7502());
 
     // One optimization per frequency, fanned out in parallel (separate
     // sessions: fresh thermal state per training, like separate lab
-    // sessions). All three tunings share the engine's payload cache
-    // and queue by their known durations.
-    let workloads = tune_all(&engine, quick, true);
+    // sessions). Tuning builds its candidates outside the engine's
+    // caches, so the three tunings leave them empty.
+    let tunings: Vec<(usize, f64)> = FREQS.iter().copied().enumerate().collect();
+    let workloads = engine.sweep(&tunings, 0, |engine, _, &(i, freq)| {
+        let cfg = tune_config(quick, freq, 100 + i as u64);
+        let result = engine.session().tune(&cfg);
+        (freq, result.best_groups, result.unroll)
+    });
 
     // Evaluate all nine combinations with the paper's measurement window
     // (240 s, first 120 s and last 2 s discarded), in parallel — each
@@ -93,13 +67,9 @@ pub fn cross_evaluate(quick: bool) -> Matrix {
                 .map(move |&test_freq| (*opt_freq, groups.clone(), *unroll, test_freq))
         })
         .collect();
-    // Every cell costs the same known simulated span (240 s preheat +
-    // 240 s measurement); the constant duration hint keeps the queue
-    // order identical to the unhinted pass (stable sort on ties).
-    let cells = engine.sweep_hinted(
+    let cells = engine.sweep(
         &combos,
         0,
-        |_, _| 480_000,
         |engine, _, (opt_freq, groups, unroll, test_freq)| {
             let config = PayloadConfig {
                 mix,
@@ -245,16 +215,5 @@ mod tests {
             .fold(f64::NEG_INFINITY, f64::max);
         let own_1500 = matrix.cell(1500.0, 1500.0).power_w;
         assert!(own_1500 > best_1500 * 0.90, "own optimum far from best");
-    }
-
-    #[test]
-    fn hinted_tuning_fanout_matches_unhinted_queue() {
-        // Regression for the duration-hint wiring: the hinted queue
-        // only reorders execution, so the NSGA-II fan-out must return
-        // results identical to the unhinted queue.
-        let engine = engine_for(Sku::amd_epyc_7502());
-        let hinted = tune_all(&engine, true, true);
-        let unhinted = tune_all(&engine, true, false);
-        assert_eq!(hinted, unhinted);
     }
 }

@@ -58,20 +58,15 @@ pub fn run(quick: bool) -> Report {
     rep.csv_header(&["tool", "mean_w", "min_w", "max_w"]);
     let duration = if quick { 120.0 } else { 240.0 };
     // Each tool's behavioural model runs in its own preheated session,
-    // fanned out in parallel with its known simulated duration as the
-    // queue hint (preheat + measurement window).
+    // fanned out in parallel.
     let engine = engine_for(Sku::intel_xeon_e5_2680_v3());
-    let mut results: Vec<(String, f64, f64, f64)> = engine.sweep_hinted(
-        &Baseline::ALL,
-        0,
-        |_, _| ((240.0 + duration) * 1000.0) as u64,
-        |engine, _, b| {
+    let mut results: Vec<(String, f64, f64, f64)> =
+        engine.sweep(&Baseline::ALL, 0, |engine, _, b| {
             let mut session = engine.session();
             session.hold_power(240.0, 20.0, 250.0); // preheat
             let r = run_baseline(session.runner_mut(), *b, duration, 2000.0);
             (r.name.to_string(), r.mean_w, r.min_w, r.max_w)
-        },
-    );
+        });
     results.sort_by(|a, b| b.1.total_cmp(&a.1));
     for (name, mean, min, max) in &results {
         rep.line(format!(

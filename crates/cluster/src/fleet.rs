@@ -830,8 +830,7 @@ impl FleetSim {
         let plan = self.plan(registry);
         let threads = resolve_threads(self.config.threads);
         let ranges = shard_ranges(plan.total_nodes(), threads);
-        let order: Vec<usize> = (0..ranges.len()).collect();
-        let shards = fan_out(&ranges, &order, threads, |_, &(lo, hi)| {
+        let shards = fan_out(&ranges, threads, |_, &(lo, hi)| {
             self.run_shard(&plan, lo, hi)
         });
         self.try_merge_shards(registry, &plan, shards)

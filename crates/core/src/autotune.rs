@@ -9,8 +9,10 @@
 use crate::engine::Engine;
 use crate::groups::{all_valid_items, AccessGroup};
 use crate::mix::InstructionMix;
-use crate::payload::{default_unroll, PayloadConfig};
+use crate::payload::{build_payload, default_unroll, Payload, PayloadConfig};
 use crate::runner::{RunConfig, Runner};
+use fs2_power::ThrottleResult;
+use fs2_sim::{run_functional, DecodedKernel, FunctionalOutcome};
 use fs2_tuning::{EvaluatedIndividual, Nsga2, Nsga2Config, Nsga2Result, Problem};
 
 /// Tuning parameters (paper §IV-E: `--optimize=NSGA2 --individuals=40
@@ -31,8 +33,9 @@ pub struct TuneConfig {
     /// Upper bound for each access-group count gene.
     pub max_count: u32,
     /// Fast-simulator pre-screen: score each candidate with a traceless
-    /// cached evaluation first, and skip the full measured run for
-    /// candidates whose steady-state power falls clearly below the
+    /// steady-state solve first ([`Engine::eval_payload`], fed by the
+    /// candidate's one functional pass), and skip the full measured run
+    /// for candidates whose steady-state power falls clearly below the
     /// preheat workload's (the `REG:1` default is always in the search
     /// space, so such candidates can never be the selected optimum).
     /// Pruned candidates keep their traceless objectives, so NSGA-II
@@ -49,17 +52,6 @@ pub struct TuneConfig {
 /// the clear-loser tail, and the running best itself is never pruned
 /// (the measured and traceless orderings track each other).
 const PRESCREEN_MARGIN: f64 = 0.97;
-
-impl TuneConfig {
-    /// Simulated wall time one tuning session occupies: preheat plus
-    /// the exact NSGA-II evaluation budget at the per-candidate test
-    /// duration, seconds. This is the duration-based size hint sweep
-    /// drivers pass to `Engine::sweep_hinted` when fanning several
-    /// tuning runs out next to cheaper work.
-    pub fn expected_duration_s(&self) -> f64 {
-        self.preheat_s + self.nsga2.evaluation_budget() as f64 * self.test_duration_s
-    }
-}
 
 impl Default for TuneConfig {
     fn default() -> TuneConfig {
@@ -110,7 +102,8 @@ pub fn genes_to_groups(genes: &[u32]) -> Vec<AccessGroup> {
 }
 
 struct FirestarterProblem<'a> {
-    engine: &'a Engine,
+    /// The traceless solver behind the pre-screen; it holds no candidate.
+    engine: Engine,
     runner: &'a mut Runner,
     cfg: &'a TuneConfig,
     unroll: u32,
@@ -121,6 +114,29 @@ struct FirestarterProblem<'a> {
     prescreen_best_w: Option<f64>,
     prescreen_evals: u64,
     prescreen_pruned: u64,
+}
+
+impl FirestarterProblem<'_> {
+    /// `payload`'s one functional pass: the measured run's init scheme
+    /// and iteration count, at the runner's seed.
+    fn functional_pass(&self, payload: &Payload) -> FunctionalOutcome {
+        run_functional(
+            &DecodedKernel::new(&payload.kernel),
+            self.run_cfg.init,
+            self.runner.seed(),
+            self.run_cfg.functional_iters,
+        )
+    }
+
+    /// The pre-screen's traceless steady state of `payload` at the
+    /// tuning frequency, with the trivial fraction of its pass.
+    fn estimate(&self, payload: &Payload, functional: &FunctionalOutcome) -> ThrottleResult {
+        self.engine.eval_payload(
+            payload,
+            self.run_cfg.freq_mhz,
+            functional.stats.trivial_fraction(),
+        )
+    }
 }
 
 impl Problem for FirestarterProblem<'_> {
@@ -145,29 +161,29 @@ impl Problem for FirestarterProblem<'_> {
     }
 
     fn evaluate(&mut self, genes: &[u32]) -> Vec<f64> {
-        let groups = genes_to_groups(genes);
-        // Candidates go through every engine cache tier: a genome
-        // revisited across generations (or by a later tuning run sharing
-        // the engine) costs a payload lookup instead of a rebuild, and
-        // its functional pass is served from the ExecStats cache.
-        // Candidates still run back-to-back: the runner clock simply
-        // advances — no recompile, no idle gap (the Fig. 7 property).
-        let config = PayloadConfig {
-            mix: self.cfg.mix,
-            groups,
-            unroll: self.unroll,
-        };
-        // Fast-simulator pre-screen: the traceless evaluation reuses
-        // both shared cache tiers (payload, ExecStats), so scoring a
-        // candidate costs a steady-state solve instead of a full
-        // measured run. Candidates clearly below the preheat
-        // workload's power keep their traceless objectives — they are
-        // dominated by the always-present REG:1 baseline on the power
-        // axis, so the selected optimum is never a pruned individual.
+        // NSGA-II's genome memo answers every revisited genome before it
+        // gets here, so a candidate is used once: it is built once and
+        // runs one functional pass, which feeds both the pre-screen and
+        // the measured run. Candidates still run back-to-back: the
+        // runner clock simply advances — no recompile, no idle gap (the
+        // Fig. 7 property).
+        let payload = build_payload(
+            self.runner.sku(),
+            &PayloadConfig {
+                mix: self.cfg.mix,
+                groups: genes_to_groups(genes),
+                unroll: self.unroll,
+            },
+        );
+        let functional = self.functional_pass(&payload);
+        // Fast-simulator pre-screen: scoring a candidate costs a
+        // steady-state solve instead of a full measured run.
+        // Candidates clearly below the preheat workload's power keep
+        // their traceless objectives — they are dominated by the
+        // always-present REG:1 baseline on the power axis, so the
+        // selected optimum is never a pruned individual.
         if let Some(best_w) = self.prescreen_best_w {
-            let est = self
-                .engine
-                .eval_init(&config, self.run_cfg.freq_mhz, self.run_cfg.init);
+            let est = self.estimate(&payload, &functional);
             let est_w = est.power.total_w();
             self.prescreen_evals += 1;
             self.prescreen_best_w = Some(best_w.max(est_w));
@@ -176,7 +192,9 @@ impl Problem for FirestarterProblem<'_> {
                 return vec![est_w, est.node.core.ipc];
             }
         }
-        let result = self.engine.run_on(self.runner, &config, &self.run_cfg);
+        let result = self
+            .runner
+            .run_with_functional(&payload.kernel, &functional, &self.run_cfg);
         vec![result.power.mean, result.ipc]
     }
 }
@@ -185,21 +203,16 @@ impl Problem for FirestarterProblem<'_> {
 pub struct AutoTuner;
 
 impl AutoTuner {
-    /// Runs preheat + NSGA-II and returns the selected optimum. The
-    /// runner keeps the full power trace of the session.
+    /// Runs preheat + NSGA-II on `runner` and returns the selected
+    /// optimum. The runner keeps the full power trace of the session.
     ///
-    /// Convenience wrapper over [`AutoTuner::run_with_engine`] with a
-    /// private engine; prefer [`crate::engine::Session::tune`] (or an
-    /// explicit shared engine) so candidate payloads are cached across
-    /// tuning runs.
+    /// Every candidate is built once with [`build_payload`] and runs one
+    /// functional pass at the runner's seed. That pass feeds both the
+    /// pre-screen solve ([`Engine::eval_payload`]) and the measured run
+    /// ([`Runner::run_with_functional`]). The preheat and the pre-screen
+    /// bar take the same path, so no engine cache tier is read or
+    /// filled: NSGA-II's genome memo already answers every revisit.
     pub fn run(runner: &mut Runner, cfg: &TuneConfig) -> TuneResult {
-        let engine = Engine::new(runner.sku().clone());
-        AutoTuner::run_with_engine(&engine, runner, cfg)
-    }
-
-    /// Runs preheat + NSGA-II on `runner`, drawing every candidate
-    /// payload from `engine`'s cache.
-    pub fn run_with_engine(engine: &Engine, runner: &mut Runner, cfg: &TuneConfig) -> TuneResult {
         let freq = if cfg.freq_mhz > 0.0 {
             cfg.freq_mhz
         } else {
@@ -211,11 +224,14 @@ impl AutoTuner {
             .unwrap_or_else(|| default_unroll(runner.sku(), cfg.mix, &reg_only));
 
         // Preheat with the default workload to cancel thermal effects.
-        let preheat_config = PayloadConfig {
-            mix: cfg.mix,
-            groups: reg_only,
-            unroll,
-        };
+        let preheat = build_payload(
+            runner.sku(),
+            &PayloadConfig {
+                mix: cfg.mix,
+                groups: reg_only,
+                unroll,
+            },
+        );
         if cfg.preheat_s > 0.0 {
             let preheat_cfg = RunConfig {
                 freq_mhz: freq,
@@ -225,16 +241,8 @@ impl AutoTuner {
                 functional_iters: 200,
                 ..RunConfig::default()
             };
-            let _ = engine.run_on(runner, &preheat_config, &preheat_cfg);
+            let _ = runner.run(&preheat, &preheat_cfg);
         }
-
-        // The pre-screen bar is seeded off the preheat workload: its
-        // payload and functional pass are already cached from the
-        // preheat run, so the seed is one cached traceless solve. From
-        // there the bar tracks the best candidate estimate seen so far.
-        let prescreen_best_w = cfg
-            .prescreen
-            .then(|| engine.eval(&preheat_config, freq).power.total_w());
 
         // Short per-candidate windows: with -t 10 the paper-equivalent
         // deltas shrink to keep a usable window.
@@ -245,20 +253,28 @@ impl AutoTuner {
             stop_delta_s: (cfg.test_duration_s * 0.1).min(2.0),
             // Triviality shows within a handful of iterations; keep the
             // per-candidate functional pass cheap for the tuning loop.
-            functional_iters: 64,
+            functional_iters: Engine::EVAL_FUNCTIONAL_ITERS,
             ..RunConfig::default()
         };
 
         let mut problem = FirestarterProblem {
-            engine,
+            engine: Engine::new(runner.sku().clone()),
             runner,
             cfg,
             unroll,
             run_cfg,
-            prescreen_best_w,
+            prescreen_best_w: None,
             prescreen_evals: 0,
             prescreen_pruned: 0,
         };
+        // The pre-screen bar is seeded off the preheat workload, scored
+        // as a candidate is. From there it tracks the best candidate
+        // estimate seen so far.
+        if cfg.prescreen {
+            let functional = problem.functional_pass(&preheat);
+            problem.prescreen_best_w =
+                Some(problem.estimate(&preheat, &functional).power.total_w());
+        }
         let nsga2 = Nsga2::new(cfg.nsga2.clone()).run(&mut problem);
         let best = nsga2
             .best_by(0)
@@ -385,13 +401,12 @@ mod tests {
 
     #[test]
     fn prescreen_prunes_and_still_finds_a_memory_optimum() {
-        let engine = Engine::new(Sku::amd_epyc_7502());
         let mut runner = Runner::new(Sku::amd_epyc_7502());
         let cfg = TuneConfig {
             prescreen: true,
             ..small_cfg(1500.0, 11)
         };
-        let result = AutoTuner::run_with_engine(&engine, &mut runner, &cfg);
+        let result = AutoTuner::run(&mut runner, &cfg);
         assert_eq!(
             result.prescreen_evals as usize,
             result.nsga2.history.len() - result.nsga2.cache_hits as usize,
@@ -415,9 +430,8 @@ mod tests {
 
     #[test]
     fn prescreen_off_counts_nothing() {
-        let engine = Engine::new(Sku::amd_epyc_7502());
         let mut runner = Runner::new(Sku::amd_epyc_7502());
-        let result = AutoTuner::run_with_engine(&engine, &mut runner, &small_cfg(1500.0, 11));
+        let result = AutoTuner::run(&mut runner, &small_cfg(1500.0, 11));
         assert_eq!(result.prescreen_evals, 0);
         assert_eq!(result.prescreen_pruned, 0);
     }
@@ -429,7 +443,6 @@ mod tests {
         let _ = AutoTuner::run(&mut runner, &cfg);
         // 60 s preheat + 40 evaluations × 10 s = 460 s.
         let expected = cfg.preheat_s + 40.0 * cfg.test_duration_s;
-        assert_eq!(cfg.expected_duration_s(), expected);
         let now = runner.clock().now_secs();
         // Cache hits skip runs, so the clock may be short of the bound.
         assert!(now <= expected + 1e-6, "clock {now} > {expected}");

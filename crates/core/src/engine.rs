@@ -12,7 +12,11 @@
 //!   generation — and an ExecStats cache memoizing each payload's
 //!   functional pass, which decodes the kernel inside the pass on a miss;
 //! * **[`Session`]s**, each owning a [`Runner`] on its own simulated
-//!   clock, for trace-producing measurement runs;
+//!   clock, for trace-producing measurement runs. [`Session::tune`] is
+//!   the one session path that stays off the tiers: NSGA-II's genome
+//!   memo already answers every revisited candidate, so the tuner
+//!   builds each candidate once and runs its one functional pass
+//!   directly, and caching them would only grow the tiers;
 //! * **traceless evaluation** ([`Engine::eval`]) for parameter sweeps
 //!   that only need the EDC-aware steady state;
 //! * **parallel sweeps** ([`Engine::sweep`]), a thin wrapper over the
@@ -320,23 +324,6 @@ impl Engine {
         (payload, outcome)
     }
 
-    /// Runs `config`'s payload on `runner` through both cache tiers:
-    /// the cached payload, then the ExecStats cache, which skips the
-    /// functional pass (and its decode) entirely on a hit. An armed
-    /// fault is served from the cache too: the runner flips it into a
-    /// copy of the cached registers ([`Runner::run_with_functional`]).
-    /// Results are bit-identical to [`Runner::run_kernel`] in every case.
-    pub fn run_on(
-        &self,
-        runner: &mut Runner,
-        config: &PayloadConfig,
-        cfg: &RunConfig,
-    ) -> RunResult {
-        let (payload, outcome) =
-            self.payload_and_outcome(config, cfg.init, runner.seed(), cfg.functional_iters);
-        runner.run_with_functional(&payload.kernel, &outcome, cfg)
-    }
-
     /// Payload config for a group string with the architecture-default
     /// mix and unroll factor (the common experiment shape).
     pub fn config_for_spec(&self, spec: &str) -> Result<PayloadConfig, GroupParseError> {
@@ -363,8 +350,9 @@ impl Engine {
     }
 
     /// Functional iteration count backing [`Engine::eval`]'s cached
-    /// trivial fraction. Matches the autotuner's fast-feedback pass, so
-    /// tuning and traceless evaluation share ExecStats cache entries.
+    /// trivial fraction. The autotuner's per-candidate pass runs the
+    /// same count, so its pre-screen scores a candidate as
+    /// [`Engine::eval`] would at the same seed.
     pub const EVAL_FUNCTIONAL_ITERS: u64 = 64;
 
     /// Direct (traceless) evaluation: EDC-aware steady state + power.
@@ -472,37 +460,7 @@ impl Engine {
         R: Send,
         F: Fn(&Engine, usize, &T) -> R + Sync,
     {
-        let order: Vec<usize> = (0..items.len()).collect();
-        fan_out(items, &order, threads, |i, item| worker(self, i, item))
-    }
-
-    /// [`Engine::sweep`] with a per-item size hint (arbitrary cost
-    /// units, larger = longer). The work queue serves items in
-    /// descending hint order — longest-processing-time-first packing —
-    /// so a long NSGA-II tuning next to 10 s measurement runs no longer
-    /// strands the other workers behind it at the tail of the queue.
-    /// Results still land in input order, and because hints only
-    /// reorder *execution*, the result vector stays bitwise-identical
-    /// to [`Engine::sweep`] and to a serial pass.
-    pub fn sweep_hinted<T, R, F, H>(
-        &self,
-        items: &[T],
-        threads: usize,
-        size_hint: H,
-        worker: F,
-    ) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&Engine, usize, &T) -> R + Sync,
-        H: Fn(usize, &T) -> u64,
-    {
-        let mut order: Vec<usize> = (0..items.len()).collect();
-        // Stable sort: ties keep input order, so equal-cost sweeps
-        // behave exactly like the unhinted queue. Cached key: the
-        // caller's hint closure runs exactly once per item.
-        order.sort_by_cached_key(|&i| std::cmp::Reverse(size_hint(i, &items[i])));
-        fan_out(items, &order, threads, |i, item| worker(self, i, item))
+        fan_out(items, threads, |i, item| worker(self, i, item))
     }
 }
 
@@ -536,10 +494,21 @@ impl<'e> Session<'e> {
     }
 
     /// Runs the cached payload for `config` under `run_cfg`, advancing
-    /// the session clock. Goes through both engine cache tiers
-    /// (payload → ExecStats); see [`Engine::run_on`].
+    /// the session clock. Goes through both engine cache tiers: the
+    /// cached payload, then the ExecStats cache, which skips the
+    /// functional pass (and its decode) entirely on a hit. An armed
+    /// fault is served from the cache too: the runner flips it into a
+    /// copy of the cached registers ([`Runner::run_with_functional`]).
+    /// Results are bit-identical to [`Runner::run_kernel`] in every case.
     pub fn run(&mut self, config: &PayloadConfig, run_cfg: &RunConfig) -> RunResult {
-        self.engine.run_on(&mut self.runner, config, run_cfg)
+        let (payload, outcome) = self.engine.payload_and_outcome(
+            config,
+            run_cfg.init,
+            self.runner.seed(),
+            run_cfg.functional_iters,
+        );
+        self.runner
+            .run_with_functional(&payload.kernel, &outcome, run_cfg)
     }
 
     /// Runs the cached payload for a group string (default mix/unroll).
@@ -563,10 +532,13 @@ impl<'e> Session<'e> {
         self.runner.run_kernel(kernel, run_cfg)
     }
 
-    /// Runs the §III-C self-tuning loop inside this session; candidate
-    /// payloads come from the engine cache.
+    /// Runs the §III-C self-tuning loop on this session's runner
+    /// ([`crate::autotune::AutoTuner::run`]). The loop stays off the
+    /// engine's cache tiers: every candidate is built and executed once,
+    /// and NSGA-II's own genome memo answers revisits, so a tune leaves
+    /// [`Engine::cache_stats`] untouched.
     pub fn tune(&mut self, cfg: &crate::autotune::TuneConfig) -> crate::autotune::TuneResult {
-        crate::autotune::AutoTuner::run_with_engine(self.engine, &mut self.runner, cfg)
+        crate::autotune::AutoTuner::run(&mut self.runner, cfg)
     }
 
     /// Records idle time on the session trace.
@@ -937,8 +909,6 @@ mod tests {
         let items: [u32; 0] = [];
         let out = e.sweep(&items, 4, |_, _, &x| x * 2);
         assert!(out.is_empty());
-        let out = e.sweep_hinted(&items, 4, |_, _| 1, |_, _, &x| x * 2);
-        assert!(out.is_empty());
     }
 
     #[test]
@@ -957,23 +927,6 @@ mod tests {
         let items = [7u64];
         let out = e.sweep(&items, 0, |_, i, &x| x + i as u64);
         assert_eq!(out, vec![7]);
-    }
-
-    #[test]
-    fn sweep_hinted_matches_unhinted_bitwise() {
-        let e = engine();
-        let items: Vec<usize> = (0..40).collect();
-        // Long-tailed costs: item 0 is the most expensive, descending.
-        let worker = |e: &Engine, i: usize, item: &usize| {
-            let cfg = e.config_for_spec("REG:2,L1_LS:1").unwrap();
-            let r = e.eval(&cfg, 1500.0);
-            (i, *item, r.power.total_w().to_bits())
-        };
-        let plain = e.sweep(&items, 4, worker);
-        let hinted = e.sweep_hinted(&items, 4, |i, _| (items.len() - i) as u64, worker);
-        let serial = e.sweep(&items, 1, worker);
-        assert_eq!(plain, hinted);
-        assert_eq!(hinted, serial);
     }
 
     #[test]

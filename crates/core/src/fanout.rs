@@ -16,8 +16,7 @@ pub fn resolve_threads(requested: usize) -> usize {
 
 /// Maps `worker` over `items` on up to `threads` threads (0 = one per
 /// host core, see [`resolve_threads`]) and returns the results in input
-/// order. Threads claim items from a shared queue in `order`, a
-/// permutation of the item indices that sets only the execution order.
+/// order. Threads claim items from a shared queue in input order.
 ///
 /// The calling thread works the queue too, so an N-way fan-out spawns
 /// N − 1 threads; with one thread or one item the map runs serially on
@@ -27,13 +26,12 @@ pub fn resolve_threads(requested: usize) -> usize {
 /// thread has stopped. Item evaluations must be independent; under
 /// that contract the result is bitwise-identical to a serial
 /// `items.iter().enumerate().map(...)` pass at any thread count.
-pub fn fan_out<T, R, F>(items: &[T], order: &[usize], threads: usize, worker: F) -> Vec<R>
+pub fn fan_out<T, R, F>(items: &[T], threads: usize, worker: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    debug_assert_eq!(order.len(), items.len());
     let threads = resolve_threads(threads).min(items.len());
     if threads <= 1 {
         return items
@@ -45,11 +43,11 @@ where
 
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
-    let work = || {
-        while let Some(&i) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
-            let r = worker(i, &items[i]);
-            *slots[i].lock().expect("fan-out slot poisoned") = Some(r);
-        }
+    let work = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        let Some(item) = items.get(i) else { break };
+        let r = worker(i, item);
+        *slots[i].lock().expect("fan-out slot poisoned") = Some(r);
     };
     std::thread::scope(|scope| {
         let spawned: Vec<_> = (1..threads)
@@ -84,7 +82,7 @@ mod tests {
         // a two-way fan-out spawns a single thread.
         let barrier = Barrier::new(2);
         let caller = std::thread::current().id();
-        let ran_on = fan_out(&[(), ()], &[0, 1], 2, |_, _| {
+        let ran_on = fan_out(&[(), ()], 2, |_, _| {
             barrier.wait();
             std::thread::current().id()
         });

@@ -21,8 +21,9 @@
 //! * [`engine`] — the reusable payload-to-power pipeline: a per-SKU
 //!   [`Engine`] memoizes payload builds keyed by `(I, u, M)`, hands out
 //!   measurement [`Session`]s, evaluates traceless sweeps, and fans
-//!   work queues out over threads ([`Engine::sweep`]). The CLI, the
-//!   fig/table experiments and the NSGA-II loop all route through it.
+//!   work queues out over threads ([`Engine::sweep`]). The CLI and the
+//!   fig/table experiments route through it; the NSGA-II loop builds
+//!   its single-use candidates outside the caches.
 //! * [`fan_out`] — the one scoped fan-out: an input-ordered parallel map
 //!   over a claim-by-index queue, behind [`Engine::sweep`] and the
 //!   cluster fleet's shard pass ([`resolve_threads`] maps `0` threads

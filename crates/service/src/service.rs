@@ -216,8 +216,7 @@ impl FleetService {
             }
             Ok(sim.run_shard(&plan, lo, hi))
         };
-        let order: Vec<usize> = (0..ranges.len()).collect();
-        let outcomes = fan_out(&ranges, &order, self.workers, |k, &(lo, hi)| {
+        let outcomes = fan_out(&ranges, self.workers, |k, &(lo, hi)| {
             // A panic settles as a typed error in its own slot instead
             // of unwinding into the caller's connection thread.
             catch_unwind(AssertUnwindSafe(|| shard_task(k, lo, hi))).map_err(|payload| {

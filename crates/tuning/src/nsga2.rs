@@ -28,17 +28,6 @@ pub struct Nsga2Config {
     pub seed: u64,
 }
 
-impl Nsga2Config {
-    /// Total number of evaluations a run performs (the initial
-    /// population plus one population per offspring generation) —
-    /// duplicate-cache hits included, so this is exact, not an
-    /// estimate. Sweep drivers use it as a per-item size hint when
-    /// fanning whole tuning runs out over worker threads.
-    pub fn evaluation_budget(&self) -> u64 {
-        self.individuals as u64 * (u64::from(self.generations) + 1)
-    }
-}
-
 impl Default for Nsga2Config {
     fn default() -> Nsga2Config {
         Nsga2Config {
@@ -343,8 +332,6 @@ mod tests {
             result.history.len(),
             cfg.individuals * (cfg.generations as usize + 1)
         );
-        // The published budget is exact — sweep hints rely on it.
-        assert_eq!(result.history.len() as u64, cfg.evaluation_budget());
         assert_eq!(result.history[0].generation, 0);
         assert_eq!(result.history.last().unwrap().generation, cfg.generations);
         // Eval indices are sequential.
