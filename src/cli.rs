@@ -270,9 +270,9 @@ OPTIMIZATION (§III-C)
   --generations N                 generations (default 20)
   --nsga2-m P                     mutation probability (default 0.35)
   --preheat SECONDS               preheat duration (default 240)
-  --prescreen                     score candidates with cached traceless
-                                  evaluations first and skip the full
-                                  measured run for clear losers
+  --prescreen                     score candidates with a traceless
+                                  steady-state solve first and skip the
+                                  full measured run for clear losers
   --optimization-metric A,B       objective metrics
   --seed N                        RNG seed
 
@@ -456,6 +456,25 @@ pub fn parse_args(argv: &[String]) -> Result<CliConfig, CliError> {
     }
     if cfg.functional_iters == Some(0) {
         return Err(err("--functional-iters must be at least 1"));
+    }
+    // A negative or NaN duration trips the runner's recording assert,
+    // and an infinite one never returns while the power trace grows.
+    if !cfg.timeout_s.is_finite() || cfg.timeout_s < 0.0 {
+        return Err(err(
+            "-t/--timeout must be a finite number of seconds, at least 0",
+        ));
+    }
+    if !cfg.preheat_s.is_finite() || cfg.preheat_s < 0.0 {
+        return Err(err(
+            "--preheat must be a finite number of seconds, at least 0",
+        ));
+    }
+    // NSGA-II asserts both; --calibrate's search shares --individuals.
+    if cfg.individuals < 2 {
+        return Err(err("--individuals must be at least 2"));
+    }
+    if !(0.0..=1.0).contains(&cfg.nsga2_m) {
+        return Err(err("--nsga2-m must be a probability in [0, 1]"));
     }
     if cfg.nodes == 0 {
         return Err(err("--nodes must be at least 1"));
@@ -1636,6 +1655,21 @@ mod tests {
         assert!(run(&args("--fleet --budget-w -5")).is_err());
         assert!(run(&args("--fleet --budget-w watts")).is_err());
         assert!(run(&args("--fleet --budget-w 1000 --budget-policy bogus")).is_err());
+        // Tuning inputs that would trip an assert or never return are
+        // typed errors before any run.
+        assert!(run(&args("--optimize=NSGA2 --individuals 0")).is_err());
+        assert!(run(&args("--optimize=NSGA2 --individuals 1")).is_err());
+        assert!(run(&args("--optimize=NSGA2 --nsga2-m 1.5")).is_err());
+        assert!(run(&args("--optimize=NSGA2 --nsga2-m -0.1")).is_err());
+        assert!(run(&args("--optimize=NSGA2 --nsga2-m NaN")).is_err());
+        assert!(run(&args("-t -1")).is_err());
+        assert!(run(&args("--timeout NaN")).is_err());
+        assert!(run(&args("--optimize=NSGA2 -t -1")).is_err());
+        assert!(run(&args("-t inf")).is_err());
+        assert!(run(&args("--optimize=NSGA2 -t inf")).is_err());
+        assert!(run(&args("--optimize=NSGA2 --preheat inf")).is_err());
+        assert!(run(&args("--optimize=NSGA2 --preheat -5")).is_err());
+        assert!(run(&args("--optimize=NSGA2 --preheat NaN")).is_err());
     }
 
     #[test]
