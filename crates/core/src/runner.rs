@@ -225,7 +225,8 @@ impl Runner {
     }
 
     /// Runs a kernel whose functional pass is already computed (live by
-    /// [`Runner::run_kernel`], or from the engine's ExecStats cache).
+    /// [`Runner::run_kernel`] or by the autotuner's per-candidate pass,
+    /// or from the engine's ExecStats cache).
     ///
     /// `functional` must describe a pass of this kernel under
     /// `(cfg.init, self.seed(), cfg.functional_iters)`; with that
