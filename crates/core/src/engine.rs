@@ -12,11 +12,11 @@
 //!   generation — and an ExecStats cache memoizing each payload's
 //!   functional pass, which decodes the kernel inside the pass on a miss;
 //! * **[`Session`]s**, each owning a [`Runner`] on its own simulated
-//!   clock, for trace-producing measurement runs. [`Session::tune`] is
-//!   the one session path that stays off the tiers: NSGA-II's genome
-//!   memo already answers every revisited candidate, so the tuner
-//!   builds each candidate once and runs its one functional pass
-//!   directly, and caching them would only grow the tiers;
+//!   clock, for trace-producing measurement runs. [`Session::tune`]
+//!   stays off the tiers: NSGA-II's genome memo already answers every
+//!   revisited candidate, so the tuner builds each candidate once and
+//!   runs its one functional pass directly, and caching them would
+//!   only grow the tiers;
 //! * **traceless evaluation** ([`Engine::eval`]) for parameter sweeps
 //!   that only need the EDC-aware steady state;
 //! * **parallel sweeps** ([`Engine::sweep`]), a thin wrapper over the
