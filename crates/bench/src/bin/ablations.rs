@@ -50,7 +50,7 @@ fn nsga2_vs_random(sku: &Sku) {
     };
     let tuned = engine.session().tune(&cfg);
 
-    // Random search: same budget, same gene space, same engine cache.
+    // Random search: same budget, same gene space, same engine.
     let mut rng = StdRng::seed_from_u64(1);
     let items = fs2_core::groups::all_valid_items().len();
     let mut session = engine.session();
