@@ -268,14 +268,20 @@ impl PowerCdf {
     /// Cumulative fraction at or below `power_w`. Queries below the
     /// first bin's lower edge are outside the observed range and have
     /// zero cumulative mass, as does any query on an empty CDF.
+    ///
+    /// The lookup is a binary search: bin edges never decrease, so the
+    /// bins whose edge is not `>= power_w` form a prefix, and the first
+    /// bin after it holds the answer. A query above the last edge (or a
+    /// NaN query, which no edge is `>=`) reads 1.0.
     pub fn fraction_at(&self, power_w: f64) -> f64 {
         if self.samples == 0 || power_w < self.min_w {
             return 0.0;
         }
-        match self.bins.iter().find(|(edge, _)| *edge >= power_w) {
-            Some((_, frac)) => *frac,
-            None => 1.0,
-        }
+        // `!(edge >= x)` rather than `edge < x`, so that NaN falls past
+        // every bin.
+        #[allow(clippy::neg_cmp_op_on_partial_ord)]
+        let bin = self.bins.partition_point(|&(edge, _)| !(edge >= power_w));
+        self.bins.get(bin).map_or(1.0, |&(_, frac)| frac)
     }
 
     /// Power at quantile `q`: the lower edge of the first bin whose
@@ -1334,20 +1340,6 @@ fn aggregate_episode_stats<'a>(
     episodes: &[u64],
     per_node_samples: impl IntoIterator<Item = &'a [f64]>,
 ) -> EpisodeStats {
-    // Pooled lag-1 autocorrelation: per-node centering, fleet-wide
-    // numerator/denominator (constant-power nodes contribute nothing).
-    let mut num = 0.0f64;
-    let mut den = 0.0f64;
-    for s in per_node_samples {
-        if s.len() >= 2 {
-            let mean = s.iter().sum::<f64>() / s.len() as f64;
-            den += s.iter().map(|&x| (x - mean) * (x - mean)).sum::<f64>();
-            num += s
-                .windows(2)
-                .map(|w| (w[0] - mean) * (w[1] - mean))
-                .sum::<f64>();
-        }
-    }
     let total: u64 = ticks.iter().sum();
     let empirical_shares = ticks
         .iter()
@@ -1369,10 +1361,35 @@ fn aggregate_episode_stats<'a>(
         empirical_shares,
         model_shares: model.stationary_time_shares().to_vec(),
         mean_dwell_ticks,
-        // Zero pooled variance (constant streams, streams shorter than
-        // two samples, or no nodes) is defined as 0.0 — see the
-        // `EpisodeStats::lag1_autocorr` contract.
-        lag1_autocorr: if den > 0.0 { num / den } else { 0.0 },
+        lag1_autocorr: pooled_lag1_autocorr(per_node_samples),
+    }
+}
+
+/// Pooled lag-1 autocorrelation of per-node power streams: each stream
+/// is centred on its own mean, and the lag-1 products and squared
+/// deviations of all streams are summed before the one division.
+/// Streams shorter than two samples contribute nothing. Zero pooled
+/// variance (constant streams, no stream of two samples, no streams)
+/// reads 0.0, never `NaN`: the [`EpisodeStats::lag1_autocorr`]
+/// contract. Fleet runs and calibration traces both measure with this
+/// function.
+pub fn pooled_lag1_autocorr<'a>(per_node: impl IntoIterator<Item = &'a [f64]>) -> f64 {
+    let mut num = 0.0f64;
+    let mut den = 0.0f64;
+    for s in per_node {
+        if s.len() >= 2 {
+            let mean = s.iter().sum::<f64>() / s.len() as f64;
+            den += s.iter().map(|&x| (x - mean) * (x - mean)).sum::<f64>();
+            num += s
+                .windows(2)
+                .map(|w| (w[0] - mean) * (w[1] - mean))
+                .sum::<f64>();
+        }
+    }
+    if den > 0.0 {
+        num / den
+    } else {
+        0.0
     }
 }
 
@@ -1992,6 +2009,68 @@ mod tests {
         assert_eq!(cdf.fraction_at(-5.0), 0.0);
         // At or above the minimum, mass appears.
         assert!(cdf.fraction_at(100.0) > 0.3);
+    }
+
+    /// `fraction_at` as the linear scan over the bins it was before the
+    /// binary search: the oracle the search must match bit for bit.
+    fn fraction_at_linear(cdf: &PowerCdf, power_w: f64) -> f64 {
+        if cdf.samples == 0 || power_w < cdf.min_w {
+            return 0.0;
+        }
+        match cdf.bins.iter().find(|(edge, _)| *edge >= power_w) {
+            Some((_, frac)) => *frac,
+            None => 1.0,
+        }
+    }
+
+    #[test]
+    fn fraction_at_binary_search_matches_the_linear_scan() {
+        // A fleet-wide spread over ~3200 bins, one sample, repeats on
+        // one edge, no samples, and edges that collide because the bin
+        // width is far below the float spacing near `min_w`.
+        let spread: Vec<f64> = (0..4000u32)
+            .map(|i| 80.0 + f64::from(i * 7919 % 3203) * 0.1 + f64::from(i % 7) * 0.013)
+            .collect();
+        let colliding: Vec<f64> = (0..40u32).map(|i| 1e9 + f64::from(i) * 1e-7).collect();
+        let cases: [(&[f64], f64); 5] = [
+            (&spread, 0.1),
+            (&[250.0], 0.1),
+            (&[100.0, 100.1, 100.1, 100.2], 0.1),
+            (&[], 0.1),
+            (&colliding, 1e-9),
+        ];
+        for (samples, width) in cases {
+            let cdf = PowerCdf::from_samples(samples, width);
+            let mut probes = vec![
+                f64::NEG_INFINITY,
+                -1.0,
+                cdf.min_w - width,
+                cdf.min_w,
+                cdf.max_w,
+                f64::INFINITY,
+                f64::NAN,
+            ];
+            if let Some(&(last, _)) = cdf.bins.last() {
+                probes.extend([last + width, last * 2.0]);
+            }
+            for &(edge, _) in &cdf.bins {
+                probes.extend([edge - width / 2.0, edge, edge + width / 2.0]);
+            }
+            for x in probes {
+                assert_eq!(
+                    cdf.fraction_at(x).to_bits(),
+                    fraction_at_linear(&cdf, x).to_bits(),
+                    "x {x}, bin width {width}, {} samples",
+                    samples.len()
+                );
+            }
+        }
+        // NaN falls past every bin, as the scan had it.
+        let cdf = PowerCdf::from_samples(&spread, 0.1);
+        assert_eq!(cdf.fraction_at(f64::NAN), 1.0);
+        // The colliding case does hold equal neighbouring edges.
+        let cdf = PowerCdf::from_samples(&colliding, 1e-9);
+        assert!(cdf.bins.windows(2).any(|w| w[0].0 == w[1].0));
     }
 
     #[test]

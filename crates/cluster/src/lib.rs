@@ -45,7 +45,8 @@ pub mod jobs;
 pub use budget::{Arbitration, BudgetPolicy, NodeStream};
 pub use episodes::{EpisodeModel, EpisodeWalk, Tick};
 pub use fleet::{
-    shard_ranges, BudgetStats, ClassPower, EpisodeStats, FleetConfig, FleetPlan, FleetRun,
-    FleetShard, FleetSim, FleetSizeError, NodeGroup, PowerCdf, ShardTilingError, TemporalMode,
+    pooled_lag1_autocorr, shard_ranges, BudgetStats, ClassPower, EpisodeStats, FleetConfig,
+    FleetPlan, FleetRun, FleetShard, FleetSim, FleetSizeError, NodeGroup, PowerCdf,
+    ShardTilingError, TemporalMode,
 };
 pub use jobs::{JobClass, JobMix};
