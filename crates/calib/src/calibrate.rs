@@ -686,22 +686,28 @@ mod tests {
     #[test]
     fn unknown_state_and_floor_only_are_typed_errors() {
         use crate::trace::NodeTrace;
-        let t = Trace::new(vec![NodeTrace {
-            node: 0,
-            power_w: vec![1.0, 2.0],
-            states: vec!["warp".into(), "warp".into()],
-        }]);
+        let t = Trace::new(
+            vec![NodeTrace {
+                node: 0,
+                power_w: vec![1.0, 2.0],
+                states: vec![0, 0],
+            }],
+            &["warp"],
+        );
         assert_eq!(
             calibrate(&t, &CalibConfig::default()).unwrap_err(),
             CalibError::UnknownState {
                 name: "warp".into()
             }
         );
-        let t = Trace::new(vec![NodeTrace {
-            node: 0,
-            power_w: vec![1.0, 2.0],
-            states: vec!["floor".into(), "floor".into()],
-        }]);
+        let t = Trace::new(
+            vec![NodeTrace {
+                node: 0,
+                power_w: vec![1.0, 2.0],
+                states: vec![0, 0],
+            }],
+            &["floor"],
+        );
         assert_eq!(
             calibrate(&t, &CalibConfig::default()).unwrap_err(),
             CalibError::NoJobStates

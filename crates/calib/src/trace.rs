@@ -15,14 +15,20 @@
 //! Rows must be grouped by node with ticks consecutive from 0; the
 //! `state` column is optional but all-or-nothing. Parsing returns
 //! typed [`TraceError`]s — empty input, a single-tick node, missing
-//! or short columns, non-finite or negative power — never a panic.
+//! or short columns, non-finite or negative power, more distinct
+//! states than a `u16` numbers — never a panic.
+//!
+//! A labeled trace holds each state name once, in a table listing the
+//! states in order of first appearance (node order, then tick order);
+//! every tick carries a `u16` index into it.
 //! A *constant-power* trace is valid: its pooled lag-1
 //! autocorrelation is defined as 0.0 (the same zero-variance contract
 //! as `EpisodeStats::lag1_autocorr`), not `NaN`.
 
 use fs2_cluster::episodes::EpisodeWalk;
-use fs2_cluster::fleet::{FleetConfig, PowerCdf};
+use fs2_cluster::fleet::{pooled_lag1_autocorr, FleetConfig, PowerCdf};
 use fs2_metrics::{CsvError, CsvReader, CsvWriter};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// A typed trace-ingestion failure.
@@ -45,6 +51,9 @@ pub enum TraceError {
     SplitNode { node: u32 },
     /// Some rows carry a state label and others do not.
     MixedLabels { line: usize },
+    /// The row names a 65,537th distinct state; state indices are
+    /// `u16`.
+    TooManyStates { line: usize },
 }
 
 impl fmt::Display for TraceError {
@@ -77,6 +86,9 @@ impl fmt::Display for TraceError {
                     "line {line}: state labels must be present on every row or none"
                 )
             }
+            TraceError::TooManyStates { line } => {
+                write!(f, "line {line}: more than 65536 distinct state labels")
+            }
         }
     }
 }
@@ -96,16 +108,23 @@ pub struct NodeTrace {
     pub node: u32,
     /// 60 s-mean power per tick, W.
     pub power_w: Vec<f64>,
-    /// Per-tick state labels; empty when the trace is unlabeled.
-    pub states: Vec<String>,
+    /// Per-tick state, an index into the trace's state-name table
+    /// ([`Trace::state_names`]); empty when the trace is unlabeled.
+    pub states: Vec<u16>,
 }
 
 /// A target trace: per-node power time series, optionally
 /// state-labeled.
+///
+/// The state-name table lists each state once, in order of first
+/// appearance over the nodes in order, and every listed state occurs.
+/// Every constructor keeps that form, so two traces are equal exactly
+/// when their node ids, power bits and per-tick state names are.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Trace {
     nodes: Vec<NodeTrace>,
-    labeled: bool,
+    /// The states the nodes' indices name; empty when unlabeled.
+    state_names: Vec<String>,
 }
 
 /// Stationary-share and dwell targets extracted from a state-labeled
@@ -136,14 +155,57 @@ pub struct FitTargets {
     pub n_ticks: usize,
 }
 
+/// Numbers a source's states in order of first appearance.
+struct FirstSeen {
+    /// Trace index of each source state, once it has occurred.
+    slots: Vec<Option<u16>>,
+    /// Source state of each trace index.
+    order: Vec<usize>,
+}
+
+impl FirstSeen {
+    fn new(source_states: usize) -> FirstSeen {
+        FirstSeen {
+            slots: vec![None; source_states],
+            order: Vec::new(),
+        }
+    }
+
+    fn index(&mut self, state: usize) -> u16 {
+        let order = &mut self.order;
+        *self.slots[state].get_or_insert_with(|| {
+            order.push(state);
+            u16::try_from(order.len() - 1).expect("at most 65536 states")
+        })
+    }
+
+    /// The source names of the states seen, in trace-index order.
+    fn names(&self, source: &[&str]) -> Vec<String> {
+        self.order.iter().map(|&s| source[s].to_string()).collect()
+    }
+}
+
 impl Trace {
-    /// Builds a trace from per-node streams. Panics on internal
-    /// misuse (empty node set, label/power length mismatch); external
-    /// input goes through [`Trace::from_csv`] which returns typed
-    /// errors instead.
-    pub fn new(nodes: Vec<NodeTrace>) -> Trace {
+    /// Builds a trace from per-node streams whose `states` index
+    /// `state_names` (pass no names for an unlabeled trace). The table
+    /// is renumbered into order of first appearance, and names no tick
+    /// uses are dropped. Panics on internal misuse (empty node set, a
+    /// node under two ticks, label/power length mismatch, an index
+    /// outside the table); external input goes through
+    /// [`Trace::from_csv`] which returns typed errors instead.
+    pub fn new(mut nodes: Vec<NodeTrace>, state_names: &[&str]) -> Trace {
+        let mut seen = FirstSeen::new(state_names.len());
+        for n in &mut nodes {
+            for s in &mut n.states {
+                *s = seen.index(usize::from(*s));
+            }
+        }
+        Trace::checked(nodes, seen.names(state_names))
+    }
+
+    fn checked(nodes: Vec<NodeTrace>, state_names: Vec<String>) -> Trace {
         assert!(!nodes.is_empty(), "trace needs at least one node");
-        let labeled = !nodes[0].states.is_empty();
+        let labeled = !state_names.is_empty();
         for n in &nodes {
             assert!(n.power_w.len() >= 2, "node {}: needs >= 2 ticks", n.node);
             if labeled {
@@ -152,12 +214,18 @@ impl Trace {
                 assert!(n.states.is_empty());
             }
         }
-        Trace { nodes, labeled }
+        Trace { nodes, state_names }
     }
 
     /// Whether the trace carries per-tick state labels.
     pub fn is_labeled(&self) -> bool {
-        self.labeled
+        !self.state_names.is_empty()
+    }
+
+    /// The state names [`NodeTrace::states`] index, in order of first
+    /// appearance; empty when the trace is unlabeled.
+    pub fn state_names(&self) -> &[String] {
+        &self.state_names
     }
 
     /// The per-node streams.
@@ -176,6 +244,8 @@ impl Trace {
     /// `(cfg.seed, node_id)`, exactly the stream the fleet's propose
     /// phase consumed — so the labels match the run tick for tick.
     pub fn from_fleet(cfg: &FleetConfig, samples: &[f64]) -> Trace {
+        let names = cfg.episodes.state_names();
+        let mut seen = FirstSeen::new(names.len());
         let mut nodes = Vec::new();
         let mut offset = 0usize;
         let mut node_id = 0u32;
@@ -184,9 +254,8 @@ impl Trace {
             for _ in 0..group.nodes {
                 let power = samples[offset..offset + ticks].to_vec();
                 let mut walk = EpisodeWalk::new(&cfg.episodes, &cfg.mix, cfg.seed, node_id);
-                let names = cfg.episodes.state_names();
                 let states = (0..ticks)
-                    .map(|_| names[walk.next_tick().state].to_string())
+                    .map(|_| seen.index(walk.next_tick().state))
                     .collect();
                 nodes.push(NodeTrace {
                     node: node_id,
@@ -198,7 +267,7 @@ impl Trace {
             }
         }
         assert_eq!(offset, samples.len(), "sample count != fleet size");
-        Trace::new(nodes)
+        Trace::checked(nodes, seen.names(names))
     }
 
     /// Renders the trace as CSV (`node,tick,power_w[,state]`).
@@ -206,7 +275,7 @@ impl Trace {
     /// `from_csv(to_csv(t))` reproduces every bit.
     pub fn to_csv(&self) -> String {
         let mut w = CsvWriter::new();
-        if self.labeled {
+        if self.is_labeled() {
             w.header(&["node", "tick", "power_w", "state"]);
         } else {
             w.header(&["node", "tick", "power_w"]);
@@ -214,8 +283,8 @@ impl Trace {
         for n in &self.nodes {
             for (t, &p) in n.power_w.iter().enumerate() {
                 let mut row = vec![n.node.to_string(), t.to_string(), format!("{p}")];
-                if self.labeled {
-                    row.push(n.states[t].clone());
+                if let Some(&s) = n.states.get(t) {
+                    row.push(self.state_names[usize::from(s)].clone());
                 }
                 w.row(&row);
             }
@@ -236,6 +305,8 @@ impl Trace {
         }
         let mut nodes: Vec<NodeTrace> = Vec::new();
         let mut seen: Vec<u32> = Vec::new();
+        let mut state_names: Vec<String> = Vec::new();
+        let mut state_index: BTreeMap<&str, u16> = BTreeMap::new();
         for row in 0..csv.n_rows() {
             // CsvReader rows are 1-based lines with the header on
             // line 1; data row `i` sits on line `i + 2` for the error
@@ -253,7 +324,7 @@ impl Trace {
             if power < 0.0 {
                 return Err(TraceError::BadPower { line, value: power });
             }
-            let state = state_col.map(|c| csv.field(row, c).to_string());
+            let state = state_col.map(|c| csv.field(row, c));
             let is_new = nodes.last().map(|n| n.node) != Some(node);
             if is_new {
                 if seen.contains(&node) {
@@ -284,7 +355,20 @@ impl Trace {
             }
             cur.power_w.push(power);
             match state {
-                Some(s) if !s.is_empty() => cur.states.push(s),
+                Some(s) if !s.is_empty() => {
+                    let next = state_names.len();
+                    let index = match state_index.get(s) {
+                        Some(&i) => i,
+                        None => {
+                            let i = u16::try_from(next)
+                                .map_err(|_| TraceError::TooManyStates { line })?;
+                            state_index.insert(s, i);
+                            state_names.push(s.to_string());
+                            i
+                        }
+                    };
+                    cur.states.push(index);
+                }
                 // A present-but-empty state field means "unlabeled
                 // row"; mixing those with labeled rows is an error,
                 // caught below.
@@ -306,7 +390,7 @@ impl Trace {
             }
             line += n.power_w.len();
         }
-        Ok(Trace { nodes, labeled })
+        Ok(Trace { nodes, state_names })
     }
 
     /// Extracts the fit targets: power CDF, pooled lag-1
@@ -319,24 +403,10 @@ impl Trace {
             .flat_map(|n| n.power_w.iter().copied())
             .collect();
         let cdf = PowerCdf::from_samples(&all, 0.1);
-        // Pooled lag-1 autocorrelation, per-node centered — the same
-        // estimator (and the same 0.0-on-zero-variance contract) as
-        // `EpisodeStats::lag1_autocorr`.
-        let mut num = 0.0f64;
-        let mut den = 0.0f64;
-        for n in &self.nodes {
-            let s = &n.power_w;
-            if s.len() >= 2 {
-                let mean = s.iter().sum::<f64>() / s.len() as f64;
-                den += s.iter().map(|&x| (x - mean) * (x - mean)).sum::<f64>();
-                num += s
-                    .windows(2)
-                    .map(|w| (w[0] - mean) * (w[1] - mean))
-                    .sum::<f64>();
-            }
-        }
-        let lag1_autocorr = if den > 0.0 { num / den } else { 0.0 };
-        let labels = self.labeled.then(|| self.labeled_targets());
+        // The fleet's own estimator, so a clone's trace and its run
+        // report the same number.
+        let lag1_autocorr = pooled_lag1_autocorr(self.nodes.iter().map(|n| n.power_w.as_slice()));
+        let labels = self.is_labeled().then(|| self.labeled_targets());
         FitTargets {
             cdf,
             lag1_autocorr,
@@ -346,30 +416,20 @@ impl Trace {
         }
     }
 
-    /// Share/run-dwell extraction over the state labels. States are
-    /// indexed in order of first appearance across nodes in node
-    /// order, so the result is deterministic.
+    /// Share/run-dwell extraction over the state indices. The states
+    /// are listed in table order, which is order of first appearance
+    /// across nodes in node order, so the result is deterministic.
     fn labeled_targets(&self) -> LabeledTargets {
-        let mut states: Vec<String> = Vec::new();
-        let mut ticks: Vec<u64> = Vec::new();
-        let mut runs: Vec<u64> = Vec::new();
+        let mut ticks = vec![0u64; self.state_names.len()];
+        let mut runs = vec![0u64; self.state_names.len()];
         for n in &self.nodes {
-            let mut prev: Option<usize> = None;
-            for s in &n.states {
-                let idx = match states.iter().position(|x| x == s) {
-                    Some(i) => i,
-                    None => {
-                        states.push(s.clone());
-                        ticks.push(0);
-                        runs.push(0);
-                        states.len() - 1
-                    }
-                };
-                ticks[idx] += 1;
-                if prev != Some(idx) {
-                    runs[idx] += 1;
+            let mut prev: Option<u16> = None;
+            for &s in &n.states {
+                ticks[usize::from(s)] += 1;
+                if prev != Some(s) {
+                    runs[usize::from(s)] += 1;
                 }
-                prev = Some(idx);
+                prev = Some(s);
             }
         }
         let total: u64 = ticks.iter().sum();
@@ -380,7 +440,7 @@ impl Trace {
             .map(|(&t, &r)| if r == 0 { 0.0 } else { t as f64 / r as f64 })
             .collect();
         LabeledTargets {
-            states,
+            states: self.state_names.clone(),
             shares,
             mean_run_ticks,
         }
@@ -392,25 +452,45 @@ mod tests {
     use super::*;
     use fs2_cluster::fleet::{FleetSim, TemporalMode};
 
+    /// Node 0 reads floor, floor, high, high, floor; node 1 floor,
+    /// high, high. The table lists `high` first and an unused `peak`,
+    /// which the constructor renumbers and drops.
     fn tiny_labeled() -> Trace {
-        Trace::new(vec![
-            NodeTrace {
-                node: 0,
-                power_w: vec![80.0, 80.0, 200.0, 200.0, 80.0],
-                states: ["floor", "floor", "high", "high", "floor"]
-                    .iter()
-                    .map(|s| s.to_string())
-                    .collect(),
-            },
-            NodeTrace {
-                node: 1,
-                power_w: vec![80.0, 200.0, 200.0],
-                states: ["floor", "high", "high"]
-                    .iter()
-                    .map(|s| s.to_string())
-                    .collect(),
-            },
-        ])
+        Trace::new(
+            vec![
+                NodeTrace {
+                    node: 0,
+                    power_w: vec![80.0, 80.0, 200.0, 200.0, 80.0],
+                    states: vec![1, 1, 0, 0, 1],
+                },
+                NodeTrace {
+                    node: 1,
+                    power_w: vec![80.0, 200.0, 200.0],
+                    states: vec![1, 0, 0],
+                },
+            ],
+            &["high", "floor", "peak"],
+        )
+    }
+
+    #[test]
+    fn state_table_lists_states_in_order_of_first_appearance() {
+        let t = tiny_labeled();
+        assert_eq!(t.state_names(), ["floor", "high"]);
+        assert_eq!(t.nodes()[0].states, [0, 0, 1, 1, 0]);
+        assert_eq!(t.nodes()[1].states, [0, 1, 1]);
+        // Parsing interns the names in the order the rows name them.
+        let text = "node,tick,power_w,state\n\
+                    0,0,1,b\n0,1,1,a\n0,2,1,b\n1,0,1,c\n1,1,1,a\n";
+        let parsed = Trace::from_csv(text).unwrap();
+        assert_eq!(parsed.state_names(), ["b", "a", "c"]);
+        assert_eq!(parsed.nodes()[0].states, [0, 1, 0]);
+        assert_eq!(parsed.nodes()[1].states, [2, 1]);
+        assert_eq!(parsed.to_csv(), text);
+        // Unlabeled traces hold no table.
+        let plain = Trace::from_csv("node,tick,power_w\n0,0,1\n0,1,2\n").unwrap();
+        assert!(plain.state_names().is_empty());
+        assert!(plain.nodes()[0].states.is_empty());
     }
 
     #[test]
@@ -420,6 +500,31 @@ mod tests {
         let back = Trace::from_csv(&text).unwrap();
         assert_eq!(back, t);
         assert_eq!(back.to_csv(), text);
+    }
+
+    #[test]
+    fn fleet_trace_round_trips_through_csv() {
+        let cfg = FleetConfig {
+            samples_per_node: 60,
+            temporal: TemporalMode::Episodes,
+            ..FleetConfig::taurus_haswell_scaled(6)
+        };
+        let run = FleetSim::new(cfg.clone()).run();
+        let trace = Trace::from_fleet(&cfg, &run.samples);
+        let back = Trace::from_csv(&trace.to_csv()).unwrap();
+        assert_eq!(back, trace);
+    }
+
+    #[test]
+    fn a_65537th_state_name_is_a_typed_error() {
+        let mut text = String::from("node,tick,power_w,state\n");
+        for t in 0..=65_536u32 {
+            text.push_str(&format!("0,{t},1,s{t}\n"));
+        }
+        assert_eq!(
+            Trace::from_csv(&text),
+            Err(TraceError::TooManyStates { line: 65_538 })
+        );
     }
 
     #[test]
@@ -438,11 +543,14 @@ mod tests {
 
     #[test]
     fn constant_power_trace_is_valid_with_zero_autocorr() {
-        let t = Trace::new(vec![NodeTrace {
-            node: 0,
-            power_w: vec![100.0; 32],
-            states: Vec::new(),
-        }]);
+        let t = Trace::new(
+            vec![NodeTrace {
+                node: 0,
+                power_w: vec![100.0; 32],
+                states: Vec::new(),
+            }],
+            &[],
+        );
         let targets = t.targets();
         assert_eq!(targets.lag1_autocorr, 0.0);
         assert!(!targets.lag1_autocorr.is_nan());
@@ -522,19 +630,23 @@ mod tests {
         let labels = targets.labels.unwrap();
         // The replayed labels must reproduce the run's own per-state
         // tick accounting exactly: compare against EpisodeStats
-        // shares (same walks, same tick streams).
+        // shares (same walks, same tick streams, same division).
         let stats = run.episodes.unwrap();
         for (i, name) in stats.states.iter().enumerate() {
             let li = labels.states.iter().position(|s| s == name);
             let got = li.map(|j| labels.shares[j]).unwrap_or(0.0);
-            assert!(
-                (got - stats.empirical_shares[i]).abs() < 1e-12,
+            assert_eq!(
+                got.to_bits(),
+                stats.empirical_shares[i].to_bits(),
                 "{name}: trace share {got} != walk share {}",
                 stats.empirical_shares[i]
             );
         }
-        // And the pooled autocorrelation is literally the same
-        // estimator over the same streams.
-        assert!((targets.lag1_autocorr - stats.lag1_autocorr).abs() < 1e-12);
+        // And the pooled autocorrelation is the same estimator over the
+        // same streams.
+        assert_eq!(
+            targets.lag1_autocorr.to_bits(),
+            stats.lag1_autocorr.to_bits()
+        );
     }
 }
