@@ -24,6 +24,13 @@
 //! [`Server::shutdown`] drains live connections (finish the current
 //! line, then close) instead of abandoning their threads.
 //!
+//! A turned-away peer gets its reply line in one write and a
+//! half-close, and its socket then *lingers*: one background thread
+//! reads and discards what the peer had sent, at most 64 KiB over at
+//! most 320 ms, before closing it. Closing a socket with unread input
+//! sends a reset, which can destroy the reply before the peer reads
+//! it; draining first closes cleanly.
+//!
 //! On the client side, [`Client::request`] bounds its reply read and
 //! distinguishes a silent server ([`ClientError::Timeout`]) from a
 //! vanished one ([`ClientError::Eof`]); [`call_with_retry`] layers a
@@ -36,10 +43,23 @@ use crate::service::FleetService;
 use crate::timing::millis;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
+
+/// Reads a rejected peer's socket gets before it closes. With
+/// [`LINGER_CHUNK_BYTES`] and [`LINGER_POLL_MS`] this bounds the drain
+/// at 64 KiB and 320 ms per peer; it ends sooner when the peer closes.
+const LINGER_READS: u32 = 16;
+/// Largest read while a rejected peer's socket lingers.
+const LINGER_CHUNK_BYTES: usize = 4096;
+/// Longest wait of one read while a rejected peer's socket lingers.
+const LINGER_POLL_MS: u64 = 20;
+/// Rejected peers waiting for the lingering thread; one rejected while
+/// the queue is full is closed at once.
+const LINGER_QUEUE: usize = 16;
 
 /// Socket-layer bounds. Defaults are server-oriented; clients waiting
 /// on big fleet computations use [`TransportConfig::client`].
@@ -202,6 +222,7 @@ pub struct Server {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     accept_loop: Option<JoinHandle<()>>,
+    lingerer: Option<JoinHandle<()>>,
     conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 
@@ -223,6 +244,9 @@ pub fn serve_with(
     let stop = Arc::new(AtomicBool::new(false));
     let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
     let active = Arc::new(AtomicUsize::new(0));
+    let (rejected, lingering) = sync_channel(LINGER_QUEUE);
+    let linger_stop = Arc::clone(&stop);
+    let lingerer = std::thread::spawn(move || linger_loop(&lingering, &linger_stop));
     let accept_stop = Arc::clone(&stop);
     let accept_conns = Arc::clone(&conns);
     let accept_loop = std::thread::spawn(move || {
@@ -247,8 +271,11 @@ pub fn serve_with(
                 *held = live;
             }
             if active.load(Ordering::SeqCst) >= cfg.max_connections {
-                // Typed over-capacity rejection, then disconnect.
-                let line = FleetReply::failure_kind(
+                // Typed over-capacity rejection in one write, then a
+                // half-close; the lingering thread closes the socket
+                // once the peer's input is drained (or drops it at
+                // once when its queue is full).
+                let mut line = FleetReply::failure_kind(
                     kind::OVER_CAPACITY,
                     format!(
                         "rejected: server already serving {} connections",
@@ -256,9 +283,12 @@ pub fn serve_with(
                     ),
                 )
                 .to_line();
-                let _ = stream
-                    .write_all(line.as_bytes())
-                    .and_then(|()| stream.write_all(b"\n"));
+                line.push('\n');
+                if stream.write_all(line.as_bytes()).is_ok()
+                    && stream.shutdown(Shutdown::Write).is_ok()
+                {
+                    let _ = rejected.try_send(stream);
+                }
                 continue;
             }
             active.fetch_add(1, Ordering::SeqCst);
@@ -278,8 +308,39 @@ pub fn serve_with(
         addr,
         stop,
         accept_loop: Some(accept_loop),
+        lingerer: Some(lingerer),
         conns,
     })
+}
+
+/// The lingering thread: drains each rejected peer in turn until the
+/// accept loop drops its end of the queue. Once the server stops,
+/// queued peers are closed without draining.
+fn linger_loop(rejected: &Receiver<TcpStream>, stop: &AtomicBool) {
+    for mut stream in rejected {
+        if stop.load(Ordering::SeqCst)
+            || stream
+                .set_read_timeout(Some(millis(LINGER_POLL_MS)))
+                .is_err()
+        {
+            continue;
+        }
+        let mut chunk = [0u8; LINGER_CHUNK_BYTES];
+        for _ in 0..LINGER_READS {
+            match stream.read(&mut chunk) {
+                // The peer closed: nothing is left unread.
+                Ok(0) => break,
+                Ok(_) => {}
+                Err(e)
+                    if e.kind() == std::io::ErrorKind::WouldBlock
+                        || e.kind() == std::io::ErrorKind::TimedOut => {}
+                Err(_) => break,
+            }
+            if stop.load(Ordering::SeqCst) {
+                break;
+            }
+        }
+    }
 }
 
 fn write_line(writer: &mut impl Write, line: &str) -> std::io::Result<()> {
@@ -369,6 +430,11 @@ impl Server {
         // poke it so it wakes up and exits.
         let _ = TcpStream::connect(self.addr);
         if let Some(h) = self.accept_loop.take() {
+            let _ = h.join();
+        }
+        // The accept loop has dropped its end of the queue, so the
+        // lingering thread ends within one read.
+        if let Some(h) = self.lingerer.take() {
             let _ = h.join();
         }
         // fs2-lint: allow(no-panic-service) -- lock poisoning, not peer input
@@ -639,6 +705,44 @@ mod tests {
                 .unwrap()
                 .ok
         );
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_rejected_peer_that_pipelines_two_lines_reads_its_typed_reply() {
+        let service = Arc::new(FleetService::new(ServiceConfig::small()));
+        let server = serve_with(
+            service,
+            "127.0.0.1:0",
+            TransportConfig {
+                max_connections: 1,
+                ..TransportConfig::default()
+            },
+        )
+        .unwrap();
+        let addr = server.local_addr().to_string();
+        let mut first = Client::connect(&addr).unwrap();
+        assert!(
+            FleetReply::from_line(&first.request(&small_req(2).to_line()).unwrap())
+                .unwrap()
+                .ok
+        );
+        // A raw peer sends two request lines, the second after the
+        // server has had ample time to reject it. Both writes must
+        // land, and the reply must arrive intact, followed by a clean
+        // end of stream instead of a reset.
+        let line = format!("{}\n", small_req(2).to_line());
+        let mut raw = TcpStream::connect(&addr).unwrap();
+        raw.set_read_timeout(Some(millis(5_000))).unwrap();
+        raw.write_all(line.as_bytes()).unwrap();
+        std::thread::sleep(millis(4 * LINGER_POLL_MS));
+        raw.write_all(line.as_bytes()).unwrap();
+        let mut got = String::new();
+        raw.read_to_string(&mut got).unwrap();
+        assert_eq!(got.lines().count(), 1, "{got}");
+        let reply = FleetReply::from_line(got.trim_end()).unwrap();
+        assert!(!reply.ok);
+        assert_eq!(reply.error_kind.as_deref(), Some(kind::OVER_CAPACITY));
         server.shutdown();
     }
 
