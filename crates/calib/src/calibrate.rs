@@ -196,10 +196,12 @@ impl FidelityReport {
 pub struct CalibrationResult {
     pub profile: FleetProfile,
     pub report: FidelityReport,
-    /// NSGA-II evaluations performed (duplicate-genome cache hits
-    /// excluded).
+    /// NSGA-II evaluations, one per genome the search scored,
+    /// duplicate-genome cache hits included: `evaluations -
+    /// nsga_cache_hits` of them ran an evaluation fleet.
     pub evaluations: u32,
-    /// NSGA-II duplicate-genome cache hits.
+    /// NSGA-II evaluations answered from the duplicate-genome cache,
+    /// without a fleet run.
     pub nsga_cache_hits: u32,
 }
 

@@ -17,13 +17,13 @@
 //! typed [`TraceError`]s — empty input, a single-tick node, missing
 //! or short columns, non-finite or negative power, more distinct
 //! states than a `u16` numbers — never a panic.
+//! A *constant-power* trace is valid: its pooled lag-1
+//! autocorrelation is defined as 0.0 (the same zero-variance contract
+//! as `EpisodeStats::lag1_autocorr`), not `NaN`.
 //!
 //! A labeled trace holds each state name once, in a table listing the
 //! states in order of first appearance (node order, then tick order);
 //! every tick carries a `u16` index into it.
-//! A *constant-power* trace is valid: its pooled lag-1
-//! autocorrelation is defined as 0.0 (the same zero-variance contract
-//! as `EpisodeStats::lag1_autocorr`), not `NaN`.
 
 use fs2_cluster::episodes::EpisodeWalk;
 use fs2_cluster::fleet::{pooled_lag1_autocorr, FleetConfig, PowerCdf};
@@ -356,11 +356,10 @@ impl Trace {
             cur.power_w.push(power);
             match state {
                 Some(s) if !s.is_empty() => {
-                    let next = state_names.len();
                     let index = match state_index.get(s) {
                         Some(&i) => i,
                         None => {
-                            let i = u16::try_from(next)
+                            let i = u16::try_from(state_names.len())
                                 .map_err(|_| TraceError::TooManyStates { line })?;
                             state_index.insert(s, i);
                             state_names.push(s.to_string());

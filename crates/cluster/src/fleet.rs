@@ -268,11 +268,8 @@ impl PowerCdf {
     /// Cumulative fraction at or below `power_w`. Queries below the
     /// first bin's lower edge are outside the observed range and have
     /// zero cumulative mass, as does any query on an empty CDF.
-    ///
-    /// The lookup is a binary search: bin edges never decrease, so the
-    /// bins whose edge is not `>= power_w` form a prefix, and the first
-    /// bin after it holds the answer. A query above the last edge (or a
-    /// NaN query, which no edge is `>=`) reads 1.0.
+    /// A query above the last bin edge, or a NaN query, reads 1.0. The
+    /// bin is found by binary search, since bin edges never decrease.
     pub fn fraction_at(&self, power_w: f64) -> f64 {
         if self.samples == 0 || power_w < self.min_w {
             return 0.0;

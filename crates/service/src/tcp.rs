@@ -727,20 +727,23 @@ mod tests {
                 .unwrap()
                 .ok
         );
-        // A raw peer sends two request lines, the second after the
-        // server has had ample time to reject it. Both writes must
-        // land, and the reply must arrive intact, followed by a clean
-        // end of stream instead of a reset.
+        // A raw peer pipelines two request lines, reads the rejection,
+        // and then writes once more, when the server has certainly
+        // turned it away. Every write must land, and the stream must
+        // end cleanly after the one reply instead of resetting.
         let line = format!("{}\n", small_req(2).to_line());
         let mut raw = TcpStream::connect(&addr).unwrap();
         raw.set_read_timeout(Some(millis(5_000))).unwrap();
+        let mut reader = std::io::BufReader::new(raw.try_clone().unwrap());
         raw.write_all(line.as_bytes()).unwrap();
-        std::thread::sleep(millis(4 * LINGER_POLL_MS));
         raw.write_all(line.as_bytes()).unwrap();
-        let mut got = String::new();
-        raw.read_to_string(&mut got).unwrap();
-        assert_eq!(got.lines().count(), 1, "{got}");
-        let reply = FleetReply::from_line(got.trim_end()).unwrap();
+        let mut reply = String::new();
+        std::io::BufRead::read_line(&mut reader, &mut reply).unwrap();
+        raw.write_all(line.as_bytes()).unwrap();
+        let mut rest = String::new();
+        reader.read_to_string(&mut rest).unwrap();
+        assert_eq!(rest, "");
+        let reply = FleetReply::from_line(reply.trim_end()).unwrap();
         assert!(!reply.ok);
         assert_eq!(reply.error_kind.as_deref(), Some(kind::OVER_CAPACITY));
         server.shutdown();
