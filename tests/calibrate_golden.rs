@@ -25,7 +25,8 @@ fn cli(flags: &str, path_flag: &str, path: &Path) -> String {
     firestarter2::cli::run(&argv).expect("CLI run succeeds")
 }
 
-/// Writes the labeled trace to `name` in the test scratch directory.
+/// Writes the labeled trace to `name` in Cargo's temporary directory
+/// for integration tests.
 fn emit_trace(name: &str) -> PathBuf {
     let path = Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
     cli(EMIT, "--emit-trace", &path);
