@@ -175,15 +175,6 @@ impl Baseline {
             }],
         }
     }
-
-    /// Whether the tool's power varies between phases (Prime95's
-    /// "varying power consumption over time", Linpack's dips).
-    pub fn has_phase_variation(self) -> bool {
-        matches!(
-            self,
-            Baseline::Prime95 | Baseline::Linpack | Baseline::EeMark
-        )
-    }
 }
 
 fn finish(name: &str, mut body: Vec<TaggedInst>, groups: u32) -> Kernel {
@@ -469,13 +460,5 @@ mod tests {
             fp_dgemm > fp_init + 0.3,
             "dgemm {fp_dgemm:.2} vs init {fp_init:.2}"
         );
-    }
-
-    #[test]
-    fn phase_variation_flags() {
-        assert!(Baseline::Prime95.has_phase_variation());
-        assert!(Baseline::Linpack.has_phase_variation());
-        assert!(!Baseline::Firestarter2.has_phase_variation());
-        assert!(!Baseline::Idle.has_phase_variation());
     }
 }

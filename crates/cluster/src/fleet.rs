@@ -1318,11 +1318,6 @@ impl FleetSim {
     pub fn generate(&self) -> Vec<f64> {
         self.run().samples
     }
-
-    /// Full Fig. 1 pipeline: generate, bin at 0.1 W, return the CDF.
-    pub fn power_cdf(&self) -> PowerCdf {
-        PowerCdf::from_samples(&self.generate(), 0.1)
-    }
 }
 
 /// Folds the walks' summed per-state `state_ticks` and
@@ -1478,7 +1473,7 @@ mod tests {
 
     #[test]
     fn cdf_shape_matches_fig1_landmarks() {
-        let cdf = small_fleet().power_cdf();
+        let cdf = PowerCdf::from_samples(&small_fleet().generate(), 0.1);
         // Maximum below the physical cap (paper: 359.9 W).
         assert!(cdf.max_w <= 359.9 + 1e-9);
         assert!(cdf.max_w > 300.0, "no high-power tail: max {}", cdf.max_w);
@@ -1496,7 +1491,7 @@ mod tests {
 
     #[test]
     fn cdf_is_monotone_and_complete() {
-        let cdf = small_fleet().power_cdf();
+        let cdf = PowerCdf::from_samples(&small_fleet().generate(), 0.1);
         assert!((cdf.bins.last().unwrap().1 - 1.0).abs() < 1e-12);
         for w in cdf.bins.windows(2) {
             assert!(w[1].1 >= w[0].1);
@@ -1507,7 +1502,7 @@ mod tests {
 
     #[test]
     fn quantiles_are_ordered() {
-        let cdf = small_fleet().power_cdf();
+        let cdf = PowerCdf::from_samples(&small_fleet().generate(), 0.1);
         let q25 = cdf.quantile(0.25);
         let q50 = cdf.quantile(0.50);
         let q95 = cdf.quantile(0.95);

@@ -86,7 +86,7 @@ impl GpuDevice {
 
     /// Seconds for one `n³` DGEMM at sustained rate.
     pub fn dgemm_time_s(&self, n: u64) -> f64 {
-        let flops = crate::dgemm::dgemm_flops(n) as f64;
+        let flops = dgemm_flops(n) as f64;
         flops / (self.spec.fp64_gflops * 1e9 * self.spec.dgemm_efficiency)
     }
 
@@ -110,6 +110,11 @@ impl GpuDevice {
         let stress = window_s - init;
         (self.power_w(init_util) * init + self.power_w(1.0) * stress) / window_s
     }
+}
+
+/// FLOPs of one `n×n×n` DGEMM.
+fn dgemm_flops(n: u64) -> u64 {
+    2 * n * n * n
 }
 
 #[cfg(test)]
@@ -164,6 +169,12 @@ mod tests {
         let host_long = d.avg_power_over(3600.0, n, InitStrategy::HostThenTransfer);
         let dev_long = d.avg_power_over(3600.0, n, InitStrategy::OnDevice);
         assert!((host_long - dev_long).abs() < 1.0);
+    }
+
+    #[test]
+    fn flop_count() {
+        assert_eq!(dgemm_flops(10), 2000);
+        assert_eq!(dgemm_flops(1000), 2_000_000_000);
     }
 
     #[test]

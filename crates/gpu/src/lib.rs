@@ -11,19 +11,16 @@
 //!
 //! No GPU is available in this environment, so this crate provides:
 //!
-//! * [`dgemm`] — a real blocked double-precision matrix multiply (the
-//!   computation cuBLAS would run), correctness-tested against a naive
-//!   reference; the device model charges FLOPs from it.
 //! * [`device`] — the simulated accelerator: FP64 peak rate, memory
 //!   capacity/bandwidth, PCIe link, idle/stress power, and the
 //!   host-init vs. device-init data-placement paths whose difference
-//!   motivated the §III-D change.
+//!   motivated the §III-D change. No matrix is multiplied: a DGEMM is
+//!   charged its `2·n³` FLOPs at the card's sustained rate.
 //! * [`stress`] — the FIRESTARTER-side driver: matrix sizing to fill
 //!   device memory, the init phase, and the steady DGEMM loop, yielding
 //!   average power over a measurement window.
 
 pub mod device;
-pub mod dgemm;
 pub mod stress;
 
 pub use device::{GpuDevice, GpuSpec, InitStrategy};

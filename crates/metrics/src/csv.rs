@@ -60,12 +60,6 @@ impl CsvWriter {
         self
     }
 
-    /// Convenience for numeric rows.
-    pub fn row_f64(&mut self, fields: &[f64]) -> &mut Self {
-        let rendered: Vec<String> = fields.iter().map(|v| format!("{v}")).collect();
-        self.row(&rendered)
-    }
-
     /// The accumulated CSV text.
     pub fn finish(self) -> String {
         self.out
@@ -329,14 +323,6 @@ mod tests {
         let mut w = CsvWriter::new();
         w.header(&["a", "b"]);
         w.row(&["only-one".into()]);
-    }
-
-    #[test]
-    fn numeric_rows() {
-        let mut w = CsvWriter::new();
-        w.header(&["t", "power"]);
-        w.row_f64(&[0.05, 437.25]);
-        assert_eq!(w.as_str(), "t,power\n0.05,437.25\n");
     }
 
     #[test]

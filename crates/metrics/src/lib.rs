@@ -1,34 +1,27 @@
-//! # fs2-metrics — metric framework
+//! # fs2-metrics — time series, windowed summaries and CSV
 //!
-//! FIRESTARTER 2's optimization loop consumes *metrics*: time series of
-//! measurements summarized over a window that excludes warm-up and
-//! tear-down transients (`--start-delta`/`--stop-delta`). The paper ships
-//! three built-ins — RAPL power, perf IPC, and an IPC estimate — plus a
-//! plugin interface for external meters (their case study feeds a ZES
-//! LMG95 through MetricQ).
-//!
-//! This crate reproduces that stack on simulated time:
+//! FIRESTARTER 2 reports measurements averaged over a window that
+//! excludes warm-up and tear-down transients (`--start-delta`/
+//! `--stop-delta`) and prints them as CSV. This crate holds those
+//! pieces on simulated time:
 //!
 //! * [`series`] — fixed- or variable-rate time series with windowed
-//!   statistics.
-//! * [`metric`] — the [`metric::Metric`] trait, summaries, and the metric
-//!   registry (`--list-metrics` equivalent).
-//! * [`builtin`] — the three built-in metric implementations, fed by the
-//!   runner from `fs2-power`/`fs2-sim` state.
-//! * [`metricq`] — the buffered out-of-band source of Fig. 10: samples
-//!   flow through a channel and are retrieved *after* a workload candidate
-//!   finishes, exactly like the remote MetricQ setup.
-//! * [`csv`] — comma-separated output (`--measurement` reporting) and
-//!   ingestion ([`CsvReader`], used by trace calibration).
+//!   statistics. The runner records its node power trace in one.
+//! * [`metric`] — [`Summary`], the windowed statistics of a series; the
+//!   runner's reported power is `Summary::windowed` over its trace.
+//! * [`csv`] — comma-separated output (the `--measurement` rows and the
+//!   fleet CDF) and ingestion ([`CsvReader`], used by trace
+//!   calibration).
+//!
+//! The paper's tuner can also optimize an IPC estimate or an external
+//! meter fed through MetricQ. This reproduction measures one pair, the
+//! runner's node power and the core model's IPC, and has no plugin
+//! interface.
 
-pub mod builtin;
 pub mod csv;
 pub mod metric;
-pub mod metricq;
 pub mod series;
 
-pub use builtin::{IpcEstimateMetric, PerfIpcMetric, RaplPowerMetric};
 pub use csv::{CsvError, CsvReader, CsvWriter};
-pub use metric::{ExternalMetric, Metric, MetricRegistry, Summary};
-pub use metricq::{channel, MetricQSink, MetricQSource};
+pub use metric::Summary;
 pub use series::{Sample, TimeSeries};

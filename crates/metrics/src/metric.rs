@@ -1,7 +1,6 @@
-//! The metric abstraction and windowed summaries.
+//! Windowed summaries of a measurement run.
 
 use crate::series::TimeSeries;
-use std::collections::BTreeMap;
 
 /// Windowed statistics of a metric over a measurement run.
 ///
@@ -49,200 +48,24 @@ impl Summary {
     }
 }
 
-/// A named measurement source.
-///
-/// The runner drives metrics on simulated time: at every sampling point it
-/// calls [`Metric::record`] implementations (builtins pull from the power
-/// model / event counters; external plugins compute their own value), and
-/// after the run it summarizes the collected series.
-pub trait Metric: Send {
-    /// Registry name (e.g. `"rapl"`, `"perf-ipc"`, `"metricq"`).
-    fn name(&self) -> &str;
-    /// Unit for display (e.g. `"W"`).
-    fn unit(&self) -> &str;
-    /// Whether larger values are better for optimization (power and IPC
-    /// both are).
-    fn maximize(&self) -> bool {
-        true
-    }
-    /// Records the sample for simulated time `t_s`.
-    fn record(&mut self, t_s: f64, value: f64);
-    /// The collected series.
-    fn series(&self) -> &TimeSeries;
-    /// Clears collected samples (between tuning candidates).
-    fn reset(&mut self);
-
-    /// Windowed summary of the collected series.
-    fn summarize(
-        &self,
-        t_start: f64,
-        t_stop: f64,
-        start_delta_s: f64,
-        stop_delta_s: f64,
-    ) -> Option<Summary> {
-        Summary::windowed(self.series(), t_start, t_stop, start_delta_s, stop_delta_s)
-    }
-}
-
-/// Name-keyed collection of metrics (the `--list-metrics` /
-/// `--optimization-metric` machinery).
-#[derive(Default)]
-pub struct MetricRegistry {
-    metrics: BTreeMap<String, Box<dyn Metric>>,
-}
-
-impl MetricRegistry {
-    pub fn new() -> MetricRegistry {
-        MetricRegistry::default()
-    }
-
-    /// Registers a metric; returns `false` if the name already exists.
-    pub fn register(&mut self, metric: Box<dyn Metric>) -> bool {
-        let name = metric.name().to_string();
-        if self.metrics.contains_key(&name) {
-            return false;
-        }
-        self.metrics.insert(name, metric);
-        true
-    }
-
-    /// Sorted metric names.
-    pub fn names(&self) -> Vec<String> {
-        self.metrics.keys().cloned().collect()
-    }
-
-    pub fn get(&self, name: &str) -> Option<&dyn Metric> {
-        self.metrics.get(name).map(|b| b.as_ref())
-    }
-
-    pub fn get_mut(&mut self, name: &str) -> Option<&mut Box<dyn Metric>> {
-        self.metrics.get_mut(name)
-    }
-
-    pub fn len(&self) -> usize {
-        self.metrics.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.metrics.is_empty()
-    }
-
-    /// Resets every metric (between tuning candidates).
-    pub fn reset_all(&mut self) {
-        for m in self.metrics.values_mut() {
-            m.reset();
-        }
-    }
-
-    /// Iterates metrics in name order.
-    pub fn iter(&self) -> impl Iterator<Item = &dyn Metric> {
-        self.metrics.values().map(|b| b.as_ref())
-    }
-}
-
-/// A metric that stores externally computed values — the "custom metrics
-/// via external binaries, scripts, and libraries" path of §III-C. The
-/// provider closure plays the role of the loaded shared object.
-pub struct ExternalMetric {
-    name: String,
-    unit: String,
-    provider: Box<dyn FnMut(f64) -> f64 + Send>,
-    series: TimeSeries,
-}
-
-impl ExternalMetric {
-    pub fn new(
-        name: impl Into<String>,
-        unit: impl Into<String>,
-        provider: Box<dyn FnMut(f64) -> f64 + Send>,
-    ) -> ExternalMetric {
-        ExternalMetric {
-            name: name.into(),
-            unit: unit.into(),
-            provider,
-            series: TimeSeries::new(),
-        }
-    }
-
-    /// Samples the provider at time `t_s` (runner tick).
-    pub fn poll(&mut self, t_s: f64) {
-        let v = (self.provider)(t_s);
-        self.series.push(t_s, v);
-    }
-}
-
-impl Metric for ExternalMetric {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn unit(&self) -> &str {
-        &self.unit
-    }
-
-    fn record(&mut self, t_s: f64, _value: f64) {
-        // External metrics compute their own value; the runner's value
-        // argument is ignored (parity with the plugin ABI).
-        self.poll(t_s);
-    }
-
-    fn series(&self) -> &TimeSeries {
-        &self.series
-    }
-
-    fn reset(&mut self) {
-        self.series.clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    struct Dummy {
-        series: TimeSeries,
-    }
-
-    impl Dummy {
-        fn new() -> Dummy {
-            Dummy {
-                series: TimeSeries::new(),
-            }
-        }
-    }
-
-    impl Metric for Dummy {
-        fn name(&self) -> &str {
-            "dummy"
-        }
-        fn unit(&self) -> &str {
-            "x"
-        }
-        fn record(&mut self, t_s: f64, value: f64) {
-            self.series.push(t_s, value);
-        }
-        fn series(&self) -> &TimeSeries {
-            &self.series
-        }
-        fn reset(&mut self) {
-            self.series.clear();
-        }
-    }
-
     #[test]
     fn summary_excludes_deltas() {
-        let mut m = Dummy::new();
+        let mut ts = TimeSeries::new();
         // Warm-up transient at 10 W, steady state at 100 W, tail at 5 W.
         for i in 0..10 {
-            m.record(i as f64, 10.0);
+            ts.push(i as f64, 10.0);
         }
         for i in 10..110 {
-            m.record(i as f64, 100.0);
+            ts.push(i as f64, 100.0);
         }
         for i in 110..112 {
-            m.record(i as f64, 5.0);
+            ts.push(i as f64, 5.0);
         }
-        let s = m.summarize(0.0, 112.0, 10.0, 2.5).unwrap();
+        let s = Summary::windowed(&ts, 0.0, 112.0, 10.0, 2.5).unwrap();
         assert!((s.mean - 100.0).abs() < 1e-9, "mean = {}", s.mean);
         assert_eq!(s.min, 100.0);
         assert_eq!(s.max, 100.0);
@@ -251,42 +74,8 @@ mod tests {
 
     #[test]
     fn summary_none_when_window_collapses() {
-        let mut m = Dummy::new();
-        m.record(0.0, 1.0);
-        assert!(m.summarize(0.0, 10.0, 6.0, 6.0).is_none());
-    }
-
-    #[test]
-    fn registry_rejects_duplicates_and_sorts() {
-        let mut r = MetricRegistry::new();
-        assert!(r.register(Box::new(Dummy::new())));
-        assert!(!r.register(Box::new(Dummy::new())));
-        assert_eq!(r.names(), vec!["dummy".to_string()]);
-        assert_eq!(r.len(), 1);
-        assert!(r.get("dummy").is_some());
-        assert!(r.get("nope").is_none());
-    }
-
-    #[test]
-    fn registry_reset_all() {
-        let mut r = MetricRegistry::new();
-        r.register(Box::new(Dummy::new()));
-        r.get_mut("dummy").unwrap().record(0.0, 1.0);
-        assert_eq!(r.get("dummy").unwrap().series().len(), 1);
-        r.reset_all();
-        assert_eq!(r.get("dummy").unwrap().series().len(), 0);
-    }
-
-    #[test]
-    fn external_metric_uses_provider() {
-        // A "Python script forwarding an external power meter" stand-in.
-        let mut m = ExternalMetric::new("lmg95", "W", Box::new(|t| 300.0 + t));
-        m.record(1.0, 999.0); // provider value wins; 999 ignored
-        m.record(2.0, 999.0);
-        let s = m.series().samples();
-        assert_eq!(s.len(), 2);
-        assert!((s[0].value - 301.0).abs() < 1e-12);
-        assert!((s[1].value - 302.0).abs() < 1e-12);
-        assert_eq!(m.unit(), "W");
+        let mut ts = TimeSeries::new();
+        ts.push(0.0, 1.0);
+        assert!(Summary::windowed(&ts, 0.0, 10.0, 6.0, 6.0).is_none());
     }
 }

@@ -47,14 +47,6 @@ impl TimeSeries {
         self.samples.first().map(|s| s.t_s)
     }
 
-    pub fn last_t(&self) -> Option<f64> {
-        self.samples.last().map(|s| s.t_s)
-    }
-
-    pub fn clear(&mut self) {
-        self.samples.clear();
-    }
-
     /// Samples within `[t0, t1]` inclusive.
     pub fn window(&self, t0: f64, t1: f64) -> impl Iterator<Item = &Sample> {
         self.samples
@@ -97,40 +89,6 @@ impl TimeSeries {
             n += 1;
         }
         Some((sq / n as f64).sqrt())
-    }
-
-    /// Empirical CDF over values in 0.1 W-style fixed-width bins: returns
-    /// `(bin_upper_edge, cumulative_fraction)` pairs — the Fig. 1 pipeline.
-    pub fn cdf(&self, bin_width: f64) -> Vec<(f64, f64)> {
-        if self.samples.is_empty() || bin_width <= 0.0 {
-            return Vec::new();
-        }
-        let min = self
-            .samples
-            .iter()
-            .map(|s| s.value)
-            .fold(f64::INFINITY, f64::min);
-        let max = self
-            .samples
-            .iter()
-            .map(|s| s.value)
-            .fold(f64::NEG_INFINITY, f64::max);
-        let nbins = (((max - min) / bin_width).floor() as usize + 1).max(1);
-        let mut counts = vec![0u64; nbins];
-        for s in &self.samples {
-            let b = (((s.value - min) / bin_width) as usize).min(nbins - 1);
-            counts[b] += 1;
-        }
-        let total = self.samples.len() as f64;
-        let mut acc = 0u64;
-        counts
-            .iter()
-            .enumerate()
-            .map(|(i, c)| {
-                acc += c;
-                (min + bin_width * (i as f64 + 1.0), acc as f64 / total)
-            })
-            .collect()
     }
 
     /// Downsamples by averaging consecutive windows of `window_s` seconds
@@ -181,7 +139,6 @@ mod tests {
         assert_eq!(ts.len(), 10);
         assert_eq!(ts.window(2.0, 4.0).count(), 3);
         assert_eq!(ts.first_t(), Some(0.0));
-        assert_eq!(ts.last_t(), Some(9.0));
     }
 
     #[test]
@@ -201,26 +158,6 @@ mod tests {
         let sd = ts.stddev_between(2.0, 4.0).unwrap();
         assert!((sd - (200.0f64 / 3.0).sqrt()).abs() < 1e-9);
         assert_eq!(ts.mean_between(100.0, 200.0), None);
-    }
-
-    #[test]
-    fn cdf_reaches_one_and_is_monotone() {
-        let mut ts = TimeSeries::new();
-        for (i, v) in [50.0, 70.0, 70.0, 90.0, 350.0].iter().enumerate() {
-            ts.push(i as f64, *v);
-        }
-        let cdf = ts.cdf(0.1);
-        assert!((cdf.last().unwrap().1 - 1.0).abs() < 1e-12);
-        for w in cdf.windows(2) {
-            assert!(w[1].1 >= w[0].1);
-            assert!(w[1].0 > w[0].0);
-        }
-        // Idle shoulder: 60 % of samples at or below 90 W.
-        let at_90 = cdf
-            .iter()
-            .find(|(edge, _)| *edge >= 90.05)
-            .expect("bin at 90 W");
-        assert!(at_90.1 >= 0.8 - 1e-9, "cdf at 90 = {}", at_90.1);
     }
 
     #[test]
@@ -249,7 +186,6 @@ mod tests {
     fn empty_series_edge_cases() {
         let ts = TimeSeries::new();
         assert!(ts.is_empty());
-        assert!(ts.cdf(0.1).is_empty());
         assert!(ts.aggregate_mean(1.0).is_empty());
         assert_eq!(ts.mean_between(0.0, 1.0), None);
         assert_eq!(ts.min_max_between(0.0, 1.0), None);

@@ -15,9 +15,6 @@
 //!   finds the highest 25 MHz-quantized frequency whose core-rail current
 //!   stays within the SKU's EDC limit (the mechanism behind Fig. 8's
 //!   2.5 → 2.4 GHz dip and Fig. 12c's sub-nominal applied frequencies).
-//! * [`rapl`] — Running-Average-Power-Limit style energy counters with
-//!   wrap-around semantics and a window-averaging reader, mirroring the
-//!   sysfs interface the built-in power metric uses on real hardware.
 //!
 //! Calibration targets (landmarks from the paper) are documented per
 //! coefficient set in [`coeffs`]; the `calibration` integration test pins
@@ -26,9 +23,7 @@
 pub mod coeffs;
 pub mod edc;
 pub mod model;
-pub mod rapl;
 
 pub use coeffs::PowerCoeffs;
 pub use edc::{solve_throttle, ThrottleResult};
 pub use model::{ClassCounts, NodePowerModel, PowerBreakdown};
-pub use rapl::{Rapl, RaplReader};

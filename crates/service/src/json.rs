@@ -102,10 +102,6 @@ impl Json {
         }
     }
 
-    pub fn is_null(&self) -> bool {
-        matches!(self, Json::Null)
-    }
-
     pub fn as_bool(&self) -> Option<bool> {
         match self {
             Json::Bool(b) => Some(*b),
@@ -502,7 +498,7 @@ mod tests {
         let parsed = Json::parse(&v.to_line()).unwrap();
         assert_eq!(parsed.get("a").unwrap().as_u64(), Some(7));
         let arr = parsed.get("b").unwrap().as_arr().unwrap();
-        assert!(arr[0].is_null());
+        assert!(matches!(arr[0], Json::Null));
         assert_eq!(arr[1].as_str(), Some("x\n\"y"));
     }
 

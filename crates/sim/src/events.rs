@@ -3,8 +3,9 @@
 //! The paper validates its front-end claims with AMD PMC event 0xAA
 //! ("UOps Dispatched From Decoder") and measures applied frequency via
 //! 0x76 ("Cycles not in Halt"). These counters are the simulator's
-//! equivalents, and `fs2-metrics::perf_ipc` reads them exactly like the
-//! real tool reads `perf_event_open`.
+//! equivalents; the runner returns them with each run
+//! (`RunResult::events`). The `perf-ipc` measurement row is the core
+//! model's steady-state IPC, not a ratio of these counters.
 
 use fs2_arch::pipeline::FetchSource;
 
@@ -24,7 +25,7 @@ pub struct HwEvents {
     pub dc_accesses: u64,
     /// Cycles spent stalled on memory beyond compute overlap.
     pub stall_cycles: u64,
-    /// Completed loop iterations (the ipc-estimate metric counts these).
+    /// Completed loop iterations.
     pub iterations: u64,
     /// Wall-clock nanoseconds covered by this sample.
     pub elapsed_ns: u64,

@@ -55,7 +55,6 @@ pub struct CliConfig {
     freq_mhz: f64,
     start_delta_ms: f64,
     stop_delta_ms: f64,
-    measurement: bool,
     dump_registers: bool,
     error_detection: bool,
     /// `None` keeps [`RunConfig::default`]'s iteration count.
@@ -67,7 +66,6 @@ pub struct CliConfig {
     generations: u32,
     nsga2_m: f64,
     preheat_s: f64,
-    optimization_metrics: String,
     /// `None` keeps each action's own default (measurement seed for
     /// Measure/Optimize, the Fig. 1 fleet seed for Fleet).
     seed: Option<u64>,
@@ -112,6 +110,10 @@ pub struct CliConfig {
 /// Default RNG seed for Measure/Optimize runs.
 const DEFAULT_SEED: u64 = 0xF12E_57A2;
 
+/// The objective pair the tuner optimizes: the runner's node power and
+/// the core model's IPC. `--optimization-metric` accepts nothing else.
+const OPTIMIZATION_METRICS: &str = "sysfs-powercap-rapl,perf-ipc";
+
 impl Default for CliConfig {
     fn default() -> CliConfig {
         CliConfig {
@@ -124,7 +126,6 @@ impl Default for CliConfig {
             freq_mhz: 0.0,
             start_delta_ms: 5000.0,
             stop_delta_ms: 2000.0,
-            measurement: true,
             dump_registers: false,
             error_detection: false,
             functional_iters: None,
@@ -135,7 +136,6 @@ impl Default for CliConfig {
             generations: 20,
             nsga2_m: 0.35,
             preheat_s: 240.0,
-            optimization_metrics: "sysfs-powercap-rapl,perf-ipc".to_string(),
             seed: None,
             nodes: 612,
             samples_per_node: 2000,
@@ -181,10 +181,11 @@ WORKLOAD
   --version-emulation {2.0|1.7.4} register init scheme (§III-D bug)
 
 MEASUREMENT
-  --measurement                   print metric CSV after the run (default)
+  --measurement                   print metric CSV after the run (always on)
   --start-delta MS                exclude window head (default 5000)
   --stop-delta MS                 exclude window tail (default 2000)
-  --list-metrics                  list metric names
+  --list-metrics                  list the metric CSV's rows and where
+                                  each value comes from
   --dump-registers                dump vector registers after the run
   --error-detection               compare register state across cores
   --functional-iters N            value-level (§III-D) iterations for
@@ -273,7 +274,8 @@ OPTIMIZATION (§III-C)
   --prescreen                     score candidates with a traceless
                                   steady-state solve first and skip the
                                   full measured run for clear losers
-  --optimization-metric A,B       objective metrics
+  --optimization-metric A,B       objective pair; only the default
+                                  sysfs-powercap-rapl,perf-ipc is accepted
   --seed N                        RNG seed
 
   -h, --help                      this help
@@ -307,7 +309,8 @@ pub fn parse_args(argv: &[String]) -> Result<CliConfig, CliError> {
             "-a" | "--avail" => cfg.action = Action::Avail,
             "--list-metrics" => cfg.action = Action::ListMetrics,
             "--fleet" => cfg.action = Action::Fleet,
-            "--measurement" => cfg.measurement = true,
+            // The metric CSV always prints; the flag stays accepted.
+            "--measurement" => {}
             "--dump-registers" => cfg.dump_registers = true,
             "--error-detection" => cfg.error_detection = true,
             "--prescreen" => cfg.prescreen = true,
@@ -317,6 +320,16 @@ pub fn parse_args(argv: &[String]) -> Result<CliConfig, CliError> {
                     return Err(err(format!("unknown optimizer `{v}` (only NSGA2)")));
                 }
                 cfg.action = Action::Optimize;
+            }
+            _ if a == "--optimization-metric" || a.starts_with("--optimization-metric=") => {
+                let v = parse_kv(a, &mut args, "--optimization-metric")?
+                    .expect("the guard matched the key");
+                if v != OPTIMIZATION_METRICS {
+                    return Err(err(format!(
+                        "unsupported --optimization-metric `{v}` \
+                         (the tuner optimizes {OPTIMIZATION_METRICS} only)"
+                    )));
+                }
             }
             _ => {
                 let mut matched = false;
@@ -381,8 +394,6 @@ pub fn parse_args(argv: &[String]) -> Result<CliConfig, CliError> {
                 opt!("--preheat", cfg.preheat_s, |v: &String| v
                     .parse::<f64>()
                     .map_err(|_| ()));
-                opt!("--optimization-metric", cfg.optimization_metrics, id);
-                opt!("--metric-path", cfg.optimization_metrics, id);
                 opt!("--seed", cfg.seed, |v: &String| v
                     .parse::<u64>()
                     .map(Some)
@@ -563,11 +574,12 @@ pub fn execute(cfg: &CliConfig) -> Result<String, CliError> {
             Ok(out)
         }
         Action::ListMetrics => Ok("\
-Available metrics:
-  sysfs-powercap-rapl   node power via RAPL energy counters [W]
-  perf-ipc              instructions per cycle via perf events
-  ipc-estimate          IPC from loop counts at assumed frequency
-  metricq               buffered external power meter (LMG95 via MetricQ) [W]
+Metrics (the measurement CSV's rows; --optimize tunes the first two):
+  sysfs-powercap-rapl   node power [W] from the power model's windowed trace
+  perf-ipc              instructions/cycle from the core model's steady state
+  freq                  applied frequency [MHz] from the EDC throttle solve
+  dc-access-rate        data-cache accesses/cycle from the core model
+  trivial-fraction      trivial FP lane-op share from the value-level pass
 "
         .to_string()),
         Action::Measure => run_measure(cfg),
@@ -821,26 +833,45 @@ fn print_fleet_reply(
     Ok(out)
 }
 
+/// The fleet configuration an `--emit-trace` run labels, checked
+/// before the fleet runs: only episode runs carry state labels, and
+/// every trace node needs two ticks for a lag-1 pair.
+fn emit_trace_config(
+    req: &fs2_service::FleetRequest,
+) -> Result<fs2_cluster::FleetConfig, CliError> {
+    let fleet_cfg = req.to_config();
+    if fleet_cfg.temporal != fs2_cluster::TemporalMode::Episodes {
+        return Err(err(
+            "--emit-trace needs --fleet-temporal episodes or --profile \
+             (i.i.d. minutes carry no episode labels)",
+        ));
+    }
+    // The CLI's fleets have no per-group sample override, so every
+    // node carries `samples_per_node` ticks.
+    if fleet_cfg.samples_per_node < 2 {
+        return Err(err(
+            "--emit-trace needs at least 2 samples per node (a trace node needs a lag-1 pair)",
+        ));
+    }
+    Ok(fleet_cfg)
+}
+
 /// One-shot `--fleet`: [`fs2_service::FleetService::handle`] on a
 /// fresh service instance (the full request → admission → shard →
 /// engine stack, minus the socket and the JSON codec).
 fn run_fleet(cfg: &CliConfig) -> Result<String, CliError> {
     let req = fleet_request_from_cli(cfg)?;
+    let emit = match &cfg.emit_trace {
+        Some(path) => Some((path, emit_trace_config(&req)?)),
+        None => None,
+    };
     let reply = fs2_service::FleetService::new(service_config_from_cli(cfg)).handle(&req);
     if reply.ok {
         if let Some(path) = &cfg.dump_samples {
             write_sample_bits(path, &reply.samples)?;
         }
-        if let Some(path) = &cfg.emit_trace {
-            use fs2_cluster::TemporalMode;
-            let fleet_cfg = req.to_config();
-            if fleet_cfg.temporal != TemporalMode::Episodes {
-                return Err(err(
-                    "--emit-trace needs --fleet-temporal episodes or --profile \
-                     (i.i.d. minutes carry no episode labels)",
-                ));
-            }
-            let trace = fs2_calib::Trace::from_fleet(&fleet_cfg, &reply.samples);
+        if let Some((path, fleet_cfg)) = &emit {
+            let trace = fs2_calib::Trace::from_fleet(fleet_cfg, &reply.samples);
             std::fs::write(path, trace.to_csv())
                 .map_err(|e| err(format!("--emit-trace {path}: {e}")))?;
         }
@@ -1069,46 +1100,44 @@ fn run_measure(cfg: &CliConfig) -> Result<String, CliError> {
             }
         ));
     }
-    if cfg.measurement {
-        let mut csv = CsvWriter::new();
-        csv.header(&["metric", "mean", "min", "max", "unit"]);
-        csv.row(&[
-            "sysfs-powercap-rapl".into(),
-            format!("{:.1}", r.power.mean),
-            format!("{:.1}", r.power.min),
-            format!("{:.1}", r.power.max),
-            "W".into(),
-        ]);
-        csv.row(&[
-            "perf-ipc".into(),
-            format!("{:.3}", r.ipc),
-            format!("{:.3}", r.ipc),
-            format!("{:.3}", r.ipc),
-            "instructions/cycle".into(),
-        ]);
-        csv.row(&[
-            "freq".into(),
-            format!("{:.0}", r.applied_freq_mhz),
-            String::new(),
-            String::new(),
-            "MHz".into(),
-        ]);
-        csv.row(&[
-            "dc-access-rate".into(),
-            format!("{:.3}", r.dc_access_rate),
-            String::new(),
-            String::new(),
-            "accesses/cycle".into(),
-        ]);
-        csv.row(&[
-            "trivial-fraction".into(),
-            format!("{:.4}", r.trivial_fraction),
-            String::new(),
-            String::new(),
-            "of FP lane ops".into(),
-        ]);
-        out.push_str(csv.as_str());
-    }
+    let mut csv = CsvWriter::new();
+    csv.header(&["metric", "mean", "min", "max", "unit"]);
+    csv.row(&[
+        "sysfs-powercap-rapl".into(),
+        format!("{:.1}", r.power.mean),
+        format!("{:.1}", r.power.min),
+        format!("{:.1}", r.power.max),
+        "W".into(),
+    ]);
+    csv.row(&[
+        "perf-ipc".into(),
+        format!("{:.3}", r.ipc),
+        format!("{:.3}", r.ipc),
+        format!("{:.3}", r.ipc),
+        "instructions/cycle".into(),
+    ]);
+    csv.row(&[
+        "freq".into(),
+        format!("{:.0}", r.applied_freq_mhz),
+        String::new(),
+        String::new(),
+        "MHz".into(),
+    ]);
+    csv.row(&[
+        "dc-access-rate".into(),
+        format!("{:.3}", r.dc_access_rate),
+        String::new(),
+        String::new(),
+        "accesses/cycle".into(),
+    ]);
+    csv.row(&[
+        "trivial-fraction".into(),
+        format!("{:.4}", r.trivial_fraction),
+        String::new(),
+        String::new(),
+        "of FP lane ops".into(),
+    ]);
+    out.push_str(csv.as_str());
     if let Some(dump) = &r.register_dump {
         out.push_str("register dump:\n");
         out.push_str(dump);
@@ -1145,10 +1174,9 @@ fn run_optimize(cfg: &CliConfig) -> Result<String, CliError> {
 
     let mut out = String::new();
     out.push_str(&format!(
-        "NSGA-II finished: {} evaluations ({} cache hits), metrics: {}\n",
+        "NSGA-II finished: {} evaluations ({} cache hits), metrics: {OPTIMIZATION_METRICS}\n",
         result.nsga2.history.len(),
         result.nsga2.cache_hits,
-        cfg.optimization_metrics
     ));
     if cfg.prescreen {
         out.push_str(&format!(
@@ -1206,10 +1234,21 @@ mod tests {
 
     #[test]
     fn list_metrics() {
-        let out = run(&args("--list-metrics")).unwrap();
-        for m in ["sysfs-powercap-rapl", "perf-ipc", "ipc-estimate", "metricq"] {
-            assert!(out.contains(m), "missing {m}");
-        }
+        // --list-metrics names exactly the rows a measure run prints.
+        let listed: Vec<String> = run(&args("--list-metrics"))
+            .unwrap()
+            .lines()
+            .filter_map(|l| l.strip_prefix("  "))
+            .map(|l| l.split_whitespace().next().unwrap().to_string())
+            .collect();
+        let out = run(&args("-t 2 --freq 1500")).unwrap();
+        let printed: Vec<String> = out
+            .lines()
+            .skip_while(|l| *l != "metric,mean,min,max,unit")
+            .skip(1)
+            .map(|l| l.split(',').next().unwrap().to_string())
+            .collect();
+        assert_eq!(listed, printed);
     }
 
     #[test]
@@ -1670,6 +1709,20 @@ mod tests {
         assert!(run(&args("--optimize=NSGA2 --preheat inf")).is_err());
         assert!(run(&args("--optimize=NSGA2 --preheat -5")).is_err());
         assert!(run(&args("--optimize=NSGA2 --preheat NaN")).is_err());
+        // Only the objective pair the runner computes can be named.
+        assert!(run(&args("--optimization-metric bogus,metricq")).is_err());
+        assert!(run(&args("--optimization-metric ipc-estimate")).is_err());
+        assert!(run(&args("--metric-path x")).is_err());
+        assert!(parse_args(&args("--optimization-metric=sysfs-powercap-rapl,perf-ipc")).is_ok());
+        // A one-tick trace node is rejected before the fleet runs.
+        let trace =
+            std::env::temp_dir().join(format!("fs2_short_trace_{}.csv", std::process::id()));
+        assert!(run(&args(&format!(
+            "--fleet --fleet-temporal episodes --nodes 2 --samples-per-node 1 --emit-trace {}",
+            trace.display()
+        )))
+        .is_err());
+        assert!(!trace.exists(), "a rejected run wrote {}", trace.display());
     }
 
     #[test]
