@@ -15,28 +15,19 @@
 //! [`ProfileError`]s: unknown keys or classes, NaN, empty/inverted
 //! duty bands, sub-tick dwells, non-stochastic weights.
 //!
-//! Class names are fixed to the five Taurus utilization classes so a
-//! profile can reuse their `&'static` payload specs (`JobClass`
-//! requires `'static` strs); what calibration actually fits — weight,
-//! dwell, duty band, P-state set — is free per class.
+//! Class names are fixed to the five Taurus utilization classes of
+//! `JobMix::taurus_haswell` so a profile can reuse their `&'static`
+//! payload specs (`JobClass` requires `'static` strs); what calibration
+//! actually fits — weight, dwell, duty band, P-state set — is free per
+//! class.
 
-use fs2_cluster::episodes::EpisodeModel;
+use fs2_cluster::episodes::{EpisodeModel, TAURUS_HASWELL_FLOOR_SHARE};
 use fs2_cluster::fleet::{FleetConfig, TemporalMode};
 use fs2_cluster::jobs::{JobClass, JobMix};
 use std::fmt;
 
 /// Header line every profile file must start with.
 pub const PROFILE_HEADER: &str = "# fs2 fleet profile v1";
-
-/// The known classes: `(name, payload spec)`. Specs are the engine
-/// payloads behind each utilization class (`JobMix::taurus_haswell`).
-const CLASS_SPECS: &[(&str, &str)] = &[
-    ("idle", "REG:1"),
-    ("low", "REG:2,L1_L:1"),
-    ("medium", "REG:4,L1_2LS:2,L2_LS:1"),
-    ("high", "REG:6,L1_2LS:3,L2_LS:1,L3_LS:1"),
-    ("peak", "REG:8,L1_2LS:4,L2_LS:1,L3_LS:1,RAM_LS:1"),
-];
 
 /// The P-state sets a class may draw from (indices into the SKU
 /// P-state tables: 0 = nominal, 2 = minimum). Calibration selects one
@@ -163,48 +154,46 @@ impl fmt::Display for ProfileError {
 
 impl std::error::Error for ProfileError {}
 
-/// Looks up the `'static` spec for a known class name.
+/// The `'static` name and payload spec of a Taurus job class.
 fn class_spec(name: &str) -> Option<(&'static str, &'static str)> {
-    CLASS_SPECS
+    JobMix::taurus_haswell()
+        .classes()
         .iter()
-        .find(|(n, _)| *n == name)
-        .map(|&(n, s)| (n, s))
+        .find(|(c, _)| c.name == name)
+        .map(|(c, _)| (c.name, c.spec))
 }
 
 impl FleetProfile {
-    /// The hand-set Taurus Haswell profile the fleet has always used
-    /// (`JobMix::taurus_haswell` + `EpisodeModel::taurus_haswell`),
-    /// expressed as a profile. Applying it reproduces the default
-    /// episode fleet parameters exactly.
+    /// The hand-set Taurus Haswell profile the fleet has always used,
+    /// read back from `JobMix::taurus_haswell` and
+    /// `EpisodeModel::taurus_haswell`. Applying it reproduces the
+    /// default episode fleet parameters exactly.
     pub fn taurus_haswell() -> FleetProfile {
-        let dwell = [10.0, 20.0, 30.0, 60.0, 120.0];
-        let ramp = [0u32, 1, 1, 2, 3];
-        let duty = [
-            (0.0, 0.06),
-            (0.05, 0.35),
-            (0.35, 0.75),
-            (0.80, 1.0),
-            (0.95, 1.0),
-        ];
-        let weight = [0.30, 0.25, 0.22, 0.20, 0.03];
-        let pstates: [&[usize]; 5] = [&[2], &[2], &[1, 2], &[0, 1], &[0]];
-        let classes = CLASS_SPECS
+        let mix = JobMix::taurus_haswell();
+        let model = EpisodeModel::taurus_haswell(&mix);
+        // Model state 0 is the floor; states 1.. are the mix classes.
+        let classes = mix
+            .classes()
             .iter()
-            .enumerate()
-            .map(|(i, &(name, spec))| ClassProfile {
-                name,
-                spec,
-                weight: weight[i],
-                dwell_ticks: dwell[i],
-                ramp_ticks: ramp[i],
-                duty: duty[i],
-                pstate_set: pstate_set_index(pstates[i]).expect("default sets are known"),
-            })
+            .zip(&model.mean_dwell_ticks()[1..])
+            .zip(&model.ramp_ticks()[1..])
+            .map(
+                |(((class, weight), &dwell_ticks), &ramp_ticks)| ClassProfile {
+                    name: class.name,
+                    spec: class.spec,
+                    weight: *weight,
+                    dwell_ticks,
+                    ramp_ticks,
+                    duty: class.duty,
+                    pstate_set: pstate_set_index(class.pstates)
+                        .expect("Taurus P-state sets are known"),
+                },
+            )
             .collect();
         FleetProfile {
             name: "taurus-haswell".to_string(),
-            floor_share: 0.10,
-            floor_dwell_ticks: 15.0,
+            floor_share: TAURUS_HASWELL_FLOOR_SHARE,
+            floor_dwell_ticks: model.mean_dwell_ticks()[0],
             classes,
         }
     }

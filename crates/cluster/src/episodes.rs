@@ -22,6 +22,10 @@ use crate::jobs::JobMix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+/// Idle-floor time share of [`EpisodeModel::taurus_haswell`], which
+/// keeps only the transitions it shapes; profiles read it from here.
+pub const TAURUS_HASWELL_FLOOR_SHARE: f64 = 0.10;
+
 /// Upper bound on one episode length; a pathological dwell draw must
 /// not stall a walk (P(hit) < 1e-40 for any sane mean).
 const MAX_EPISODE_TICKS: u32 = 100_000;
@@ -199,7 +203,7 @@ impl EpisodeModel {
     pub fn taurus_haswell(mix: &JobMix) -> EpisodeModel {
         EpisodeModel::from_mix(
             mix,
-            0.10,
+            TAURUS_HASWELL_FLOOR_SHARE,
             15.0,
             &[10.0, 20.0, 30.0, 60.0, 120.0],
             &[0, 1, 1, 2, 3],
