@@ -308,10 +308,8 @@ impl Trace {
         let mut state_names: Vec<String> = Vec::new();
         let mut state_index: BTreeMap<&str, u16> = BTreeMap::new();
         for row in 0..csv.n_rows() {
-            // CsvReader rows are 1-based lines with the header on
-            // line 1; data row `i` sits on line `i + 2` for the error
-            // messages below (trace rows never embed newlines).
-            let line = row + 2;
+            // The row's own start line: a quoted state may span lines.
+            let line = csv.row_line(row);
             let node = u32::try_from(csv.u64_at(row, node_col)?).map_err(|_| {
                 TraceError::Csv(CsvError::BadNumber {
                     line,
@@ -375,7 +373,8 @@ impl Trace {
             }
         }
         let labeled = !nodes[0].states.is_empty();
-        let mut line = 2usize;
+        // Data row of each node's first tick.
+        let mut row = 0;
         for n in &nodes {
             if n.power_w.len() < 2 {
                 return Err(TraceError::TooShort {
@@ -385,9 +384,11 @@ impl Trace {
             }
             let node_labeled = !n.states.is_empty();
             if node_labeled != labeled || (node_labeled && n.states.len() != n.power_w.len()) {
-                return Err(TraceError::MixedLabels { line });
+                return Err(TraceError::MixedLabels {
+                    line: csv.row_line(row),
+                });
             }
-            line += n.power_w.len();
+            row += n.power_w.len();
         }
         Ok(Trace { nodes, state_names })
     }
@@ -594,6 +595,19 @@ mod tests {
                 line: 2,
                 value: -5.0
             })
+        );
+        // A quoted state spanning two lines: errors name the line each
+        // row starts on.
+        assert_eq!(
+            Trace::from_csv("node,tick,power_w,state\n0,0,1,\"hi\ngh\"\n0,1,-5,hi\n"),
+            Err(TraceError::BadPower {
+                line: 4,
+                value: -5.0
+            })
+        );
+        assert_eq!(
+            Trace::from_csv("node,tick,power_w,state\n0,0,1,\"a\nb\"\n0,1,1,a\n1,0,1,\n1,1,1,\n"),
+            Err(TraceError::MixedLabels { line: 5 })
         );
         // Tick gaps and split nodes.
         assert_eq!(

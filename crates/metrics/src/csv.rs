@@ -242,6 +242,12 @@ impl CsvReader {
         self.rows.len()
     }
 
+    /// The 1-based source line data row `row` starts on. A quoted field
+    /// with embedded newlines makes a row span several lines.
+    pub fn row_line(&self, row: usize) -> usize {
+        self.row_lines[row]
+    }
+
     /// Index of a named column, or [`CsvError::MissingColumn`].
     pub fn column(&self, name: &str) -> Result<usize, CsvError> {
         self.header
