@@ -195,7 +195,7 @@ fn main() {
             chaos_failed += 1;
         }
     }
-    let panics_caught = chaotic.pool_stats().panics_caught;
+    let panics_caught = chaotic.panics_caught();
     assert_eq!(panics_caught, 3, "panic_every=2 over 6 requests");
     assert_eq!(chaos_failed, 3);
     std::panic::set_hook(default_hook);

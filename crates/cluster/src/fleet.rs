@@ -216,7 +216,7 @@ impl Default for FleetConfig {
 }
 
 /// An empirical power CDF over fixed-width bins.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PowerCdf {
     /// `(bin_upper_edge_w, cumulative_fraction)`, ascending.
     pub bins: Vec<(f64, f64)>,
@@ -317,10 +317,10 @@ pub struct ClassPower {
 }
 
 /// Episode-mode statistics of one fleet generation pass.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EpisodeStats {
     /// State names (index 0 = the idle floor, then the mix classes).
-    pub states: Vec<&'static str>,
+    pub states: Vec<String>,
     /// Empirical fraction of ticks spent per state.
     pub empirical_shares: Vec<f64>,
     /// The model's predicted long-run time shares.
@@ -1349,7 +1349,7 @@ fn aggregate_episode_stats<'a>(
         .map(|(&t, &e)| if e == 0 { 0.0 } else { t as f64 / e as f64 })
         .collect();
     EpisodeStats {
-        states: model.state_names().to_vec(),
+        states: model.state_names().iter().map(|s| s.to_string()).collect(),
         empirical_shares,
         model_shares: model.stationary_time_shares().to_vec(),
         mean_dwell_ticks,

@@ -1,4 +1,6 @@
-//! Minimal JSON value model for the fleet-service wire protocol.
+//! Minimal JSON for the fleet-service wire protocol: a writer that
+//! encodes a line in one pass, and a parser that decodes one into a
+//! [`Json`] tree.
 //!
 //! The workspace is offline (no serde), and the protocol has two
 //! bit-exactness requirements a float-backed parser would break:
@@ -10,18 +12,20 @@
 //!   encoded with Rust's shortest round-trip formatting and decoded
 //!   with its correctly-rounded parser, which is an exact inverse.
 //!
+//! The writer ([`write_object`]) appends each field straight to the
+//! output `String`: it allocates nothing per value and builds no tree.
 //! Only what the protocol needs is implemented: UTF-8 text, the JSON
 //! value kinds, `\uXXXX` escapes (including surrogate pairs), and a
 //! recursive-descent parser with a depth limit.
 
-use std::fmt;
+use std::fmt::{self, Write};
 
 /// A parsed JSON value. Numbers keep their source token.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     Null,
     Bool(bool),
-    /// A number as it appeared on the wire (or as formatted for it).
+    /// A number as it appeared on the wire.
     Num(String),
     Str(String),
     Arr(Vec<Json>),
@@ -46,55 +50,6 @@ impl std::error::Error for JsonError {}
 const MAX_DEPTH: usize = 64;
 
 impl Json {
-    pub fn of_bool(v: bool) -> Json {
-        Json::Bool(v)
-    }
-
-    pub fn of_str(v: &str) -> Json {
-        Json::Str(v.to_string())
-    }
-
-    pub fn of_u64(v: u64) -> Json {
-        Json::Num(v.to_string())
-    }
-
-    pub fn of_usize(v: usize) -> Json {
-        Json::Num(v.to_string())
-    }
-
-    /// Shortest round-trip encoding; non-finite values (never produced
-    /// by the simulator) degrade to `null` rather than invalid JSON.
-    pub fn of_f64(v: f64) -> Json {
-        if v.is_finite() {
-            Json::Num(format!("{v:?}"))
-        } else {
-            Json::Null
-        }
-    }
-
-    pub fn of_f64s(vs: &[f64]) -> Json {
-        Json::Arr(vs.iter().map(|&v| Json::of_f64(v)).collect())
-    }
-
-    pub fn of_u64s(vs: &[u64]) -> Json {
-        Json::Arr(vs.iter().map(|&v| Json::of_u64(v)).collect())
-    }
-
-    pub fn obj() -> Json {
-        Json::Obj(Vec::new())
-    }
-
-    /// Appends a field to an object (panics on non-objects: the
-    /// builders below only ever call it on [`Json::obj`]).
-    pub fn set(mut self, key: &str, value: Json) -> Json {
-        match &mut self {
-            Json::Obj(fields) => fields.push((key.to_string(), value)),
-            // fs2-lint: allow(no-panic-service) -- encode-side builder invariant: every caller chains off Json::obj(), wire input never reaches set()
-            _ => panic!("set() on a non-object"),
-        }
-        self
-    }
-
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
             Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
@@ -153,45 +108,6 @@ impl Json {
         self.as_arr()?.iter().map(Json::as_u64).collect()
     }
 
-    /// Serializes without any whitespace (one request per line).
-    pub fn encode(&self, out: &mut String) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(true) => out.push_str("true"),
-            Json::Bool(false) => out.push_str("false"),
-            Json::Num(t) => out.push_str(t),
-            Json::Str(s) => encode_str(s, out),
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, v) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    v.encode(out);
-                }
-                out.push(']');
-            }
-            Json::Obj(fields) => {
-                out.push('{');
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    encode_str(k, out);
-                    out.push(':');
-                    v.encode(out);
-                }
-                out.push('}');
-            }
-        }
-    }
-
-    pub fn to_line(&self) -> String {
-        let mut out = String::new();
-        self.encode(&mut out);
-        out
-    }
-
     /// Parses one JSON document; trailing whitespace is allowed,
     /// trailing garbage is not.
     pub fn parse(input: &str) -> Result<Json, JsonError> {
@@ -218,11 +134,136 @@ fn encode_str(s: &str, out: &mut String) {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
     out.push('"');
+}
+
+/// Writes one JSON object, with no whitespace, at the end of `out`;
+/// `body` adds its fields in order.
+pub fn write_object(out: &mut String, body: impl FnOnce(&mut ObjWriter<'_>)) {
+    let mut w = ObjWriter { out, first: true };
+    w.out.push('{');
+    body(&mut w);
+    w.out.push('}');
+}
+
+/// The fields of one object that [`write_object`] is writing.
+pub struct ObjWriter<'a> {
+    out: &'a mut String,
+    first: bool,
+}
+
+impl ObjWriter<'_> {
+    /// Writes `"key":value`.
+    pub fn field<T: ToJson + ?Sized>(&mut self, key: &str, value: &T) -> &mut Self {
+        self.key(key);
+        value.write_json(self.out);
+        self
+    }
+
+    /// Writes `"key":{…}`, a nested object whose fields `body` adds.
+    pub fn object(&mut self, key: &str, body: impl FnOnce(&mut ObjWriter<'_>)) -> &mut Self {
+        self.key(key);
+        write_object(self.out, body);
+        self
+    }
+
+    fn key(&mut self, key: &str) {
+        if !self.first {
+            self.out.push(',');
+        }
+        self.first = false;
+        encode_str(key, self.out);
+        self.out.push(':');
+    }
+}
+
+/// A value [`ObjWriter::field`] can write.
+pub trait ToJson {
+    fn write_json(&self, out: &mut String);
+}
+
+/// Booleans and integers write as they display.
+macro_rules! to_json_as_displayed {
+    ($($t:ty),*) => {$(
+        impl ToJson for $t {
+            fn write_json(&self, out: &mut String) {
+                // Writing to a String cannot fail.
+                let _ = write!(out, "{self}");
+            }
+        }
+    )*};
+}
+
+to_json_as_displayed!(bool, u32, u64, usize);
+
+/// Shortest round-trip formatting; a non-finite value (never produced
+/// by the simulator) writes `null` rather than invalid JSON.
+impl ToJson for f64 {
+    fn write_json(&self, out: &mut String) {
+        if self.is_finite() {
+            let _ = write!(out, "{self:?}");
+        } else {
+            out.push_str("null");
+        }
+    }
+}
+
+impl ToJson for str {
+    fn write_json(&self, out: &mut String) {
+        encode_str(self, out);
+    }
+}
+
+impl ToJson for String {
+    fn write_json(&self, out: &mut String) {
+        encode_str(self, out);
+    }
+}
+
+/// `None` writes `null`.
+impl<T: ToJson> ToJson for Option<T> {
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Some(v) => v.write_json(out),
+            None => out.push_str("null"),
+        }
+    }
+}
+
+impl<T: ToJson> ToJson for [T] {
+    fn write_json(&self, out: &mut String) {
+        out.push('[');
+        for (i, v) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            v.write_json(out);
+        }
+        out.push(']');
+    }
+}
+
+impl<T: ToJson> ToJson for Vec<T> {
+    fn write_json(&self, out: &mut String) {
+        self.as_slice().write_json(out);
+    }
+}
+
+/// A pair writes as a two-element array.
+impl<A: ToJson, B: ToJson> ToJson for (A, B) {
+    fn write_json(&self, out: &mut String) {
+        out.push('[');
+        self.0.write_json(out);
+        out.push(',');
+        self.1.write_json(out);
+        out.push(']');
+    }
 }
 
 struct Parser<'a> {
@@ -456,18 +497,43 @@ impl<'a> Parser<'a> {
 mod tests {
     use super::*;
 
+    fn line(body: impl FnOnce(&mut ObjWriter<'_>)) -> String {
+        let mut out = String::new();
+        write_object(&mut out, body);
+        out
+    }
+
     #[test]
     fn scalars_round_trip() {
-        for line in ["null", "true", "false", "0", "-12", "3.5", "1e300"] {
-            assert_eq!(Json::parse(line).unwrap().to_line(), line);
-        }
+        let text = line(|w| {
+            w.field("n", &None::<u64>)
+                .field("t", &true)
+                .field("f", &false)
+                .field("z", &0u64)
+                .field("x", &-12.5)
+                .field("e", &1e300);
+        });
+        assert_eq!(
+            text,
+            r#"{"n":null,"t":true,"f":false,"z":0,"x":-12.5,"e":1e300}"#
+        );
+        let v = Json::parse(&text).unwrap();
+        assert!(matches!(v.get("n"), Some(Json::Null)));
+        assert_eq!(v.get("t").and_then(Json::as_bool), Some(true));
+        assert_eq!(v.get("f").and_then(Json::as_bool), Some(false));
+        assert_eq!(v.get("z").and_then(Json::as_u64), Some(0));
+        assert_eq!(v.get("x").and_then(Json::as_f64), Some(-12.5));
+        assert_eq!(v.get("e").and_then(Json::as_f64), Some(1e300));
     }
 
     #[test]
     fn u64_seeds_survive_exactly() {
         for v in [0u64, 1, u64::MAX, 0xF1EE7, (1 << 53) + 1] {
-            let wire = Json::of_u64(v).to_line();
-            assert_eq!(Json::parse(&wire).unwrap().as_u64(), Some(v));
+            let wire = line(|w| {
+                w.field("seed", &v);
+            });
+            let parsed = Json::parse(&wire).unwrap();
+            assert_eq!(parsed.get("seed").and_then(Json::as_u64), Some(v));
         }
     }
 
@@ -483,8 +549,11 @@ mod tests {
             1.0 / 3.0,
             f64::from_bits(0x405526E41CAD1777),
         ];
-        let wire = Json::of_f64s(&values).to_line();
-        let back = Json::parse(&wire).unwrap().f64s().unwrap();
+        let wire = line(|w| {
+            w.field("samples", &values[..]);
+        });
+        let back = Json::parse(&wire).unwrap();
+        let back = back.get("samples").and_then(Json::f64s).unwrap();
         for (a, b) in values.iter().zip(&back) {
             assert_eq!(a.to_bits(), b.to_bits(), "{a:?} diverged");
         }
@@ -492,14 +561,26 @@ mod tests {
 
     #[test]
     fn objects_nest_and_index() {
-        let v = Json::obj()
-            .set("a", Json::of_u64(7))
-            .set("b", Json::Arr(vec![Json::Null, Json::of_str("x\n\"y")]));
-        let parsed = Json::parse(&v.to_line()).unwrap();
+        let wire = line(|w| {
+            w.field("a", &7u64)
+                .field("b", &(f64::NAN, "x\n\"y".to_string()))
+                .object("c", |w| {
+                    w.field("d", &[1u64, 2][..]).object("e", |_| {});
+                });
+        });
+        assert_eq!(
+            wire,
+            r#"{"a":7,"b":[null,"x\n\"y"],"c":{"d":[1,2],"e":{}}}"#
+        );
+        let parsed = Json::parse(&wire).unwrap();
         assert_eq!(parsed.get("a").unwrap().as_u64(), Some(7));
         let arr = parsed.get("b").unwrap().as_arr().unwrap();
+        // A non-finite float writes null, never invalid JSON.
         assert!(matches!(arr[0], Json::Null));
         assert_eq!(arr[1].as_str(), Some("x\n\"y"));
+        let c = parsed.get("c").unwrap();
+        assert_eq!(c.get("d").and_then(Json::u64s), Some(vec![1, 2]));
+        assert_eq!(c.get("e"), Some(&Json::Obj(Vec::new())));
     }
 
     #[test]
@@ -507,7 +588,10 @@ mod tests {
         let parsed = Json::parse(r#""\u0041\u00e9\ud83d\ude00\t""#).unwrap();
         assert_eq!(parsed.as_str(), Some("Aé😀\t"));
         // Encoding control characters stays ASCII-clean.
-        assert_eq!(Json::of_str("a\u{1}b").to_line(), r#""a\u0001b""#);
+        let wire = line(|w| {
+            w.field("s", "a\u{1}b");
+        });
+        assert_eq!(wire, r#"{"s":"a\u0001b"}"#);
     }
 
     #[test]

@@ -5,8 +5,10 @@
 //!
 //! * [`proto`] — the request layer: [`proto::FleetRequest`] /
 //!   [`proto::FleetReply`] with dependency-free JSON-lines framing
-//!   ([`json`]); 64-bit seeds and `f64` samples round-trip exactly, so
-//!   a served reply is byte-comparable to a local run.
+//!   ([`json`]); a reply holds the fleet's own CDF and episode
+//!   statistics and is written in one pass, and 64-bit seeds and `f64`
+//!   samples round-trip exactly, so a served reply is byte-comparable
+//!   to a local run.
 //! * [`admission`] — the control layer: per-request node·sample cost
 //!   estimates, a bounded wait queue, and a queue/shed/reject policy
 //!   so floods of requests degrade gracefully instead of OOMing.
@@ -46,9 +48,7 @@ pub mod timing;
 pub use admission::{AdmissionConfig, AdmissionError, AdmissionStats, Gate, Permit};
 pub use chaos::{ChaosConfig, ChaosState};
 pub use json::{Json, JsonError};
-pub use proto::{
-    BudgetWire, CdfWire, EpisodeWire, FleetReply, FleetRequest, PoolWire, ProtoError, RegistryWire,
-};
+pub use proto::{BudgetWire, FleetReply, FleetRequest, ProtoError, RegistryWire};
 pub use service::{FleetService, ServiceConfig, ShardError};
 pub use tcp::{
     call, call_with_retry, serve, serve_with, Client, ClientError, RetryPolicy, Server,

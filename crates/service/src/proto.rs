@@ -8,13 +8,21 @@
 //! samples, registry counters, cap/budget/episode telemetry — so a
 //! remote client renders byte-identical output to the local path.
 //!
+//! The reply holds the fleet's own [`PowerCdf`] and [`EpisodeStats`],
+//! and `to_line` writes request and reply in one pass through
+//! [`crate::json::write_object`], straight into the line. Only the
+//! registry counters and the budget telemetry have wire structs of
+//! their own, because the wire carries a subset of them
+//! ([`RegistryWire`]) or a summary ([`BudgetWire`]'s utilization p95).
+//! Decoding parses the line into a [`Json`] tree and reads it back.
+//!
 //! Floats and 64-bit seeds round-trip exactly (see [`crate::json`]),
 //! which is what makes the CI smoke diff of served-vs-local samples
 //! meaningful.
 
-use crate::json::Json;
+use crate::json::{write_object, Json};
 use fs2_calib::FleetProfile;
-use fs2_cluster::{BudgetPolicy, FleetConfig, TemporalMode};
+use fs2_cluster::{BudgetPolicy, EpisodeStats, FleetConfig, PowerCdf, TemporalMode};
 use std::fmt;
 
 /// A malformed or unsupported request/reply line.
@@ -31,6 +39,15 @@ impl std::error::Error for ProtoError {}
 
 fn perr(msg: impl Into<String>) -> ProtoError {
     ProtoError(msg.into())
+}
+
+/// The number at `key` of a reply section, or 0 when it is absent or
+/// not a number of that type.
+fn num<T: std::str::FromStr + Default>(v: &Json, key: &str) -> T {
+    match v.get(key) {
+        Some(Json::Num(t)) => t.parse().unwrap_or_default(),
+        _ => T::default(),
+    }
 }
 
 /// An optional request field: absent or `null` is `None`; any other
@@ -65,8 +82,9 @@ pub struct FleetRequest {
     pub budget_policy: BudgetPolicy,
     /// Shard count override; `None` leaves it to the service.
     pub shards: Option<usize>,
-    /// Optional completion deadline, in milliseconds from admission.
-    /// The gate rejects deadlines its throughput estimate cannot meet
+    /// Optional completion deadline, in milliseconds from admission,
+    /// so the plan counts against it. A gate that knows its throughput
+    /// rejects deadlines its estimate cannot meet
     /// ([`kind::ADMISSION_DEADLINE`]); an admitted request that still
     /// overruns degrades to a typed [`kind::DEADLINE_EXCEEDED`] reply
     /// at the next between-shards check.
@@ -120,53 +138,36 @@ impl FleetRequest {
         cfg
     }
 
-    pub fn to_json(&self) -> Json {
-        let opt_f64 = |v: Option<f64>| v.map(Json::of_f64).unwrap_or(Json::Null);
-        Json::obj()
-            .set("type", Json::of_str("fleet"))
-            .set("nodes", Json::of_u64(u64::from(self.nodes)))
-            .set(
-                "samples_per_node",
-                Json::of_u64(u64::from(self.samples_per_node)),
-            )
-            .set("seed", self.seed.map(Json::of_u64).unwrap_or(Json::Null))
-            .set(
-                "temporal",
-                Json::of_str(match self.temporal {
-                    TemporalMode::Iid => "iid",
-                    TemporalMode::Episodes => "episodes",
-                }),
-            )
-            .set("cap_w", opt_f64(self.power_cap_w))
-            .set("budget_w", opt_f64(self.budget_w))
-            .set(
-                "budget_policy",
-                Json::of_str(match self.budget_policy {
-                    BudgetPolicy::ShedToFloor => "shed",
-                    BudgetPolicy::Defer => "defer",
-                }),
-            )
-            .set(
-                "shards",
-                self.shards.map(Json::of_usize).unwrap_or(Json::Null),
-            )
-            .set(
-                "deadline_ms",
-                self.deadline_ms.map(Json::of_u64).unwrap_or(Json::Null),
-            )
-            .set("want_samples", Json::of_bool(self.want_samples))
-            .set("want_cdf", Json::of_bool(self.want_cdf))
-            .set(
-                "profile",
-                self.profile
-                    .as_ref()
-                    .map(|p| Json::of_str(&p.to_text()))
-                    .unwrap_or(Json::Null),
-            )
-    }
-
     pub fn to_line(&self) -> String {
-        self.to_json().to_line()
+        let mut out = String::new();
+        write_object(&mut out, |w| {
+            w.field("type", "fleet")
+                .field("nodes", &self.nodes)
+                .field("samples_per_node", &self.samples_per_node)
+                .field("seed", &self.seed)
+                .field(
+                    "temporal",
+                    match self.temporal {
+                        TemporalMode::Iid => "iid",
+                        TemporalMode::Episodes => "episodes",
+                    },
+                )
+                .field("cap_w", &self.power_cap_w)
+                .field("budget_w", &self.budget_w)
+                .field(
+                    "budget_policy",
+                    match self.budget_policy {
+                        BudgetPolicy::ShedToFloor => "shed",
+                        BudgetPolicy::Defer => "defer",
+                    },
+                )
+                .field("shards", &self.shards)
+                .field("deadline_ms", &self.deadline_ms)
+                .field("want_samples", &self.want_samples)
+                .field("want_cdf", &self.want_cdf)
+                .field("profile", &self.profile.as_ref().map(FleetProfile::to_text));
+        });
+        out
     }
 
     pub fn from_json(v: &Json) -> Result<FleetRequest, ProtoError> {
@@ -286,36 +287,18 @@ impl RegistryWire {
         rate(self.cross_exec_hits, self.cross_exec_lookups)
     }
 
-    fn to_json(self) -> Json {
-        Json::obj()
-            .set("engines", Json::of_usize(self.engines))
-            .set("payload_hits", Json::of_u64(self.payload_hits))
-            .set("payload_misses", Json::of_u64(self.payload_misses))
-            .set("exec_hits", Json::of_u64(self.exec_hits))
-            .set("exec_misses", Json::of_u64(self.exec_misses))
-            .set("requests", Json::of_u64(self.requests))
-            .set("cross_payload_hits", Json::of_u64(self.cross_payload_hits))
-            .set(
-                "cross_payload_lookups",
-                Json::of_u64(self.cross_payload_lookups),
-            )
-            .set("cross_exec_hits", Json::of_u64(self.cross_exec_hits))
-            .set("cross_exec_lookups", Json::of_u64(self.cross_exec_lookups))
-    }
-
     fn from_json(v: &Json) -> RegistryWire {
-        let u = |k: &str| v.get(k).and_then(Json::as_u64).unwrap_or(0);
         RegistryWire {
-            engines: v.get("engines").and_then(Json::as_usize).unwrap_or(0),
-            payload_hits: u("payload_hits"),
-            payload_misses: u("payload_misses"),
-            exec_hits: u("exec_hits"),
-            exec_misses: u("exec_misses"),
-            requests: u("requests"),
-            cross_payload_hits: u("cross_payload_hits"),
-            cross_payload_lookups: u("cross_payload_lookups"),
-            cross_exec_hits: u("cross_exec_hits"),
-            cross_exec_lookups: u("cross_exec_lookups"),
+            engines: num(v, "engines"),
+            payload_hits: num(v, "payload_hits"),
+            payload_misses: num(v, "payload_misses"),
+            exec_hits: num(v, "exec_hits"),
+            exec_misses: num(v, "exec_misses"),
+            requests: num(v, "requests"),
+            cross_payload_hits: num(v, "cross_payload_hits"),
+            cross_payload_lookups: num(v, "cross_payload_lookups"),
+            cross_exec_hits: num(v, "cross_exec_hits"),
+            cross_exec_lookups: num(v, "cross_exec_lookups"),
         }
     }
 }
@@ -346,26 +329,6 @@ pub struct BudgetWire {
     pub states: Vec<String>,
 }
 
-/// Episode-statistics telemetry on the wire.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EpisodeWire {
-    pub states: Vec<String>,
-    pub empirical_shares: Vec<f64>,
-    pub model_shares: Vec<f64>,
-    pub mean_dwell_ticks: Vec<f64>,
-    pub lag1_autocorr: f64,
-}
-
-/// The 0.1 W-binned CDF on the wire.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CdfWire {
-    /// `(bin_upper_edge_w, cumulative_fraction)` pairs, ascending.
-    pub bins: Vec<(f64, f64)>,
-    pub min_w: f64,
-    pub max_w: f64,
-    pub samples: usize,
-}
-
 /// Machine-readable failure kinds carried in
 /// [`FleetReply::error_kind`], so clients and the CLI can branch on
 /// *why* a request failed without parsing prose.
@@ -393,27 +356,8 @@ pub mod kind {
     pub const OVER_CAPACITY: &str = "transport-over-capacity";
 }
 
-/// The service's shard-panic counter on the wire.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PoolWire {
-    /// Shard-task panics caught over the service's lifetime.
-    pub panics_caught: u64,
-}
-
-impl PoolWire {
-    fn to_json(self) -> Json {
-        Json::obj().set("panics_caught", Json::of_u64(self.panics_caught))
-    }
-
-    fn from_json(v: &Json) -> PoolWire {
-        PoolWire {
-            panics_caught: v.get("panics_caught").and_then(Json::as_u64).unwrap_or(0),
-        }
-    }
-}
-
 /// One fleet-simulation reply (or a service-side rejection).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FleetReply {
     pub ok: bool,
     /// Rejection/failure reason when `ok` is false.
@@ -421,12 +365,14 @@ pub struct FleetReply {
     /// Machine-readable failure kind (one of the [`kind`] constants)
     /// when `ok` is false and the failure is typed.
     pub error_kind: Option<String>,
-    /// The shard-panic counter at reply time (present whenever the
-    /// request reached the shard layer).
-    pub pool: Option<PoolWire>,
+    /// Shard-task panics the service had caught at reply time (present
+    /// whenever the request reached the shard layer). On the wire it is
+    /// `"pool":{"panics_caught":N}`.
+    pub panics_caught: Option<u64>,
     /// Raw 60 s-mean samples (empty unless requested).
     pub samples: Vec<f64>,
-    pub cdf: Option<CdfWire>,
+    /// The 0.1 W-binned CDF of the samples (when requested).
+    pub cdf: Option<PowerCdf>,
     pub registry: RegistryWire,
     /// Operating points in the request's power table.
     pub power_points: usize,
@@ -434,113 +380,89 @@ pub struct FleetReply {
     pub capped_samples: usize,
     pub infeasible_points: usize,
     pub budget: Option<BudgetWire>,
-    pub episodes: Option<EpisodeWire>,
+    pub episodes: Option<EpisodeStats>,
     /// Shards the request was actually split into.
     pub shards: usize,
 }
 
 impl FleetReply {
-    pub fn failure(error: impl Into<String>) -> FleetReply {
-        FleetReply {
-            ok: false,
-            error: Some(error.into()),
-            error_kind: None,
-            pool: None,
-            samples: Vec::new(),
-            cdf: None,
-            registry: RegistryWire::default(),
-            power_points: 0,
-            capped_points: 0,
-            capped_samples: 0,
-            infeasible_points: 0,
-            budget: None,
-            episodes: None,
-            shards: 0,
-        }
-    }
-
-    /// A typed failure: like [`FleetReply::failure`] plus one of the
-    /// [`kind`] constants for machine-readable branching.
+    /// A failure reply of one of the [`kind`]s, carrying `error`.
     pub fn failure_kind(kind: &str, error: impl Into<String>) -> FleetReply {
         FleetReply {
+            error: Some(error.into()),
             error_kind: Some(kind.to_string()),
-            ..FleetReply::failure(error)
+            ..FleetReply::default()
         }
-    }
-
-    pub fn to_json(&self) -> Json {
-        let strs = |v: &[String]| Json::Arr(v.iter().map(|s| Json::of_str(s)).collect());
-        let mut out = Json::obj()
-            .set("type", Json::of_str("reply"))
-            .set("ok", Json::of_bool(self.ok));
-        if let Some(e) = &self.error {
-            out = out.set("error", Json::of_str(e));
-        }
-        if let Some(k) = &self.error_kind {
-            out = out.set("error_kind", Json::of_str(k));
-        }
-        if let Some(p) = &self.pool {
-            out = out.set("pool", p.to_json());
-        }
-        out = out
-            .set("samples", Json::of_f64s(&self.samples))
-            .set("registry", self.registry.to_json())
-            .set("power_points", Json::of_usize(self.power_points))
-            .set("capped_points", Json::of_usize(self.capped_points))
-            .set("capped_samples", Json::of_usize(self.capped_samples))
-            .set("infeasible_points", Json::of_usize(self.infeasible_points))
-            .set("shards", Json::of_usize(self.shards));
-        if let Some(c) = &self.cdf {
-            let bins = c
-                .bins
-                .iter()
-                .map(|&(w, f)| Json::Arr(vec![Json::of_f64(w), Json::of_f64(f)]))
-                .collect();
-            out = out.set(
-                "cdf",
-                Json::obj()
-                    .set("bins", Json::Arr(bins))
-                    .set("min_w", Json::of_f64(c.min_w))
-                    .set("max_w", Json::of_f64(c.max_w))
-                    .set("samples", Json::of_usize(c.samples)),
-            );
-        }
-        if let Some(b) = &self.budget {
-            out = out.set(
-                "budget",
-                Json::obj()
-                    .set("budget_w", Json::of_f64(b.budget_w))
-                    .set("policy", Json::of_str(&b.policy))
-                    .set("ticks", Json::of_usize(b.ticks))
-                    .set("peak_fleet_w", Json::of_f64(b.peak_fleet_w))
-                    .set("mean_fleet_w", Json::of_f64(b.mean_fleet_w))
-                    .set("shed_ticks", Json::of_u64s(&b.shed_ticks))
-                    .set("deferred_ticks", Json::of_u64s(&b.deferred_ticks))
-                    .set("truncated_proposals", Json::of_u64(b.truncated_proposals))
-                    .set(
-                        "infeasible_floor_ticks",
-                        Json::of_u64(b.infeasible_floor_ticks),
-                    )
-                    .set("util_p95", Json::of_f64(b.util_p95))
-                    .set("states", strs(&b.states)),
-            );
-        }
-        if let Some(e) = &self.episodes {
-            out = out.set(
-                "episodes",
-                Json::obj()
-                    .set("states", strs(&e.states))
-                    .set("empirical_shares", Json::of_f64s(&e.empirical_shares))
-                    .set("model_shares", Json::of_f64s(&e.model_shares))
-                    .set("mean_dwell_ticks", Json::of_f64s(&e.mean_dwell_ticks))
-                    .set("lag1_autocorr", Json::of_f64(e.lag1_autocorr)),
-            );
-        }
-        out
     }
 
     pub fn to_line(&self) -> String {
-        self.to_json().to_line()
+        let mut out = String::new();
+        write_object(&mut out, |w| {
+            w.field("type", "reply").field("ok", &self.ok);
+            if let Some(e) = &self.error {
+                w.field("error", e);
+            }
+            if let Some(k) = &self.error_kind {
+                w.field("error_kind", k);
+            }
+            if let Some(n) = self.panics_caught {
+                w.object("pool", |w| {
+                    w.field("panics_caught", &n);
+                });
+            }
+            let r = &self.registry;
+            w.field("samples", &self.samples)
+                .object("registry", |w| {
+                    w.field("engines", &r.engines)
+                        .field("payload_hits", &r.payload_hits)
+                        .field("payload_misses", &r.payload_misses)
+                        .field("exec_hits", &r.exec_hits)
+                        .field("exec_misses", &r.exec_misses)
+                        .field("requests", &r.requests)
+                        .field("cross_payload_hits", &r.cross_payload_hits)
+                        .field("cross_payload_lookups", &r.cross_payload_lookups)
+                        .field("cross_exec_hits", &r.cross_exec_hits)
+                        .field("cross_exec_lookups", &r.cross_exec_lookups);
+                })
+                .field("power_points", &self.power_points)
+                .field("capped_points", &self.capped_points)
+                .field("capped_samples", &self.capped_samples)
+                .field("infeasible_points", &self.infeasible_points)
+                .field("shards", &self.shards);
+            if let Some(c) = &self.cdf {
+                w.object("cdf", |w| {
+                    w.field("bins", &c.bins)
+                        .field("min_w", &c.min_w)
+                        .field("max_w", &c.max_w)
+                        .field("samples", &c.samples);
+                });
+            }
+            if let Some(b) = &self.budget {
+                w.object("budget", |w| {
+                    w.field("budget_w", &b.budget_w)
+                        .field("policy", &b.policy)
+                        .field("ticks", &b.ticks)
+                        .field("peak_fleet_w", &b.peak_fleet_w)
+                        .field("mean_fleet_w", &b.mean_fleet_w)
+                        .field("shed_ticks", &b.shed_ticks)
+                        .field("deferred_ticks", &b.deferred_ticks)
+                        .field("truncated_proposals", &b.truncated_proposals)
+                        .field("infeasible_floor_ticks", &b.infeasible_floor_ticks)
+                        .field("util_p95", &b.util_p95)
+                        .field("states", &b.states);
+                });
+            }
+            if let Some(e) = &self.episodes {
+                w.object("episodes", |w| {
+                    w.field("states", &e.states)
+                        .field("empirical_shares", &e.empirical_shares)
+                        .field("model_shares", &e.model_shares)
+                        .field("mean_dwell_ticks", &e.mean_dwell_ticks)
+                        .field("lag1_autocorr", &e.lag1_autocorr);
+                });
+            }
+        });
+        out
     }
 
     pub fn from_line(line: &str) -> Result<FleetReply, ProtoError> {
@@ -549,105 +471,82 @@ impl FleetReply {
             Some("reply") => {}
             _ => return Err(perr("not a reply line")),
         }
-        let strs = |j: &Json| -> Vec<String> {
-            j.as_arr()
-                .map(|a| {
-                    a.iter()
-                        .filter_map(|v| v.as_str().map(str::to_string))
-                        .collect()
-                })
-                .unwrap_or_default()
+        let text = |j: &Json, key: &str| j.get(key).and_then(Json::as_str).map(str::to_string);
+        let f64s = |j: &Json, key: &str| j.get(key).and_then(Json::f64s).unwrap_or_default();
+        let u64s = |j: &Json, key: &str| j.get(key).and_then(Json::u64s).unwrap_or_default();
+        let strs = |j: &Json, key: &str| -> Vec<String> {
+            let items = j.get(key).and_then(Json::as_arr).unwrap_or_default();
+            items
+                .iter()
+                .filter_map(Json::as_str)
+                .map(str::to_string)
+                .collect()
         };
         let cdf = v.get("cdf").map(|c| {
-            let bins = c
-                .get("bins")
-                .and_then(Json::as_arr)
-                .map(|pairs| {
-                    pairs
-                        .iter()
-                        .filter_map(|p| {
-                            let p = p.as_arr()?;
-                            Some((p.first()?.as_f64()?, p.get(1)?.as_f64()?))
-                        })
-                        .collect()
-                })
-                .unwrap_or_default();
-            CdfWire {
-                bins,
-                min_w: c.get("min_w").and_then(Json::as_f64).unwrap_or(0.0),
-                max_w: c.get("max_w").and_then(Json::as_f64).unwrap_or(0.0),
-                samples: c.get("samples").and_then(Json::as_usize).unwrap_or(0),
+            let pairs = c.get("bins").and_then(Json::as_arr).unwrap_or_default();
+            PowerCdf {
+                bins: pairs
+                    .iter()
+                    .filter_map(|p| {
+                        let p = p.as_arr()?;
+                        Some((p.first()?.as_f64()?, p.get(1)?.as_f64()?))
+                    })
+                    .collect(),
+                min_w: num(c, "min_w"),
+                max_w: num(c, "max_w"),
+                samples: num(c, "samples"),
             }
         });
-        let budget = v.get("budget").map(|b| {
-            let u64s = |k: &str| b.get(k).and_then(Json::u64s).unwrap_or_default();
-            let f = |k: &str| b.get(k).and_then(Json::as_f64).unwrap_or(0.0);
-            BudgetWire {
-                budget_w: f("budget_w"),
-                policy: b
-                    .get("policy")
-                    .and_then(Json::as_str)
-                    .unwrap_or_default()
-                    .to_string(),
-                ticks: b.get("ticks").and_then(Json::as_usize).unwrap_or(0),
-                peak_fleet_w: f("peak_fleet_w"),
-                mean_fleet_w: f("mean_fleet_w"),
-                shed_ticks: u64s("shed_ticks"),
-                deferred_ticks: u64s("deferred_ticks"),
-                truncated_proposals: b
-                    .get("truncated_proposals")
-                    .and_then(Json::as_u64)
-                    .unwrap_or(0),
-                infeasible_floor_ticks: b
-                    .get("infeasible_floor_ticks")
-                    .and_then(Json::as_u64)
-                    .unwrap_or(0),
-                util_p95: f("util_p95"),
-                states: strs(b.get("states").unwrap_or(&Json::Null)),
-            }
+        let budget = v.get("budget").map(|b| BudgetWire {
+            budget_w: num(b, "budget_w"),
+            policy: text(b, "policy").unwrap_or_default(),
+            ticks: num(b, "ticks"),
+            peak_fleet_w: num(b, "peak_fleet_w"),
+            mean_fleet_w: num(b, "mean_fleet_w"),
+            shed_ticks: u64s(b, "shed_ticks"),
+            deferred_ticks: u64s(b, "deferred_ticks"),
+            truncated_proposals: num(b, "truncated_proposals"),
+            infeasible_floor_ticks: num(b, "infeasible_floor_ticks"),
+            util_p95: num(b, "util_p95"),
+            states: strs(b, "states"),
         });
-        let episodes = v.get("episodes").map(|e| {
-            let f64s = |k: &str| e.get(k).and_then(Json::f64s).unwrap_or_default();
-            EpisodeWire {
-                states: strs(e.get("states").unwrap_or(&Json::Null)),
-                empirical_shares: f64s("empirical_shares"),
-                model_shares: f64s("model_shares"),
-                mean_dwell_ticks: f64s("mean_dwell_ticks"),
-                lag1_autocorr: e.get("lag1_autocorr").and_then(Json::as_f64).unwrap_or(0.0),
-            }
+        let episodes = v.get("episodes").map(|e| EpisodeStats {
+            states: strs(e, "states"),
+            empirical_shares: f64s(e, "empirical_shares"),
+            model_shares: f64s(e, "model_shares"),
+            mean_dwell_ticks: f64s(e, "mean_dwell_ticks"),
+            lag1_autocorr: num(e, "lag1_autocorr"),
         });
         Ok(FleetReply {
             ok: v.get("ok").and_then(Json::as_bool).unwrap_or(false),
-            error: v.get("error").and_then(Json::as_str).map(str::to_string),
-            error_kind: v
-                .get("error_kind")
-                .and_then(Json::as_str)
-                .map(str::to_string),
-            pool: v.get("pool").map(PoolWire::from_json),
+            error: text(&v, "error"),
+            error_kind: text(&v, "error_kind"),
+            panics_caught: v.get("pool").map(|p| num(p, "panics_caught")),
             samples: v
                 .get("samples")
                 .and_then(Json::f64s)
                 .ok_or_else(|| perr("reply carries no samples array"))?,
             cdf,
-            registry: v
-                .get("registry")
-                .map(RegistryWire::from_json)
-                .unwrap_or_default(),
-            power_points: v.get("power_points").and_then(Json::as_usize).unwrap_or(0),
-            capped_points: v.get("capped_points").and_then(Json::as_usize).unwrap_or(0),
-            capped_samples: v
-                .get("capped_samples")
-                .and_then(Json::as_usize)
-                .unwrap_or(0),
-            infeasible_points: v
-                .get("infeasible_points")
-                .and_then(Json::as_usize)
-                .unwrap_or(0),
+            registry: RegistryWire::from_json(v.get("registry").unwrap_or(&Json::Null)),
+            power_points: num(&v, "power_points"),
+            capped_points: num(&v, "capped_points"),
+            capped_samples: num(&v, "capped_samples"),
+            infeasible_points: num(&v, "infeasible_points"),
             budget,
             episodes,
-            shards: v.get("shards").and_then(Json::as_usize).unwrap_or(0),
+            shards: num(&v, "shards"),
         })
     }
+}
+
+/// Whether a reply line is a [`kind::SHARD_PANIC`] failure.
+/// [`FleetReply::to_line`] writes `"ok"` second, so a success reply,
+/// which can run to tens of MB, is told apart by its first bytes; only
+/// a failure reply, which carries no samples, is decoded.
+pub(crate) fn is_shard_panic(line: &str) -> bool {
+    line.starts_with(r#"{"type":"reply","ok":false,"#)
+        && FleetReply::from_line(line)
+            .is_ok_and(|r| r.error_kind.as_deref() == Some(kind::SHARD_PANIC))
 }
 
 #[cfg(test)]
@@ -736,9 +635,9 @@ mod tests {
             ok: true,
             error: None,
             error_kind: None,
-            pool: Some(PoolWire { panics_caught: 3 }),
+            panics_caught: Some(3),
             samples: vec![83.25, 359.9, f64::from_bits(0x405526E41CAD1777)],
-            cdf: Some(CdfWire {
+            cdf: Some(PowerCdf {
                 bins: vec![(100.0, 0.25), (360.0, 1.0)],
                 min_w: 83.25,
                 max_w: 359.9,
@@ -769,7 +668,7 @@ mod tests {
                 util_p95: 0.99,
                 states: vec!["floor".into(), "hpl".into()],
             }),
-            episodes: Some(EpisodeWire {
+            episodes: Some(EpisodeStats {
                 states: vec!["floor".into(), "hpl".into()],
                 empirical_shares: vec![0.5, 0.5],
                 model_shares: vec![0.4, 0.6],
@@ -790,29 +689,34 @@ mod tests {
 
     #[test]
     fn failure_replies_carry_the_reason() {
-        let line = FleetReply::failure("rejected: queue full").to_line();
+        let line = FleetReply::failure_kind(kind::ADMISSION_BUSY, "rejected: queue full").to_line();
         let back = FleetReply::from_line(&line).unwrap();
         assert!(!back.ok);
         assert_eq!(back.error.as_deref(), Some("rejected: queue full"));
-        assert_eq!(back.error_kind, None, "untyped failures stay untyped");
+        assert_eq!(back.error_kind.as_deref(), Some(kind::ADMISSION_BUSY));
+        assert_eq!(back.panics_caught, None, "no shard ran");
     }
 
     #[test]
     fn typed_failures_round_trip_kind_and_pool_counters() {
         let mut reply = FleetReply::failure_kind(kind::SHARD_PANIC, "shard task 2 panicked: boom");
-        reply.pool = Some(PoolWire { panics_caught: 1 });
+        reply.panics_caught = Some(1);
         let back = FleetReply::from_line(&reply.to_line()).unwrap();
         assert!(!back.ok);
         assert_eq!(back.error_kind.as_deref(), Some(kind::SHARD_PANIC));
-        assert_eq!(back.pool.unwrap().panics_caught, 1);
+        assert_eq!(back.panics_caught, Some(1));
+        // The retry rule tells a shard panic from the line alone.
+        assert!(is_shard_panic(&reply.to_line()));
+        let busy = FleetReply::failure_kind(kind::ADMISSION_BUSY, "shed");
+        assert!(!is_shard_panic(&busy.to_line()));
         // An old-style reply without the new fields still decodes.
         let legacy = r#"{"type":"reply","ok":false,"error":"shed","samples":[]}"#;
         let old = FleetReply::from_line(legacy).unwrap();
         assert_eq!(old.error_kind, None);
-        assert_eq!(old.pool, None);
+        assert_eq!(old.panics_caught, None);
         // Counters this build does not know are skipped.
         let extra = r#"{"type":"reply","ok":false,"samples":[],"pool":{"panics_caught":2,"retired_counter":1}}"#;
         let old = FleetReply::from_line(extra).unwrap();
-        assert_eq!(old.pool, Some(PoolWire { panics_caught: 2 }));
+        assert_eq!(old.panics_caught, Some(2));
     }
 }

@@ -23,9 +23,7 @@
 
 use crate::admission::{AdmissionConfig, AdmissionError, AdmissionStats, Gate};
 use crate::chaos::{ChaosConfig, ChaosState};
-use crate::proto::{
-    kind, BudgetWire, CdfWire, EpisodeWire, FleetReply, FleetRequest, PoolWire, RegistryWire,
-};
+use crate::proto::{kind, BudgetWire, FleetReply, FleetRequest, RegistryWire};
 use crate::timing::{Clock, WallClock};
 use fs2_cluster::{shard_ranges, FleetShard, FleetSim, PowerCdf};
 use fs2_core::{fan_out, resolve_threads, EngineRegistry, RegistryStats};
@@ -133,11 +131,10 @@ impl FleetService {
         self.gate.stats()
     }
 
-    /// The shard-panic counter every reply carries.
-    pub fn pool_stats(&self) -> PoolWire {
-        PoolWire {
-            panics_caught: self.panics_caught.load(Ordering::Relaxed),
-        }
+    /// Shard-task panics caught over the service's lifetime: the
+    /// counter every reply that reached the shard layer carries.
+    pub fn panics_caught(&self) -> u64 {
+        self.panics_caught.load(Ordering::Relaxed)
     }
 
     /// The live chaos state, when fault injection is enabled. The TCP
@@ -175,6 +172,10 @@ impl FleetService {
                 return FleetReply::failure_kind(k, e.to_string());
             }
         };
+        // The deadline counts from admission, so the plan counts too.
+        let deadline_at = req
+            .deadline_ms
+            .map(|d| self.clock.now_ms().saturating_add(d));
 
         let shards = match req.shards.unwrap_or(self.default_shards) {
             0 => self.workers,
@@ -194,9 +195,6 @@ impl FleetService {
             None => (None, 0),
         };
 
-        let deadline_at = req
-            .deadline_ms
-            .map(|d| self.clock.now_ms().saturating_add(d));
         // Each task checks the deadline *before* proposing its shard: an
         // expired request degrades to a typed reply instead of burning
         // threads on doomed work. The Err payload is the overshoot in ms.
@@ -244,82 +242,63 @@ impl FleetService {
                 }
             }
         }
-        if let Some(e) = first_panic {
+        // A failure past admission books the permit as failed and
+        // carries the panic counter.
+        let failure = |k: &str, error: String| {
             permit.fail();
-            drop(permit);
-            let mut reply = FleetReply::failure_kind(kind::SHARD_PANIC, e.to_string());
-            reply.pool = Some(self.pool_stats());
-            return reply;
+            FleetReply {
+                panics_caught: Some(self.panics_caught()),
+                ..FleetReply::failure_kind(k, error)
+            }
+        };
+        if let Some(e) = first_panic {
+            return failure(kind::SHARD_PANIC, e.to_string());
         }
         if let Some(over) = worst_overshoot {
-            permit.fail();
-            drop(permit);
-            let mut reply = FleetReply::failure_kind(
+            return failure(
                 kind::DEADLINE_EXCEEDED,
                 format!("deadline exceeded mid-flight by {over} ms"),
             );
-            reply.pool = Some(self.pool_stats());
-            return reply;
         }
         let run = match sim.try_merge_shards(&self.registry, &plan, parts) {
             Ok(run) => run,
-            Err(e) => {
-                permit.fail();
-                drop(permit);
-                let mut reply = FleetReply::failure_kind(kind::SHARD_MERGE, e.to_string());
-                reply.pool = Some(self.pool_stats());
-                return reply;
-            }
+            Err(e) => return failure(kind::SHARD_MERGE, e.to_string()),
         };
         drop(permit);
 
-        let cdf = req.want_cdf.then(|| {
-            let c = PowerCdf::from_samples(&run.samples, 0.1);
-            CdfWire {
-                bins: c.bins.clone(),
-                min_w: c.min_w,
-                max_w: c.max_w,
-                samples: c.samples,
-            }
-        });
-        let budget = run.budget.as_ref().map(|b| BudgetWire {
+        let budget = run.budget.map(|b| BudgetWire {
             budget_w: b.budget_w,
             policy: b.policy.name().to_string(),
             ticks: b.ticks,
             peak_fleet_w: b.peak_fleet_w,
             mean_fleet_w: b.mean_fleet_w,
-            shed_ticks: b.shed_ticks.clone(),
-            deferred_ticks: b.deferred_ticks.clone(),
+            shed_ticks: b.shed_ticks,
+            deferred_ticks: b.deferred_ticks,
             truncated_proposals: b.truncated_proposals,
             infeasible_floor_ticks: b.infeasible_floor_ticks,
             util_p95: b.utilization.quantile(0.95),
             states: b.states.iter().map(|s| s.to_string()).collect(),
         });
-        let episodes = run.episodes.as_ref().map(|e| EpisodeWire {
-            states: e.states.iter().map(|s| s.to_string()).collect(),
-            empirical_shares: e.empirical_shares.clone(),
-            model_shares: e.model_shares.clone(),
-            mean_dwell_ticks: e.mean_dwell_ticks.clone(),
-            lag1_autocorr: e.lag1_autocorr,
-        });
         FleetReply {
             ok: true,
             error: None,
             error_kind: None,
-            pool: Some(self.pool_stats()),
+            panics_caught: Some(self.panics_caught()),
+            cdf: req
+                .want_cdf
+                .then(|| PowerCdf::from_samples(&run.samples, 0.1)),
             samples: if req.want_samples {
                 run.samples
             } else {
                 Vec::new()
             },
-            cdf,
             registry: RegistryWire::from_stats(&run.registry),
             power_points: run.power_table.len(),
             capped_points: run.capped_points,
             capped_samples: run.capped_samples,
             infeasible_points: run.infeasible_points,
             budget,
-            episodes,
+            episodes: run.episodes,
             shards: ranges.len(),
         }
     }
@@ -376,8 +355,11 @@ mod tests {
             );
             assert_eq!(reply.capped_samples, direct.capped_samples);
             assert_eq!(reply.power_points, direct.power_table.len());
-            let pool = reply.pool.expect("successful replies carry pool counters");
-            assert_eq!(pool.panics_caught, 0);
+            assert_eq!(
+                reply.panics_caught,
+                Some(0),
+                "successful replies carry the panic counter"
+            );
         }
     }
 
@@ -555,6 +537,29 @@ mod tests {
     }
 
     #[test]
+    fn the_deadline_counts_from_admission() {
+        // A fresh service plans cold (~20 ms in a release build), so a
+        // 1 ms deadline has passed before any shard starts.
+        let service = FleetService::new(ServiceConfig::small());
+        let reply = service.handle(&FleetRequest {
+            deadline_ms: Some(1),
+            ..request(3)
+        });
+        assert!(!reply.ok);
+        assert_eq!(reply.error_kind.as_deref(), Some(kind::DEADLINE_EXCEEDED));
+        let stats = service.admission_stats();
+        assert_eq!((stats.admitted, stats.failed), (1, 1));
+        // The same request with time to spare succeeds.
+        let service = FleetService::new(ServiceConfig::small());
+        let reply = service.handle(&FleetRequest {
+            deadline_ms: Some(60_000),
+            ..request(3)
+        });
+        assert!(reply.ok, "{:?}", reply.error);
+        assert_eq!(service.admission_stats().completed, 1);
+    }
+
+    #[test]
     fn injected_shard_panic_becomes_a_typed_reply_and_the_pool_recovers() {
         let service = FleetService::new(ServiceConfig {
             chaos: ChaosConfig {
@@ -578,7 +583,7 @@ mod tests {
             "{:?}",
             second.error
         );
-        assert_eq!(second.pool.unwrap().panics_caught, 1);
+        assert_eq!(second.panics_caught, Some(1));
         // Request 3 (the "retry"): bitwise-identical to an undisturbed
         // service run of the same request.
         let third = service.handle(&req);
@@ -618,7 +623,7 @@ mod tests {
             error.contains(" panicked: chaos: injected panic"),
             "{error}"
         );
-        assert_eq!(hurt.pool.unwrap().panics_caught, 1);
+        assert_eq!(hurt.panics_caught, Some(1));
         let retry = service.handle(&req);
         assert!(retry.ok, "{:?}", retry.error);
         let direct = FleetSim::new(req.to_config()).run();

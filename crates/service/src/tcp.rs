@@ -36,9 +36,10 @@
 //! vanished one ([`ClientError::Eof`]); [`call_with_retry`] layers a
 //! deterministic, attempt-indexed backoff schedule ([`RetryPolicy`],
 //! seeded — no wall-clock reads in the decision path) on top, which is
-//! what turns a chaos-dropped reply into a bitwise-identical retry.
+//! what turns a chaos-dropped reply or a shard panic into a
+//! bitwise-identical retry.
 
-use crate::proto::{kind, FleetReply};
+use crate::proto::{is_shard_panic, kind, FleetReply};
 use crate::service::FleetService;
 use crate::timing::millis;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -551,20 +552,24 @@ pub fn call(addr: &str, line: &str) -> Result<String, ClientError> {
 
 /// [`call`], retried on a fresh connection per [`RetryPolicy`]: the
 /// resilient client path. Timeouts, eofs (dropped replies, mid-stream
-/// disconnects), and connect errors all retry; the last error is
-/// returned if every attempt fails.
+/// disconnects) and connect errors retry, and so does a
+/// [`kind::SHARD_PANIC`] reply, whose panic is gone by the next
+/// attempt. When the attempts run out, the last reply line is returned
+/// if any attempt got one, and otherwise the last error.
 pub fn call_with_retry(addr: &str, line: &str, policy: RetryPolicy) -> Result<String, ClientError> {
-    let mut last = None;
+    let mut last_reply = None;
+    let mut last_err = ClientError::Eof;
     for attempt in 0..policy.attempts.max(1) {
         if attempt > 0 {
             std::thread::sleep(millis(policy.backoff_ms(attempt - 1)));
         }
         match Client::connect(addr).and_then(|mut c| c.request(line)) {
+            Ok(reply) if is_shard_panic(&reply) => last_reply = Some(reply),
             Ok(reply) => return Ok(reply),
-            Err(e) => last = Some(e),
+            Err(e) => last_err = e,
         }
     }
-    Err(last.unwrap_or(ClientError::Eof))
+    last_reply.ok_or(last_err)
 }
 
 #[cfg(test)]

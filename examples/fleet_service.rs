@@ -110,7 +110,7 @@ fn main() {
     );
     println!(
         "supervision: {} shard panics caught",
-        chaotic.pool_stats().panics_caught
+        chaotic.panics_caught()
     );
 
     // Deadlines: with a cost model configured, an unmeetable deadline

@@ -234,9 +234,9 @@ FLEET SERVICE
                                   service sheds requests (default 64)
   --max-cost N                    reject requests above N node-samples
                                   (default 2^30)
-  --deadline-ms MS                request deadline: unmeetable requests
-                                  are rejected at admission, overruns
-                                  fail typed mid-flight
+  --deadline-ms MS                request deadline in ms from admission;
+                                  once it passes, the request fails
+                                  typed before its next shard starts
   --retries N                     total --connect attempts, with a
                                   seeded deterministic backoff between
                                   them (default 1 = no retry)
@@ -726,13 +726,8 @@ fn print_fleet_reply(
     ));
     // Quiet on a healthy service so local and served runs print the
     // same bytes; only a caught panic surfaces the supervision line.
-    if let Some(pool) = &reply.pool {
-        if pool.panics_caught > 0 {
-            out.push_str(&format!(
-                "  supervision: {} shard panics caught\n",
-                pool.panics_caught
-            ));
-        }
+    if let Some(n) = reply.panics_caught.filter(|&n| n > 0) {
+        out.push_str(&format!("  supervision: {n} shard panics caught\n"));
     }
     if let Some(cap) = cfg.cap_w {
         out.push_str(&format!(
@@ -903,8 +898,7 @@ fn run_connect(cfg: &CliConfig) -> Result<String, CliError> {
         .as_deref()
         .expect("Connect action implies --connect");
     let req = fleet_request_from_cli(cfg)?;
-    // Retry on transport failures AND on transient typed failures
-    // (an injected/real shard panic is gone by the next attempt).
+    // call_with_retry retries transport failures and shard panics.
     // ClientError's Display says *which* transport failure was hit — a
     // stalled server ("timed out …") reads differently from a vanished
     // one ("connection closed before a reply arrived").
@@ -912,41 +906,15 @@ fn run_connect(cfg: &CliConfig) -> Result<String, CliError> {
         attempts: cfg.retries,
         ..fs2_service::RetryPolicy::default()
     };
-    let attempts = policy.attempts.max(1);
-    let suffix = || {
-        if cfg.retries > 1 {
+    let line = fs2_service::call_with_retry(addr, &req.to_line(), policy).map_err(|e| {
+        let after = if cfg.retries > 1 {
             format!(" after {} attempts", cfg.retries)
         } else {
             String::new()
-        }
-    };
-    let mut reply = None;
-    let mut last_err = None;
-    for attempt in 0..attempts {
-        if attempt > 0 {
-            std::thread::sleep(std::time::Duration::from_millis(
-                policy.backoff_ms(attempt - 1),
-            ));
-        }
-        match fs2_service::call(addr, &req.to_line()) {
-            Ok(line) => {
-                let got = fs2_service::FleetReply::from_line(&line);
-                let transient = got.as_ref().is_ok_and(|r| {
-                    !r.ok && r.error_kind.as_deref() == Some(fs2_service::proto::kind::SHARD_PANIC)
-                });
-                reply = Some(got);
-                if !transient {
-                    break;
-                }
-            }
-            Err(e) => last_err = Some(e),
-        }
-    }
-    let reply = match (reply, last_err) {
-        (Some(got), _) => got.map_err(|e| err(e.to_string()))?,
-        (None, Some(e)) => return Err(err(format!("--connect {addr}{}: {e}", suffix()))),
-        (None, None) => return Err(err(format!("--connect {addr}: no attempts made"))),
-    };
+        };
+        err(format!("--connect {addr}{after}: {e}"))
+    })?;
+    let reply = fs2_service::FleetReply::from_line(&line).map_err(|e| err(e.to_string()))?;
     if let Some(path) = &cfg.dump_samples {
         if reply.ok {
             write_sample_bits(path, &reply.samples)?;

@@ -106,7 +106,7 @@ fn episode_fleet_stats_track_model_and_correlate() {
     });
     let run = sim.run();
     let stats = run.episodes.expect("episode stats present");
-    for ((&got, &want), &state) in stats
+    for ((&got, &want), state) in stats
         .empirical_shares
         .iter()
         .zip(&stats.model_shares)
@@ -124,7 +124,7 @@ fn episode_fleet_stats_track_model_and_correlate() {
     );
     // Dwell estimates stay within a factor-band of the configured means
     // (geometric draws, capped by per-node horizon effects).
-    for ((&got, &want), &state) in stats
+    for ((&got, &want), state) in stats
         .mean_dwell_ticks
         .iter()
         .zip(sim.config.episodes.mean_dwell_ticks())

@@ -57,14 +57,16 @@ fn injected_panics_never_hang_and_keep_the_ledger_balanced() {
         } else {
             panicked += 1;
             assert_eq!(reply.error_kind.as_deref(), Some(kind::SHARD_PANIC));
-            let pool = reply.pool.expect("failed replies carry pool counters");
-            assert!(pool.panics_caught >= 1);
+            let caught = reply
+                .panics_caught
+                .expect("failed replies carry the panic counter");
+            assert!(caught >= 1);
         }
     }
     assert_eq!(ok + panicked, 12, "every request resolved");
     assert_eq!(panicked, 4, "panic_every=3 over 12 requests");
 
-    assert_eq!(service.pool_stats().panics_caught, 4);
+    assert_eq!(service.panics_caught(), 4);
 
     // The ledger balances: everything admitted either completed or
     // failed, nothing vanished.
@@ -209,6 +211,43 @@ fn dropped_replies_are_absorbed_by_the_retry_client_bitwise() {
         assert_eq!(want, bits(&reply.samples), "round {round} diverged");
     }
     server.shutdown();
+}
+
+#[test]
+fn shard_panics_are_absorbed_by_the_retry_client_bitwise() {
+    // Every 2nd request panics a shard. call_with_retry retries the
+    // shard-panic reply, so each round returns the next request's
+    // reply, identical to the one-shot library run.
+    let service = Arc::new(FleetService::new(chaotic_config(ChaosConfig {
+        seed: 23,
+        panic_every: 2,
+        ..ChaosConfig::default()
+    })));
+    let server = serve_with(
+        Arc::clone(&service),
+        "127.0.0.1:0",
+        TransportConfig::default(),
+    )
+    .unwrap();
+    let addr = server.local_addr().to_string();
+
+    let want = bits(&FleetSim::new(request(31).to_config()).run().samples);
+    let policy = RetryPolicy {
+        attempts: 3,
+        base_ms: 5,
+        cap_ms: 40,
+        seed: 17,
+    };
+    for round in 0..4 {
+        let line = call_with_retry(&addr, &request(31).to_line(), policy)
+            .unwrap_or_else(|e| panic!("round {round}: retries exhausted: {e}"));
+        let reply = FleetReply::from_line(&line).unwrap();
+        assert!(reply.ok, "round {round}: {:?}", reply.error);
+        assert_eq!(want, bits(&reply.samples), "round {round} diverged");
+    }
+    server.shutdown();
+    // Rounds 2, 3 and 4 each met one panic and retried once.
+    assert_eq!(service.panics_caught(), 3);
 }
 
 #[test]

@@ -59,9 +59,10 @@ impl Fnv {
         }
     }
 
-    fn strs(&mut self, ss: &[&str]) {
+    fn strs<S: AsRef<str>>(&mut self, ss: &[S]) {
         self.usize(ss.len());
         for s in ss {
+            let s = s.as_ref();
             self.usize(s.len());
             self.bytes(s.as_bytes());
         }
