@@ -474,14 +474,19 @@ mod tests {
 
     #[test]
     fn unmeetable_deadline_is_rejected_at_admission() {
-        let service = FleetService::new(ServiceConfig {
-            admission: AdmissionConfig {
-                // 24 nodes × 120 samples = 2880 cost → 288 ms of work.
-                cost_per_ms: 10,
-                ..AdmissionConfig::default()
+        // A manual clock: the deadline counts from admission, and an
+        // unoptimized cold plan may itself take hundreds of ms.
+        let service = FleetService::with_clock(
+            ServiceConfig {
+                admission: AdmissionConfig {
+                    // 24 nodes × 120 samples = 2880 cost → 288 ms of work.
+                    cost_per_ms: 10,
+                    ..AdmissionConfig::default()
+                },
+                ..ServiceConfig::small()
             },
-            ..ServiceConfig::small()
-        });
+            Arc::new(ManualClock::new()),
+        );
         let reply = service.handle(&FleetRequest {
             deadline_ms: Some(100),
             ..request(5)
