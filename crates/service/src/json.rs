@@ -13,7 +13,7 @@
 //!   with its correctly-rounded parser, which is an exact inverse.
 //!
 //! The writer ([`write_object`]) appends each field straight to the
-//! output `String`: it allocates nothing per value and builds no tree.
+//! output `String`: it builds no tree and no `String` per number.
 //! Only what the protocol needs is implemented: UTF-8 text, the JSON
 //! value kinds, `\uXXXX` escapes (including surrogate pairs), and a
 //! recursive-descent parser with a depth limit.
@@ -134,9 +134,7 @@ fn encode_str(s: &str, out: &mut String) {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
             c => out.push(c),
         }
     }
