@@ -3,12 +3,15 @@
 //! fresh service, and compares the line with a committed capture in
 //! `tests/data/`: key order, number formatting, string escapes, the
 //! optional sections and their nesting. Any change to how a request or
-//! a reply is written that moves a byte shows up here.
+//! a reply is written that moves a byte shows up here. The decoder is
+//! pinned too: every capture decodes and re-encodes to its own bytes,
+//! and each single-fault request line gets its pinned rejection.
 
 use firestarter2::calib::FleetProfile;
 use firestarter2::cluster::{BudgetPolicy, TemporalMode};
+use firestarter2::service::json::write_object;
 use firestarter2::service::{
-    AdmissionConfig, ChaosConfig, FleetRequest, FleetService, ServiceConfig,
+    AdmissionConfig, ChaosConfig, FleetReply, FleetRequest, FleetService, ServiceConfig,
 };
 
 /// Compares `line` with a capture (the line plus its newline) and, on
@@ -154,4 +157,74 @@ fn shard_panic_reply_is_pinned() {
         &reply.to_line(),
         include_str!("data/wire_reply_shard_panic.jsonl"),
     );
+}
+
+/// Request lines with one fault each: every value a valid request may
+/// not hold, an unknown temporal mode and budget policy, and a profile
+/// whose floor share lies outside (0, 1). Their replies are pinned in
+/// `data/wire_reply_single_faults.jsonl`, one line each, in this order.
+fn single_fault_lines() -> Vec<String> {
+    let mut profile = String::new();
+    let text = FleetProfile::exemplar().to_text();
+    write_object(&mut profile, |w| {
+        w.field("type", "fleet").field(
+            "profile",
+            &text.replace("floor_share = 0.15\n", "floor_share = 2\n"),
+        );
+    });
+    assert!(profile.contains("floor_share = 2"), "{profile}");
+    [
+        r#"{"type":"fleet","nodes":0}"#,
+        r#"{"type":"fleet","samples_per_node":0}"#,
+        r#"{"type":"fleet","cap_w":-3}"#,
+        r#"{"type":"fleet","budget_w":0}"#,
+        r#"{"type":"fleet","shards":0}"#,
+        r#"{"type":"fleet","deadline_ms":0}"#,
+        r#"{"type":"fleet","temporal":"markov"}"#,
+        r#"{"type":"fleet","budget_policy":"auction"}"#,
+    ]
+    .into_iter()
+    .map(str::to_string)
+    .chain([profile])
+    .collect()
+}
+
+#[test]
+fn single_fault_rejections_are_pinned() {
+    let service = FleetService::new(ServiceConfig::small());
+    let capture = include_str!("data/wire_reply_single_faults.jsonl");
+    let lines = single_fault_lines();
+    assert_eq!(capture.lines().count(), lines.len());
+    for (line, pinned) in lines.iter().zip(capture.lines()) {
+        assert_pinned(&service.handle_line(line), pinned);
+    }
+    assert_eq!(
+        service.admission_stats().submitted(),
+        0,
+        "a rejected line reached the gate"
+    );
+}
+
+#[test]
+fn every_capture_decodes_and_re_encodes_to_its_own_bytes() {
+    for capture in [
+        include_str!("data/wire_request_fig1.jsonl"),
+        include_str!("data/wire_request_full.jsonl"),
+    ] {
+        let line = capture.strip_suffix('\n').unwrap_or(capture);
+        let req = FleetRequest::from_line(line).unwrap();
+        assert_pinned(&req.to_line(), capture);
+    }
+    let replies = [
+        include_str!("data/wire_reply_episodes_6x40.jsonl"),
+        include_str!("data/wire_reply_episodes_6x40_no_samples.jsonl"),
+        include_str!("data/wire_reply_bad_request.jsonl"),
+        include_str!("data/wire_reply_oversize.jsonl"),
+        include_str!("data/wire_reply_shard_panic.jsonl"),
+        include_str!("data/wire_reply_single_faults.jsonl"),
+    ];
+    for line in replies.iter().flat_map(|c| c.lines()) {
+        let reply = FleetReply::from_line(line).unwrap();
+        assert_pinned(&reply.to_line(), line);
+    }
 }
