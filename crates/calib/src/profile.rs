@@ -91,6 +91,8 @@ pub enum ProfileError {
     },
     /// A P-state set not present in [`PSTATE_SETS`].
     UnknownPstates { line: usize, value: String },
+    /// A class's `pstate_set` index past the end of [`PSTATE_SETS`].
+    BadPstateSet { class: String, index: usize },
     /// `floor_share` outside (0, 1).
     BadFloorShare { value: f64 },
     /// A dwell below one tick.
@@ -131,6 +133,9 @@ impl fmt::Display for ProfileError {
             }
             ProfileError::UnknownPstates { line, value } => {
                 write!(f, "line {line}: P-state set {value:?} is not supported")
+            }
+            ProfileError::BadPstateSet { class, index } => {
+                write!(f, "class {class}: P-state set index {index} out of range")
             }
             ProfileError::BadFloorShare { value } => {
                 write!(f, "floor_share {value} outside (0, 1)")
@@ -259,7 +264,12 @@ impl FleetProfile {
                     value: c.weight,
                 });
             }
-            assert!(c.pstate_set < PSTATE_SETS.len(), "pstate_set out of range");
+            if c.pstate_set >= PSTATE_SETS.len() {
+                return Err(ProfileError::BadPstateSet {
+                    class: c.name.to_string(),
+                    index: c.pstate_set,
+                });
+            }
             total += c.weight;
         }
         if total <= 0.0 {
@@ -666,5 +676,21 @@ mod tests {
             FleetProfile::from_text(&headerless),
             Err(ProfileError::MissingKey { key: "name", .. })
         ));
+    }
+
+    #[test]
+    fn hand_built_pstate_set_out_of_range_is_a_typed_error() {
+        // The text format cannot name such a set; a hand-built profile can.
+        let mut p = FleetProfile::exemplar();
+        p.classes[1].pstate_set = PSTATE_SETS.len();
+        let err = p.validate().unwrap_err();
+        assert_eq!(
+            err,
+            ProfileError::BadPstateSet {
+                class: p.classes[1].name.to_string(),
+                index: PSTATE_SETS.len(),
+            }
+        );
+        assert!(err.to_string().contains("out of range"), "{err}");
     }
 }

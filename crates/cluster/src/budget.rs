@@ -42,6 +42,16 @@ impl BudgetPolicy {
             BudgetPolicy::Defer => "defer",
         }
     }
+
+    /// The policy `shed` (or its name, `shed-to-floor`) or `defer`
+    /// names, in any letter case.
+    pub fn from_name(name: &str) -> Option<BudgetPolicy> {
+        match name.to_ascii_lowercase().as_str() {
+            "shed" | "shed-to-floor" => Some(BudgetPolicy::ShedToFloor),
+            "defer" => Some(BudgetPolicy::Defer),
+            _ => None,
+        }
+    }
 }
 
 /// One node's proposals as the arbiter reads them: its unconditional
@@ -348,5 +358,21 @@ mod tests {
         let (b, out_b) = arbitrate_nodes(&nodes, 9.0, BudgetPolicy::Defer);
         assert_eq!(out_a, out_b);
         assert_eq!(a.tick_draw_w, b.tick_draw_w);
+    }
+
+    #[test]
+    fn policy_and_mode_names_parse_in_any_letter_case() {
+        for p in [BudgetPolicy::ShedToFloor, BudgetPolicy::Defer] {
+            assert_eq!(BudgetPolicy::from_name(p.name()), Some(p));
+        }
+        let shed = Some(BudgetPolicy::ShedToFloor);
+        assert_eq!(BudgetPolicy::from_name("shed"), shed);
+        assert_eq!(BudgetPolicy::from_name("Shed-To-Floor"), shed);
+        assert_eq!(BudgetPolicy::from_name("auction"), None);
+        use crate::TemporalMode;
+        assert_eq!(TemporalMode::from_name("iid"), Some(TemporalMode::Iid));
+        let episodes = Some(TemporalMode::Episodes);
+        assert_eq!(TemporalMode::from_name("EPISODES"), episodes);
+        assert_eq!(TemporalMode::from_name("markov"), None);
     }
 }

@@ -63,6 +63,17 @@ pub enum TemporalMode {
     Episodes,
 }
 
+impl TemporalMode {
+    /// The mode `iid` or `episodes` names, in any letter case.
+    pub fn from_name(name: &str) -> Option<TemporalMode> {
+        match name.to_ascii_lowercase().as_str() {
+            "iid" => Some(TemporalMode::Iid),
+            "episodes" => Some(TemporalMode::Episodes),
+            _ => None,
+        }
+    }
+}
+
 /// Fleet parameters (Fig. 1: 612 nodes, one year, 60 s means).
 #[derive(Debug, Clone)]
 pub struct FleetConfig {

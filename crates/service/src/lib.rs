@@ -25,17 +25,21 @@
 //! In-process callers, the CLI's `--fleet` among them, call
 //! [`service::FleetService::handle`] with a typed request and read the
 //! typed reply; JSON is spoken only at the one transport, [`tcp`]
-//! (plain TCP JSON-lines, the CLI's `--serve`/`--connect`).
+//! (plain TCP JSON-lines, the CLI's `--serve`/`--connect`). A request
+//! has one contract, [`proto::FleetRequest::validate`]: `handle` checks
+//! it for typed and decoded requests alike, and a request that breaks
+//! it gets a `bad-request` reply before admission counts it.
 //!
 //! A fault-tolerance layer cuts across all of it: every shard task runs
 //! under `catch_unwind`, so a panic is counted and typed as a
 //! [`service::ShardError`] in its own slot, requests carry optional
-//! deadlines checked at admission and between shards ([`timing`] is the
-//! lone clock seam), the TCP transport bounds line length / read
-//! stalls / connection count and drains connections on shutdown,
-//! clients reconnect-and-retry on a deterministic backoff schedule, and
-//! a seeded [`chaos`] harness injects shard panics, dropped replies and
-//! shard latency at reproducible points to prove all of the above.
+//! completion deadlines, checked at admission, before each shard and
+//! after the merge ([`timing`] is the lone clock seam), the TCP
+//! transport bounds line length / read stalls / connection count and
+//! drains connections on shutdown, clients reconnect-and-retry on a
+//! deterministic backoff schedule, and a seeded [`chaos`] harness
+//! injects shard panics, dropped replies and shard latency at
+//! reproducible points to prove all of the above.
 
 pub mod admission;
 pub mod chaos;

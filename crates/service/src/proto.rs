@@ -14,7 +14,10 @@
 //! registry counters and the budget telemetry have wire structs of
 //! their own, because the wire carries a subset of them
 //! ([`RegistryWire`]) or a summary ([`BudgetWire`]'s utilization p95).
-//! Decoding parses the line into a [`Json`] tree and reads it back.
+//! Decoding parses the line into a [`Json`] tree and reads its shape
+//! back. Every rule of a valid request lives in
+//! [`FleetRequest::validate`], which the decoder, the CLI and
+//! `FleetService::handle` all call.
 //!
 //! Floats and 64-bit seeds round-trip exactly (see [`crate::json`]),
 //! which is what makes the CI smoke diff of served-vs-local samples
@@ -85,9 +88,10 @@ pub struct FleetRequest {
     /// Optional completion deadline, in milliseconds from admission,
     /// so the plan counts against it. A gate that knows its throughput
     /// rejects deadlines its estimate cannot meet
-    /// ([`kind::ADMISSION_DEADLINE`]); an admitted request that still
-    /// overruns degrades to a typed [`kind::DEADLINE_EXCEEDED`] reply
-    /// at the next between-shards check.
+    /// ([`kind::ADMISSION_DEADLINE`]). An admitted request that still
+    /// overruns fails with a typed [`kind::DEADLINE_EXCEEDED`] reply:
+    /// the deadline is checked before each shard starts and again once
+    /// the shards have merged, so no reply is served late.
     pub deadline_ms: Option<u64>,
     /// Return the raw 60 s-mean samples (the big artifact).
     pub want_samples: bool,
@@ -170,75 +174,83 @@ impl FleetRequest {
         out
     }
 
+    /// Checks every rule of a valid request: at least one node and one
+    /// sample per node, positive finite wattages, `shards` and
+    /// `deadline_ms` of at least 1, and a profile that passes
+    /// [`FleetProfile::validate`]. The decoder and the CLI call it, and
+    /// [`crate::FleetService::handle`] calls it before the gate counts
+    /// the request, so a typed request meets the same contract as a
+    /// decoded line.
+    pub fn validate(&self) -> Result<(), ProtoError> {
+        let bad_watts = |w: Option<f64>| w.is_some_and(|w| !(w.is_finite() && w > 0.0));
+        let fault = if self.nodes == 0 {
+            "`nodes` must be at least 1"
+        } else if self.samples_per_node == 0 {
+            "`samples_per_node` must be at least 1"
+        } else if bad_watts(self.power_cap_w) {
+            "`cap_w` must be a positive wattage"
+        } else if bad_watts(self.budget_w) {
+            "`budget_w` must be a positive wattage"
+        } else if self.shards == Some(0) {
+            "`shards` must be a positive integer"
+        } else if self.deadline_ms == Some(0) {
+            "`deadline_ms` must be a positive integer"
+        } else {
+            return match &self.profile {
+                Some(p) => p
+                    .validate()
+                    .map_err(|e| perr(format!("bad `profile`: {e}"))),
+                None => Ok(()),
+            };
+        };
+        Err(perr(fault))
+    }
+
+    /// Decodes a request object. An absent or `null` field keeps its
+    /// [`FleetRequest::fig1`] value; a field of the wrong type, an
+    /// unknown name or malformed profile text is a shape error. The
+    /// decoded request must then pass [`FleetRequest::validate`].
     pub fn from_json(v: &Json) -> Result<FleetRequest, ProtoError> {
         match v.get("type").and_then(Json::as_str) {
             Some("fleet") => {}
             Some(other) => return Err(perr(format!("unknown request type `{other}`"))),
             None => return Err(perr("missing request type")),
         }
-        let u32_field = |key: &str, default: u32| -> Result<u32, ProtoError> {
-            match v.get(key) {
-                None => Ok(default),
-                Some(j) => j
-                    .as_u64()
-                    .and_then(|n| u32::try_from(n).ok())
-                    .ok_or_else(|| perr(format!("`{key}` must be a u32"))),
-            }
-        };
-        let opt_f64 = |key: &str| -> Result<Option<f64>, ProtoError> {
-            let w = opt_field(v, key, Json::as_f64, "a number")?;
-            if w.is_some_and(|w| !w.is_finite() || w <= 0.0) {
-                return Err(perr(format!("`{key}` must be a positive wattage")));
-            }
-            Ok(w)
-        };
-        let nodes = u32_field("nodes", 612)?;
-        if nodes == 0 {
-            return Err(perr("`nodes` must be at least 1"));
-        }
-        let samples_per_node = u32_field("samples_per_node", 2000)?;
-        if samples_per_node == 0 {
-            return Err(perr("`samples_per_node` must be at least 1"));
-        }
-        let seed = opt_field(v, "seed", Json::as_u64, "a u64")?;
-        let temporal = match opt_field(v, "temporal", Json::as_str, "a string")? {
-            None | Some("iid") => TemporalMode::Iid,
-            Some("episodes") => TemporalMode::Episodes,
-            Some(other) => return Err(perr(format!("unknown temporal mode `{other}`"))),
-        };
-        let budget_policy = match opt_field(v, "budget_policy", Json::as_str, "a string")? {
-            None | Some("shed") | Some("shed-to-floor") => BudgetPolicy::ShedToFloor,
-            Some("defer") => BudgetPolicy::Defer,
-            Some(other) => return Err(perr(format!("unknown budget policy `{other}`"))),
-        };
+        let d = FleetRequest::fig1();
+        let u32_of = |j: &Json| j.as_u64().and_then(|n| u32::try_from(n).ok());
         let positive = "a positive integer";
-        let shards = opt_field(v, "shards", |j| j.as_usize().filter(|&s| s > 0), positive)?;
-        let deadline_ms = opt_field(
-            v,
-            "deadline_ms",
-            |j| j.as_u64().filter(|&d| d > 0),
-            positive,
-        )?;
-        let profile = match opt_field(v, "profile", Json::as_str, "a string")? {
-            None => None,
-            Some(text) => Some(
-                FleetProfile::from_text(text).map_err(|e| perr(format!("bad `profile`: {e}")))?,
-            ),
+        let req = FleetRequest {
+            nodes: opt_field(v, "nodes", u32_of, "a u32")?.unwrap_or(d.nodes),
+            samples_per_node: opt_field(v, "samples_per_node", u32_of, "a u32")?
+                .unwrap_or(d.samples_per_node),
+            seed: opt_field(v, "seed", Json::as_u64, "a u64")?,
+            temporal: match opt_field(v, "temporal", Json::as_str, "a string")? {
+                None => d.temporal,
+                Some(name) => TemporalMode::from_name(name)
+                    .ok_or_else(|| perr(format!("unknown temporal mode `{name}`")))?,
+            },
+            power_cap_w: opt_field(v, "cap_w", Json::as_f64, "a number")?,
+            budget_w: opt_field(v, "budget_w", Json::as_f64, "a number")?,
+            budget_policy: match opt_field(v, "budget_policy", Json::as_str, "a string")? {
+                None => d.budget_policy,
+                Some(name) => BudgetPolicy::from_name(name)
+                    .ok_or_else(|| perr(format!("unknown budget policy `{name}`")))?,
+            },
+            shards: opt_field(v, "shards", Json::as_usize, positive)?,
+            deadline_ms: opt_field(v, "deadline_ms", Json::as_u64, positive)?,
+            want_samples: opt_field(v, "want_samples", Json::as_bool, "a boolean")?
+                .unwrap_or(d.want_samples),
+            want_cdf: opt_field(v, "want_cdf", Json::as_bool, "a boolean")?.unwrap_or(d.want_cdf),
+            profile: match opt_field(v, "profile", Json::as_str, "a string")? {
+                None => None,
+                Some(text) => Some(
+                    FleetProfile::from_text(text)
+                        .map_err(|e| perr(format!("bad `profile`: {e}")))?,
+                ),
+            },
         };
-        Ok(FleetRequest {
-            nodes,
-            samples_per_node,
-            seed,
-            temporal,
-            power_cap_w: opt_f64("cap_w")?,
-            budget_w: opt_f64("budget_w")?,
-            budget_policy,
-            shards,
-            deadline_ms,
-            want_samples: opt_field(v, "want_samples", Json::as_bool, "a boolean")?.unwrap_or(true),
-            want_cdf: opt_field(v, "want_cdf", Json::as_bool, "a boolean")?.unwrap_or(false),
-            profile,
-        })
+        req.validate()?;
+        Ok(req)
     }
 
     pub fn from_line(line: &str) -> Result<FleetRequest, ProtoError> {

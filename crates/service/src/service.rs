@@ -1,7 +1,7 @@
 //! The fleet service core: admission gate in front, the scoped shard
 //! fan-out underneath, one engine registry across every request.
 //!
-//! A request travels the full stack: decode → cost estimate →
+//! A request travels the full stack: decode → validate → cost estimate →
 //! [`Gate::admit`] (which also screens unmeetable deadlines) → plan on
 //! the service's one [`EngineRegistry`] → shards proposed on
 //! [`fan_out`] → bitwise-identical merge → reply. The registry's
@@ -14,7 +14,7 @@
 //! Every fault on that path degrades to a *typed* failure reply
 //! instead of a hung or crashed connection: a panicking shard task is
 //! caught in its own slot and surfaces as [`kind::SHARD_PANIC`], a
-//! deadline that expires between shards as
+//! deadline that expires before a shard starts or before the reply as
 //! [`kind::DEADLINE_EXCEEDED`], and a shard set that fails to tile as
 //! [`kind::SHARD_MERGE`]. The count of caught shard panics rides every
 //! reply that reached the shard layer, and the seeded [`ChaosState`] —
@@ -152,8 +152,15 @@ impl FleetService {
 
     /// Serves one request through the full stack. This is the
     /// in-process entry point (the CLI's `--fleet` calls it); the TCP
-    /// transport reaches it through [`FleetService::handle_line`].
+    /// transport reaches it through [`FleetService::handle_line`]. A
+    /// request that fails [`FleetRequest::validate`] gets the decoder's
+    /// [`kind::BAD_REQUEST`] reply before the gate counts it, so typed
+    /// and decoded requests meet one contract, and an admitted request
+    /// that misses its deadline fails typed instead of replying late.
     pub fn handle(&self, req: &FleetRequest) -> FleetReply {
+        if let Err(e) = req.validate() {
+            return FleetReply::failure_kind(kind::BAD_REQUEST, e.to_string());
+        }
         let cfg = req.to_config();
         // node·samples in 128-bit: an address-space overflow becomes an
         // oversize cost, not a wrap (FleetSizeError carries the total).
@@ -173,9 +180,14 @@ impl FleetService {
             }
         };
         // The deadline counts from admission, so the plan counts too.
+        // `overshoot` reads the clock: by how many ms it has passed.
         let deadline_at = req
             .deadline_ms
             .map(|d| self.clock.now_ms().saturating_add(d));
+        let overshoot = || {
+            let now = self.clock.now_ms();
+            deadline_at.filter(|&d| now > d).map(|d| now - d)
+        };
 
         let shards = match req.shards.unwrap_or(self.default_shards) {
             0 => self.workers,
@@ -202,11 +214,8 @@ impl FleetService {
             if chaos_shard_ms > 0 {
                 self.clock.advance_ms(chaos_shard_ms);
             }
-            if let Some(deadline) = deadline_at {
-                let now = self.clock.now_ms();
-                if now > deadline {
-                    return Err(now - deadline);
-                }
+            if let Some(over) = overshoot() {
+                return Err(over);
             }
             if panic_shard == Some(k) {
                 // fs2-lint: allow(no-panic-service) -- chaos injection: this panic IS the fault under test; the shard's catch_unwind contains it
@@ -254,16 +263,22 @@ impl FleetService {
         if let Some(e) = first_panic {
             return failure(kind::SHARD_PANIC, e.to_string());
         }
+        let late = |over: u64| {
+            let error = format!("deadline exceeded mid-flight by {over} ms");
+            failure(kind::DEADLINE_EXCEEDED, error)
+        };
         if let Some(over) = worst_overshoot {
-            return failure(
-                kind::DEADLINE_EXCEEDED,
-                format!("deadline exceeded mid-flight by {over} ms"),
-            );
+            return late(over);
         }
         let run = match sim.try_merge_shards(&self.registry, &plan, parts) {
             Ok(run) => run,
             Err(e) => return failure(kind::SHARD_MERGE, e.to_string()),
         };
+        // The deadline bounds completion: a request whose last shards
+        // overran fails here instead of being served late.
+        if let Some(over) = overshoot() {
+            return late(over);
+        }
         drop(permit);
 
         let budget = run.budget.map(|b| BudgetWire {
@@ -562,6 +577,43 @@ mod tests {
         });
         assert!(reply.ok, "{:?}", reply.error);
         assert_eq!(service.admission_stats().completed, 1);
+    }
+
+    /// A clock that moves `step` ms forward on every read.
+    #[derive(Debug)]
+    struct StepClock {
+        now: AtomicU64,
+        step: u64,
+    }
+
+    impl Clock for StepClock {
+        fn now_ms(&self) -> u64 {
+            self.now.fetch_add(self.step, Ordering::SeqCst)
+        }
+    }
+
+    #[test]
+    fn a_request_that_completes_late_fails_typed() {
+        // Three reads: admission at 0 sets the deadline at 15, the one
+        // shard starts at 10, in time, and the merge ends at 20.
+        let clock = StepClock {
+            now: AtomicU64::new(0),
+            step: 10,
+        };
+        let service = FleetService::with_clock(ServiceConfig::small(), Arc::new(clock));
+        let reply = service.handle(&FleetRequest {
+            shards: Some(1),
+            deadline_ms: Some(15),
+            ..request(4)
+        });
+        assert!(!reply.ok, "a late request was served");
+        assert_eq!(reply.error_kind.as_deref(), Some(kind::DEADLINE_EXCEEDED));
+        assert_eq!(
+            reply.error.as_deref(),
+            Some("deadline exceeded mid-flight by 5 ms")
+        );
+        let stats = service.admission_stats();
+        assert_eq!((stats.admitted, stats.completed, stats.failed), (1, 0, 1));
     }
 
     #[test]

@@ -5,8 +5,10 @@
 //! (which P-state; real FIRESTARTER leaves P-state selection to the OS).
 
 use crate::prelude::*;
+use fs2_cluster::{BudgetPolicy, TemporalMode};
 use fs2_core::groups::format_groups;
 use fs2_metrics::CsvWriter;
+use fs2_service::FleetRequest;
 use fs2_tuning::Nsga2Config;
 use std::fmt;
 
@@ -69,13 +71,11 @@ pub struct CliConfig {
     /// `None` keeps each action's own default (measurement seed for
     /// Measure/Optimize, the Fig. 1 fleet seed for Fleet).
     seed: Option<u64>,
-    nodes: u32,
-    samples_per_node: u32,
+    /// The fleet flags, parsed straight into the request `--fleet` and
+    /// `--connect` serve ([`FleetRequest::fig1`] without them);
+    /// [`fleet_request`] adds `--seed`, `--shards` and `--profile`.
+    fleet: FleetRequest,
     threads: usize,
-    fleet_temporal: String,
-    cap_w: Option<f64>,
-    budget_w: Option<f64>,
-    budget_policy: String,
     prescreen: bool,
     serve_addr: Option<String>,
     connect_addr: Option<String>,
@@ -87,8 +87,6 @@ pub struct CliConfig {
     queue_depth: usize,
     /// Admission per-request node·sample cost cap.
     max_cost: u64,
-    /// Request deadline in ms (`None` = no deadline).
-    deadline_ms: Option<u64>,
     /// Total `--connect` attempts, including the first.
     retries: u32,
     /// Chaos injection periods (0 = off) and schedule seed.
@@ -137,13 +135,8 @@ impl Default for CliConfig {
             nsga2_m: 0.35,
             preheat_s: 240.0,
             seed: None,
-            nodes: 612,
-            samples_per_node: 2000,
+            fleet: FleetRequest::fig1(),
             threads: 0,
-            fleet_temporal: "iid".to_string(),
-            cap_w: None,
-            budget_w: None,
-            budget_policy: "shed".to_string(),
             prescreen: false,
             serve_addr: None,
             connect_addr: None,
@@ -151,7 +144,6 @@ impl Default for CliConfig {
             workers: 0,
             queue_depth: 64,
             max_cost: 1 << 30,
-            deadline_ms: None,
             retries: 1,
             chaos_panic_every: 0,
             chaos_drop_every: 0,
@@ -234,9 +226,9 @@ FLEET SERVICE
                                   service sheds requests (default 64)
   --max-cost N                    reject requests above N node-samples
                                   (default 2^30)
-  --deadline-ms MS                request deadline in ms from admission;
-                                  once it passes, the request fails
-                                  typed before its next shard starts
+  --deadline-ms MS                completion deadline in ms from
+                                  admission; a request that overruns it
+                                  fails typed instead of replying late
   --retries N                     total --connect attempts, with a
                                   seeded deterministic backoff between
                                   them (default 1 = no retry)
@@ -298,6 +290,11 @@ fn parse_kv(
     Ok(None)
 }
 
+/// `key`'s value `v` through `parse`, or an error naming both.
+fn flag_value<T>(key: &str, v: &str, parse: impl FnOnce(&str) -> Option<T>) -> Result<T, CliError> {
+    parse(v).ok_or_else(|| err(format!("invalid value `{v}` for {key}")))
+}
+
 /// Parses an argument list (without the program name).
 pub fn parse_args(argv: &[String]) -> Result<CliConfig, CliError> {
     let mut cfg = CliConfig::default();
@@ -333,127 +330,75 @@ pub fn parse_args(argv: &[String]) -> Result<CliConfig, CliError> {
             }
             _ => {
                 let mut matched = false;
+                // `opt!(key, slot)` parses the value into the slot's
+                // type, `some slot` into an `Option` slot, and a third
+                // argument names the parser.
                 macro_rules! opt {
+                    ($key:expr, some $slot:expr) => {
+                        opt!($key, $slot, |v: &str| v.parse().ok().map(Some))
+                    };
+                    ($key:expr, $slot:expr) => {
+                        opt!($key, $slot, |v: &str| v.parse().ok())
+                    };
                     ($key:expr, $slot:expr, $parse:expr) => {
                         if !matched {
                             if let Some(v) = parse_kv(a, &mut args, $key)? {
-                                #[allow(clippy::redundant_closure_call)]
-                                {
-                                    $slot = $parse(&v).map_err(|_| {
-                                        err(format!("invalid value `{v}` for {}", $key))
-                                    })?;
-                                }
+                                $slot = flag_value($key, &v, $parse)?;
                                 matched = true;
                             }
                         }
                     };
                 }
-                let id = |v: &String| -> Result<String, ()> { Ok(v.clone()) };
-                let some_id = |v: &String| -> Result<Option<String>, ()> { Ok(Some(v.clone())) };
-                opt!("--cpu", cfg.cpu, id);
-                opt!("-i", cfg.function, some_id);
-                opt!("--function", cfg.function, some_id);
-                opt!("--run-instruction-groups", cfg.groups, some_id);
-                opt!("--set-line-count", cfg.line_count, |v: &String| v
-                    .parse::<u32>()
-                    .map(Some)
-                    .map_err(|_| ()));
-                opt!("-t", cfg.timeout_s, |v: &String| v
-                    .parse::<f64>()
-                    .map_err(|_| ()));
-                opt!("--timeout", cfg.timeout_s, |v: &String| v
-                    .parse::<f64>()
-                    .map_err(|_| ()));
-                opt!("--freq", cfg.freq_mhz, |v: &String| v
-                    .parse::<f64>()
-                    .map_err(|_| ()));
-                opt!("--start-delta", cfg.start_delta_ms, |v: &String| v
-                    .parse::<f64>()
-                    .map_err(|_| ()));
-                opt!("--stop-delta", cfg.stop_delta_ms, |v: &String| v
-                    .parse::<f64>()
-                    .map_err(|_| ()));
-                opt!("--functional-iters", cfg.functional_iters, |v: &String| v
-                    .parse::<u64>()
-                    .map(Some)
-                    .map_err(|_| ()));
-                opt!("--version-emulation", cfg.version_emulation, id);
-                opt!("--gpus", cfg.gpus, |v: &String| v
-                    .parse::<u32>()
-                    .map_err(|_| ()));
-                opt!("--gpu-init", cfg.gpu_init, id);
-                opt!("--individuals", cfg.individuals, |v: &String| v
-                    .parse::<usize>()
-                    .map_err(|_| ()));
-                opt!("--generations", cfg.generations, |v: &String| v
-                    .parse::<u32>()
-                    .map_err(|_| ()));
-                opt!("--nsga2-m", cfg.nsga2_m, |v: &String| v
-                    .parse::<f64>()
-                    .map_err(|_| ()));
-                opt!("--preheat", cfg.preheat_s, |v: &String| v
-                    .parse::<f64>()
-                    .map_err(|_| ()));
-                opt!("--seed", cfg.seed, |v: &String| v
-                    .parse::<u64>()
-                    .map(Some)
-                    .map_err(|_| ()));
-                opt!("--nodes", cfg.nodes, |v: &String| v
-                    .parse::<u32>()
-                    .map_err(|_| ()));
-                opt!("--samples-per-node", cfg.samples_per_node, |v: &String| v
-                    .parse::<u32>()
-                    .map_err(|_| ()));
-                opt!("--threads", cfg.threads, |v: &String| v
-                    .parse::<usize>()
-                    .map_err(|_| ()));
-                opt!("--fleet-temporal", cfg.fleet_temporal, id);
-                opt!("--cap-w", cfg.cap_w, |v: &String| v
-                    .parse::<f64>()
-                    .map(Some)
-                    .map_err(|_| ()));
-                opt!("--budget-w", cfg.budget_w, |v: &String| v
-                    .parse::<f64>()
-                    .map(Some)
-                    .map_err(|_| ()));
-                opt!("--budget-policy", cfg.budget_policy, id);
-                opt!("--serve", cfg.serve_addr, some_id);
-                opt!("--connect", cfg.connect_addr, some_id);
-                opt!("--shards", cfg.shards, |v: &String| v
-                    .parse::<usize>()
-                    .map_err(|_| ()));
-                opt!("--workers", cfg.workers, |v: &String| v
-                    .parse::<usize>()
-                    .map_err(|_| ()));
-                opt!("--queue-depth", cfg.queue_depth, |v: &String| v
-                    .parse::<usize>()
-                    .map_err(|_| ()));
-                opt!("--max-cost", cfg.max_cost, |v: &String| v
-                    .parse::<u64>()
-                    .map_err(|_| ()));
-                opt!("--deadline-ms", cfg.deadline_ms, |v: &String| v
-                    .parse::<u64>()
-                    .map(Some)
-                    .map_err(|_| ()));
-                opt!("--retries", cfg.retries, |v: &String| v
-                    .parse::<u32>()
-                    .map_err(|_| ()));
+                opt!("--cpu", cfg.cpu);
+                opt!("-i", some cfg.function);
+                opt!("--function", some cfg.function);
+                opt!("--run-instruction-groups", some cfg.groups);
+                opt!("--set-line-count", some cfg.line_count);
+                opt!("-t", cfg.timeout_s);
+                opt!("--timeout", cfg.timeout_s);
+                opt!("--freq", cfg.freq_mhz);
+                opt!("--start-delta", cfg.start_delta_ms);
+                opt!("--stop-delta", cfg.stop_delta_ms);
+                opt!("--functional-iters", some cfg.functional_iters);
+                opt!("--version-emulation", cfg.version_emulation);
+                opt!("--gpus", cfg.gpus);
+                opt!("--gpu-init", cfg.gpu_init);
+                opt!("--individuals", cfg.individuals);
+                opt!("--generations", cfg.generations);
+                opt!("--nsga2-m", cfg.nsga2_m);
+                opt!("--preheat", cfg.preheat_s);
+                opt!("--seed", some cfg.seed);
+                opt!("--nodes", cfg.fleet.nodes);
+                opt!("--samples-per-node", cfg.fleet.samples_per_node);
+                opt!("--threads", cfg.threads);
                 opt!(
-                    "--chaos-panic-every",
-                    cfg.chaos_panic_every,
-                    |v: &String| v.parse::<u64>().map_err(|_| ())
+                    "--fleet-temporal",
+                    cfg.fleet.temporal,
+                    TemporalMode::from_name
                 );
-                opt!("--chaos-drop-every", cfg.chaos_drop_every, |v: &String| v
-                    .parse::<u64>()
-                    .map_err(|_| ()));
-                opt!("--chaos-seed", cfg.chaos_seed, |v: &String| v
-                    .parse::<u64>()
-                    .map_err(|_| ()));
-                opt!("--dump-samples", cfg.dump_samples, some_id);
-                opt!("--calibrate", cfg.calibrate_trace, some_id);
-                opt!("--profile-out", cfg.profile_out, some_id);
-                opt!("--profile", cfg.profile, some_id);
-                opt!("--emit-trace", cfg.emit_trace, some_id);
+                opt!("--cap-w", some cfg.fleet.power_cap_w);
+                opt!("--budget-w", some cfg.fleet.budget_w);
+                opt!(
+                    "--budget-policy",
+                    cfg.fleet.budget_policy,
+                    BudgetPolicy::from_name
+                );
+                opt!("--serve", some cfg.serve_addr);
+                opt!("--connect", some cfg.connect_addr);
+                opt!("--shards", cfg.shards);
+                opt!("--workers", cfg.workers);
+                opt!("--queue-depth", cfg.queue_depth);
+                opt!("--max-cost", cfg.max_cost);
+                opt!("--deadline-ms", some cfg.fleet.deadline_ms);
+                opt!("--retries", cfg.retries);
+                opt!("--chaos-panic-every", cfg.chaos_panic_every);
+                opt!("--chaos-drop-every", cfg.chaos_drop_every);
+                opt!("--chaos-seed", cfg.chaos_seed);
+                opt!("--dump-samples", some cfg.dump_samples);
+                opt!("--calibrate", some cfg.calibrate_trace);
+                opt!("--profile-out", some cfg.profile_out);
+                opt!("--profile", some cfg.profile);
+                opt!("--emit-trace", some cfg.emit_trace);
                 if !matched {
                     return Err(err(format!("unknown argument `{a}` (see --help)")));
                 }
@@ -487,27 +432,12 @@ pub fn parse_args(argv: &[String]) -> Result<CliConfig, CliError> {
     if !(0.0..=1.0).contains(&cfg.nsga2_m) {
         return Err(err("--nsga2-m must be a probability in [0, 1]"));
     }
-    if cfg.nodes == 0 {
-        return Err(err("--nodes must be at least 1"));
-    }
-    if cfg.samples_per_node == 0 {
-        return Err(err("--samples-per-node must be at least 1"));
-    }
-    if let Some(cap) = cfg.cap_w {
-        if cap <= 0.0 || !cap.is_finite() {
-            return Err(err("--cap-w must be a positive wattage"));
-        }
-    }
-    if let Some(b) = cfg.budget_w {
-        if b <= 0.0 || !b.is_finite() {
-            return Err(err("--budget-w must be a positive wattage"));
-        }
-    }
+    // The fleet flags meet the service's own request contract.
+    cfg.fleet
+        .validate()
+        .map_err(|e| err(format!("invalid fleet request: {e}")))?;
     if cfg.max_cost == 0 {
         return Err(err("--max-cost must be at least 1"));
-    }
-    if cfg.deadline_ms == Some(0) {
-        return Err(err("--deadline-ms must be at least 1"));
     }
     if cfg.retries == 0 {
         return Err(err("--retries must be at least 1 (the first attempt)"));
@@ -591,58 +521,24 @@ Metrics (the measurement CSV's rows; --optimize tunes the first two):
     }
 }
 
-/// Loads the `--profile` file into the request's profile slot.
-fn profile_from_cli(cfg: &CliConfig) -> Result<Option<fs2_calib::FleetProfile>, CliError> {
-    match &cfg.profile {
-        None => Ok(None),
+/// The request `--fleet` and `--connect` send: the fleet flags plus
+/// `--seed` (without it, the Fig. 1 seed of the fig01/example
+/// pipeline), `--shards` and the `--profile` file.
+fn fleet_request(cfg: &CliConfig) -> Result<FleetRequest, CliError> {
+    let profile = match &cfg.profile {
+        None => None,
         Some(path) => {
             let text =
                 std::fs::read_to_string(path).map_err(|e| err(format!("--profile {path}: {e}")))?;
-            fs2_calib::FleetProfile::from_text(&text)
-                .map(Some)
-                .map_err(|e| err(format!("--profile {path}: {e}")))
-        }
-    }
-}
-
-/// Expands the fleet flags into a service request (shared by the
-/// in-process `--fleet` path and the remote `--connect` path).
-fn fleet_request_from_cli(cfg: &CliConfig) -> Result<fs2_service::FleetRequest, CliError> {
-    use fs2_cluster::{BudgetPolicy, TemporalMode};
-
-    let temporal = match cfg.fleet_temporal.to_ascii_lowercase().as_str() {
-        "iid" => TemporalMode::Iid,
-        "episodes" => TemporalMode::Episodes,
-        other => {
-            return Err(err(format!(
-                "unknown --fleet-temporal `{other}` (iid or episodes)"
-            )))
+            let parsed = fs2_calib::FleetProfile::from_text(&text);
+            Some(parsed.map_err(|e| err(format!("--profile {path}: {e}")))?)
         }
     };
-    let budget_policy = match cfg.budget_policy.to_ascii_lowercase().as_str() {
-        "shed" | "shed-to-floor" => BudgetPolicy::ShedToFloor,
-        "defer" => BudgetPolicy::Defer,
-        other => {
-            return Err(err(format!(
-                "unknown --budget-policy `{other}` (shed or defer)"
-            )))
-        }
-    };
-    Ok(fs2_service::FleetRequest {
-        nodes: cfg.nodes,
-        samples_per_node: cfg.samples_per_node,
-        // Without an explicit --seed the request matches the
-        // fig01/example pipeline exactly (the Fig. 1 seed).
+    Ok(FleetRequest {
         seed: cfg.seed,
-        temporal,
-        power_cap_w: cfg.cap_w,
-        budget_w: cfg.budget_w,
-        budget_policy,
         shards: (cfg.shards > 0).then_some(cfg.shards),
-        want_samples: true,
-        want_cdf: false,
-        profile: profile_from_cli(cfg)?,
-        deadline_ms: cfg.deadline_ms,
+        profile,
+        ..cfg.fleet.clone()
     })
 }
 
@@ -678,8 +574,7 @@ fn write_sample_bits(path: &str, samples: &[f64]) -> Result<(), CliError> {
 /// `--fleet` output (the CDF is recomputed client-side from the
 /// returned samples, so local and served runs print the same bytes).
 fn print_fleet_reply(
-    cfg: &CliConfig,
-    req: &fs2_service::FleetRequest,
+    req: &FleetRequest,
     reply: &fs2_service::FleetReply,
 ) -> Result<String, CliError> {
     use fs2_cluster::{FleetConfig, PowerCdf};
@@ -695,7 +590,7 @@ fn print_fleet_reply(
             reply.error.as_deref().unwrap_or("unspecified failure")
         )));
     }
-    let fleet_cfg = FleetConfig::taurus_haswell_scaled(cfg.nodes);
+    let fleet_cfg = FleetConfig::taurus_haswell_scaled(req.nodes);
     let cdf = PowerCdf::from_samples(&reply.samples, 0.1);
 
     let mut out = String::new();
@@ -729,7 +624,7 @@ fn print_fleet_reply(
     if let Some(n) = reply.panics_caught.filter(|&n| n > 0) {
         out.push_str(&format!("  supervision: {n} shard panics caught\n"));
     }
-    if let Some(cap) = cfg.cap_w {
+    if let Some(cap) = req.power_cap_w {
         out.push_str(&format!(
             "  power cap {cap:.1} W: {} of {} drawn samples clamped to lower P-states \
              ({} remap-table cells)\n",
@@ -831,9 +726,7 @@ fn print_fleet_reply(
 /// The fleet configuration an `--emit-trace` run labels, checked
 /// before the fleet runs: only episode runs carry state labels, and
 /// every trace node needs two ticks for a lag-1 pair.
-fn emit_trace_config(
-    req: &fs2_service::FleetRequest,
-) -> Result<fs2_cluster::FleetConfig, CliError> {
+fn emit_trace_config(req: &FleetRequest) -> Result<fs2_cluster::FleetConfig, CliError> {
     let fleet_cfg = req.to_config();
     if fleet_cfg.temporal != fs2_cluster::TemporalMode::Episodes {
         return Err(err(
@@ -855,7 +748,7 @@ fn emit_trace_config(
 /// fresh service instance (the full request → admission → shard →
 /// engine stack, minus the socket and the JSON codec).
 fn run_fleet(cfg: &CliConfig) -> Result<String, CliError> {
-    let req = fleet_request_from_cli(cfg)?;
+    let req = fleet_request(cfg)?;
     let emit = match &cfg.emit_trace {
         Some(path) => Some((path, emit_trace_config(&req)?)),
         None => None,
@@ -871,7 +764,7 @@ fn run_fleet(cfg: &CliConfig) -> Result<String, CliError> {
                 .map_err(|e| err(format!("--emit-trace {path}: {e}")))?;
         }
     }
-    print_fleet_reply(cfg, &req, &reply)
+    print_fleet_reply(&req, &reply)
 }
 
 fn run_serve(cfg: &CliConfig) -> Result<String, CliError> {
@@ -897,7 +790,7 @@ fn run_connect(cfg: &CliConfig) -> Result<String, CliError> {
         .connect_addr
         .as_deref()
         .expect("Connect action implies --connect");
-    let req = fleet_request_from_cli(cfg)?;
+    let req = fleet_request(cfg)?;
     // call_with_retry retries transport failures and shard panics.
     // ClientError's Display says *which* transport failure was hit — a
     // stalled server ("timed out …") reads differently from a vanished
@@ -920,7 +813,7 @@ fn run_connect(cfg: &CliConfig) -> Result<String, CliError> {
             write_sample_bits(path, &reply.samples)?;
         }
     }
-    print_fleet_reply(cfg, &req, &reply)
+    print_fleet_reply(&req, &reply)
 }
 
 /// `--calibrate TRACE.csv`: fit a fleet profile to the trace and

@@ -1,9 +1,11 @@
 //! Service-stack integration: a served fleet request must be
 //! byte-identical to the one-shot library run whether it is served
 //! in-process (`FleetService::handle`) or over TCP JSON-lines,
-//! admission control must bound concurrency without panicking, and the
-//! wire format must round-trip seeds and samples exactly.
+//! admission control must bound concurrency without panicking, the
+//! wire format must round-trip seeds and samples exactly, and a typed
+//! request meets the same contract as a decoded line.
 
+use firestarter2::calib::{FleetProfile, PSTATE_SETS};
 use firestarter2::cluster::{FleetConfig, FleetSim, TemporalMode};
 use firestarter2::service::{
     call, serve, AdmissionConfig, Client, FleetReply, FleetRequest, FleetService, ServiceConfig,
@@ -213,4 +215,87 @@ fn a_threads_key_on_the_wire_is_ignored() {
     assert_eq!(a.samples.len(), 16 * 500);
     assert!(a.budget.as_ref().unwrap().shed_ticks.iter().sum::<u64>() > 0);
     assert_eq!(bits(&a.samples), bits(&b.samples));
+}
+
+/// The exemplar profile with one edit.
+fn profile(edit: impl FnOnce(&mut FleetProfile)) -> Option<FleetProfile> {
+    let mut p = FleetProfile::exemplar();
+    edit(&mut p);
+    Some(p)
+}
+
+/// `handle` checks a typed request as the decoder checks its line: a
+/// request the wire rejects gets the same `bad-request` reply, byte for
+/// byte, and never reaches the admission gate.
+#[test]
+fn handle_rejects_what_the_decoder_rejects() {
+    let fig1 = FleetRequest::fig1;
+    let cases = [
+        FleetRequest { nodes: 0, ..fig1() },
+        FleetRequest {
+            samples_per_node: 0,
+            ..fig1()
+        },
+        FleetRequest {
+            power_cap_w: Some(-3.0),
+            ..fig1()
+        },
+        FleetRequest {
+            budget_w: Some(0.0),
+            ..fig1()
+        },
+        FleetRequest {
+            shards: Some(0),
+            ..fig1()
+        },
+        FleetRequest {
+            deadline_ms: Some(0),
+            ..fig1()
+        },
+        FleetRequest {
+            profile: profile(|p| p.floor_share = 2.0),
+            ..fig1()
+        },
+        FleetRequest {
+            profile: profile(|p| p.classes[2].duty = (0.8, 0.3)),
+            ..fig1()
+        },
+        FleetRequest {
+            profile: profile(|p| p.classes.iter_mut().for_each(|c| c.weight = 0.0)),
+            ..fig1()
+        },
+    ];
+    for req in cases {
+        let service = FleetService::new(ServiceConfig::small());
+        let typed = service.handle(&req).to_line();
+        assert_eq!(typed, service.handle_line(&req.to_line()), "{req:?}");
+        assert!(typed.contains(r#""error_kind":"bad-request""#), "{typed}");
+        assert_eq!(service.admission_stats().submitted(), 0, "{req:?}");
+    }
+}
+
+/// Typed requests no line can carry: JSON has no NaN, and the profile
+/// text names P-state sets, not indices. `handle` still rejects them.
+#[test]
+fn handle_rejects_typed_requests_no_line_can_carry() {
+    let service = FleetService::new(ServiceConfig::small());
+    for req in [
+        FleetRequest {
+            power_cap_w: Some(f64::NAN),
+            ..request(3)
+        },
+        FleetRequest {
+            budget_w: Some(f64::NAN),
+            ..request(3)
+        },
+        FleetRequest {
+            profile: profile(|p| p.classes[0].pstate_set = PSTATE_SETS.len()),
+            ..request(3)
+        },
+    ] {
+        let reply = service.handle(&req);
+        assert!(!reply.ok, "{req:?}");
+        assert_eq!(reply.error_kind.as_deref(), Some("bad-request"));
+    }
+    assert_eq!(service.admission_stats().submitted(), 0);
 }
