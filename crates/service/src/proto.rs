@@ -618,10 +618,21 @@ mod tests {
             assert!(FleetRequest::from_line(bad).is_err(), "accepted {bad}");
         }
         // An explicit null keeps the field's default.
-        let nulls =
-            FleetRequest::from_line(r#"{"type":"fleet","temporal":null,"want_samples":null}"#)
-                .unwrap();
+        let nulls = FleetRequest::from_line(
+            r#"{"type":"fleet","nodes":null,"temporal":null,"want_samples":null}"#,
+        )
+        .unwrap();
         assert_eq!(nulls, FleetRequest::fig1());
+        // Names take any letter case, as on the CLI.
+        let named = FleetRequest::from_line(
+            r#"{"type":"fleet","temporal":"Episodes","budget_policy":"DEFER"}"#,
+        )
+        .unwrap();
+        assert_eq!(named.temporal, TemporalMode::Episodes);
+        assert_eq!(named.budget_policy, BudgetPolicy::Defer);
+        // A shape error reports before a value error.
+        let err = FleetRequest::from_line(r#"{"type":"fleet","nodes":0,"seed":-1}"#).unwrap_err();
+        assert_eq!(err.to_string(), "`seed` must be a u64");
         // The decode error names the profile parser's complaint.
         let err =
             FleetRequest::from_line(r##"{"type":"fleet","profile":"# wrong\n"}"##).unwrap_err();

@@ -180,7 +180,8 @@ impl FleetService {
             }
         };
         // The deadline counts from admission, so the plan counts too.
-        // `overshoot` reads the clock: by how many ms it has passed.
+        // `overshoot()` reads the clock and returns how many ms past the
+        // deadline it is, if it is past.
         let deadline_at = req
             .deadline_ms
             .map(|d| self.clock.now_ms().saturating_add(d));

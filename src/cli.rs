@@ -1587,6 +1587,30 @@ mod tests {
     }
 
     #[test]
+    fn fleet_flags_follow_the_request_contract() {
+        // Names go through the service's own parsers, in any letter case.
+        let fleet = "--fleet --budget-w 1500 --nodes 12 --samples-per-node 50";
+        let upper = run(&args(&format!(
+            "{fleet} --fleet-temporal EPISODES --budget-policy Shed-To-Floor"
+        )))
+        .unwrap();
+        let lower = run(&args(&format!(
+            "{fleet} --fleet-temporal episodes --budget-policy shed"
+        )))
+        .unwrap();
+        assert_eq!(upper, lower);
+        // A bad name fails at parse time, whatever the action.
+        assert!(parse_args(&args("-t 1 --fleet-temporal markov")).is_err());
+        assert!(parse_args(&args("-t 1 --budget-policy auction")).is_err());
+        // The values meet the request's own rules.
+        let e = parse_args(&args("--fleet --deadline-ms 0")).unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            "invalid fleet request: `deadline_ms` must be a positive integer"
+        );
+    }
+
+    #[test]
     fn haswell_and_generic_cpus_work() {
         let out = run(&args("--avail --cpu haswell")).unwrap();
         assert!(out.contains("haswell"));
