@@ -256,6 +256,37 @@ fn budget_defer_matches_its_golden_hash() {
     assert!(run.capped_samples > 0, "the cap must remap draws");
 }
 
+/// The Fig. 1 fleet (612 nodes × 2000 ticks) as episodes under fig01's
+/// binding 90 kW budget: the configuration the budgeted `--fleet` call
+/// runs at full size.
+fn fig1_budgeted(policy: BudgetPolicy) -> FleetConfig {
+    FleetConfig {
+        temporal: TemporalMode::Episodes,
+        budget_w: Some(90_000.0),
+        budget_policy: policy,
+        ..scaled(612, 2000)
+    }
+}
+
+#[test]
+fn fig1_budget_shed_to_floor_matches_its_golden_hash() {
+    let cfg = fig1_budgeted(BudgetPolicy::ShedToFloor);
+    let run = assert_golden("fig1 budgeted episodes, shed", cfg, 0xFEB6_CF3E_4623_F204);
+    let b = run.budget.expect("budget stats");
+    assert!(b.shed_ticks.iter().sum::<u64>() > 0, "the budget must bind");
+}
+
+#[test]
+fn fig1_budget_defer_matches_its_golden_hash() {
+    let cfg = fig1_budgeted(BudgetPolicy::Defer);
+    let run = assert_golden("fig1 budgeted episodes, defer", cfg, 0xF48E_B634_6C7C_1B80);
+    let b = run.budget.expect("budget stats");
+    assert!(
+        b.deferred_ticks.iter().sum::<u64>() > 0,
+        "the budget must bind"
+    );
+}
+
 #[test]
 fn infeasible_power_cap_matches_its_golden_hash() {
     let cfg = FleetConfig {
