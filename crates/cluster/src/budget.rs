@@ -7,10 +7,18 @@
 //! ticks from its own deterministic `(seed, node_id)` stream (sharded,
 //! in parallel), then [`arbitrate`] folds the proposals against the
 //! remaining per-tick budget in node-id order (serial) and writes each
-//! tick's outcome — the admitted proposal or the node's floor —
-//! straight into the run's sample buffer. Because the fold consumes
-//! proposals in a fixed order and touches no RNG, the outcome is
-//! bitwise-identical for any thread count and shard split.
+//! tick's outcome — the admitted proposal or the node's floor — over
+//! the proposals, in place. Because the fold consumes proposals in a
+//! fixed order and touches no RNG, the outcome is bitwise-identical
+//! for any thread count and shard split.
+//!
+//! The fold is node-major. A node's outcome at tick `t` depends only
+//! on the lower-id nodes at `t` and, under defer, on its own earlier
+//! ticks, so walking the nodes in id order and each node's ticks in
+//! order performs, for every tick, the float operations of a
+//! tick-by-tick fold in the same order. Only one headroom and one draw
+//! value per tick stay live (16 KB each at 2000 ticks), and each
+//! node's proposals are read and its samples written sequentially.
 //!
 //! Idle floors are **unconditional**: a powered-on node draws its idle
 //! floor whether or not the arbiter admits its proposal (a facility
@@ -54,22 +62,19 @@ impl BudgetPolicy {
     }
 }
 
-/// One node's proposals as the arbiter reads them: its unconditional
-/// floor draw plus two parallel columns borrowed from the shard
-/// buffers. The node emits exactly `watts.len()` samples (its
-/// horizon); under [`BudgetPolicy::Defer`] the cursor into the
-/// proposals can lag behind the tick index.
-#[derive(Debug, Clone)]
-pub struct NodeStream<'a> {
+/// One node's run of the merged proposal buffer as the arbiter reads
+/// it: its unconditional floor draw and its horizon. Nodes own
+/// consecutive runs in node order (node `n` owns the `ticks` slots
+/// after those of nodes `0..n`), and each emits exactly `ticks`
+/// samples into its own run; under [`BudgetPolicy::Defer`] the cursor
+/// into its proposals can lag behind the tick index.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct NodeStream {
     /// The node's idle-floor draw, W (drawn even when shed).
     pub floor_w: f64,
-    /// Composed node power per proposed tick if admitted, W (idle
-    /// floor plus duty-cycled payload power, already clamped at the
-    /// facility cap).
-    pub watts: &'a [f64],
-    /// Telemetry state index per proposed tick (0 = idle floor, `1..`
-    /// = job classes in mix order). Same length as `watts`.
-    pub states: &'a [u16],
+    /// The node's horizon: the proposals it makes and the samples it
+    /// emits.
+    pub ticks: usize,
 }
 
 /// The deterministic result of one arbitration pass.
@@ -97,37 +102,76 @@ pub struct Arbitration {
 /// fleet budget. Earlier node ids get first claim on each tick's
 /// headroom — a fixed priority that keeps the fold deterministic.
 ///
-/// Every tick's outcome is written straight into `out`, which holds
-/// the emitted samples node after node (node `n` owns the next
-/// `nodes[n].watts.len()` slots): the admitted proposal, or the node's
-/// floor when its proposal is shed, deferred or already exhausted.
+/// `watts` holds the proposals node after node (composed node power
+/// per proposed tick if admitted, W: idle floor plus duty-cycled
+/// payload power, already clamped at the facility cap), and `states`
+/// their telemetry state labels, parallel to it (0 = idle floor, `1..`
+/// = job classes in mix order). Every tick's outcome is written over
+/// the node's proposal in `watts`: the admitted proposal, or the
+/// node's floor when its proposal is shed, deferred or already
+/// exhausted. The fold copies one node's proposals aside before
+/// writing its samples, since a deferred proposal is read after its
+/// own slot has been written.
 ///
 /// `n_states` sizes the per-state counters (index 0 = floor, then the
-/// job classes); every `NodeStream::states` entry must be below it.
+/// job classes); every label must be below it. Panics on a budget that
+/// is not a positive wattage, on columns that do not match each other
+/// or the horizons, and on a label out of range or a proposal below its
+/// node's floor (each node's proposals are checked before its samples
+/// are written).
 pub fn arbitrate(
-    nodes: &[NodeStream<'_>],
+    nodes: &[NodeStream],
     budget_w: f64,
     policy: BudgetPolicy,
     n_states: usize,
-    out: &mut [f64],
+    watts: &mut [f64],
+    states: &[u16],
 ) -> Arbitration {
     assert!(
         budget_w.is_finite() && budget_w > 0.0,
         "budget must be a positive wattage, got {budget_w}"
     );
-    // Validate the streams once up front; the per-tick fold can then
-    // index the counters unchecked (a deferred proposal would
-    // otherwise be re-validated on every denial tick). The same pass
-    // finds where each node's samples start in `out`.
-    let mut offsets = Vec::with_capacity(nodes.len());
-    let mut total = 0usize;
+    assert_eq!(watts.len(), states.len(), "proposal columns out of sync");
+    let total: usize = nodes.iter().map(|n| n.ticks).sum();
+    assert_eq!(watts.len(), total, "output buffer must hold every horizon");
+    // Floors first: they are drawn no matter what gets admitted. Summed
+    // per tick in node order, they are the additions a tick-by-tick sum
+    // over the active nodes makes, in the same order.
+    let max_ticks = nodes.iter().map(|n| n.ticks).max().unwrap_or(0);
+    let mut tick_draw_w = vec![0.0; max_ticks];
     for node in nodes {
-        assert_eq!(
-            node.watts.len(),
-            node.states.len(),
-            "proposal columns out of sync"
-        );
-        for (&s, &w) in node.states.iter().zip(node.watts) {
+        for draw in &mut tick_draw_w[..node.ticks] {
+            *draw += node.floor_w;
+        }
+    }
+    let mut infeasible_floor_ticks = 0u64;
+    let mut headroom: Vec<f64> = tick_draw_w
+        .iter()
+        .map(|&base| {
+            let remaining = budget_w - base;
+            if remaining < 0.0 {
+                infeasible_floor_ticks += 1;
+                0.0
+            } else {
+                remaining
+            }
+        })
+        .collect();
+    let mut shed_ticks = vec![0u64; n_states];
+    let mut deferred_ticks = vec![0u64; n_states];
+    let mut truncated_proposals = 0u64;
+    let mut proposals = Vec::with_capacity(max_ticks);
+    let mut at = 0;
+    for node in nodes {
+        let run = at..at + node.ticks;
+        at = run.end;
+        let labels = &states[run.clone()];
+        let samples = &mut watts[run];
+        proposals.clear();
+        proposals.extend_from_slice(samples);
+        // Check the node once up front: a deferred proposal would
+        // otherwise be re-checked on every denial tick.
+        for (&s, &w) in labels.iter().zip(&proposals) {
             assert!(
                 (s as usize) < n_states,
                 "proposal state {s} out of range ({n_states} states)"
@@ -142,50 +186,26 @@ pub fn arbitrate(
                 node.floor_w
             );
         }
-        offsets.push(total);
-        total += node.watts.len();
-    }
-    assert_eq!(out.len(), total, "output buffer must hold every horizon");
-    let max_ticks = nodes.iter().map(|n| n.watts.len()).max().unwrap_or(0);
-    let mut cursor = vec![0usize; nodes.len()];
-    let mut tick_draw_w = Vec::with_capacity(max_ticks);
-    let mut shed_ticks = vec![0u64; n_states];
-    let mut deferred_ticks = vec![0u64; n_states];
-    let mut infeasible_floor_ticks = 0u64;
-    for t in 0..max_ticks {
-        // Floors first: they are drawn no matter what gets admitted.
-        let base: f64 = nodes
-            .iter()
-            .filter(|n| t < n.watts.len())
-            .map(|n| n.floor_w)
-            .sum();
-        let mut remaining = budget_w - base;
-        if remaining < 0.0 {
-            infeasible_floor_ticks += 1;
-            remaining = 0.0;
-        }
-        let mut draw = base;
-        for (i, node) in nodes.iter().enumerate() {
-            if t >= node.watts.len() {
-                continue;
-            }
-            out[offsets[i] + t] = match node.watts.get(cursor[i]) {
+        let mut cursor = 0usize;
+        let ticks = samples.iter_mut().zip(&mut headroom).zip(&mut tick_draw_w);
+        for ((sample, remaining), draw) in ticks {
+            *sample = match proposals.get(cursor) {
                 // Defer pushed the whole remaining stream past the
                 // cursor; the node idles out its horizon.
                 None => node.floor_w,
                 Some(&w) => {
                     let inc = (w - node.floor_w).max(0.0);
-                    if inc <= remaining {
-                        remaining -= inc;
-                        draw += inc;
-                        cursor[i] += 1;
+                    if inc <= *remaining {
+                        *remaining -= inc;
+                        *draw += inc;
+                        cursor += 1;
                         w
                     } else {
-                        let state = node.states[cursor[i]] as usize;
+                        let state = labels[cursor] as usize;
                         match policy {
                             BudgetPolicy::ShedToFloor => {
                                 shed_ticks[state] += 1;
-                                cursor[i] += 1;
+                                cursor += 1;
                             }
                             BudgetPolicy::Defer => {
                                 deferred_ticks[state] += 1;
@@ -196,13 +216,8 @@ pub fn arbitrate(
                 }
             };
         }
-        tick_draw_w.push(draw);
+        truncated_proposals += (node.ticks - cursor) as u64;
     }
-    let truncated_proposals = nodes
-        .iter()
-        .zip(&cursor)
-        .map(|(n, &c)| (n.watts.len() - c) as u64)
-        .sum();
     Arbitration {
         tick_draw_w,
         shed_ticks,
@@ -218,25 +233,23 @@ mod tests {
 
     /// Arbitrates `(floor_w, proposals)` nodes, every proposal labelled
     /// state 1, and returns the counters plus each node's emitted
-    /// samples cut out of the written buffer. The buffer starts as NaN,
-    /// so a slot the fold never writes fails every comparison.
+    /// samples cut out of the rewritten buffer.
     fn arbitrate_nodes(
         nodes: &[(f64, &[f64])],
         budget_w: f64,
         policy: BudgetPolicy,
     ) -> (Arbitration, Vec<Vec<f64>>) {
-        let ones = vec![1u16; nodes.iter().map(|n| n.1.len()).max().unwrap_or(0)];
         let streams: Vec<NodeStream> = nodes
             .iter()
             .map(|&(floor_w, watts)| NodeStream {
                 floor_w,
-                watts,
-                states: &ones[..watts.len()],
+                ticks: watts.len(),
             })
             .collect();
-        let mut out = vec![f64::NAN; nodes.iter().map(|n| n.1.len()).sum()];
-        let arb = arbitrate(&streams, budget_w, policy, 2, &mut out);
-        let mut rest = out.as_slice();
+        let mut buf: Vec<f64> = nodes.iter().flat_map(|n| n.1).copied().collect();
+        let ones = vec![1u16; buf.len()];
+        let arb = arbitrate(&streams, budget_w, policy, 2, &mut buf, &ones);
+        let mut rest = buf.as_slice();
         let emitted = nodes
             .iter()
             .map(|n| {
@@ -335,17 +348,11 @@ mod tests {
         assert_eq!(arb.tick_draw_w.len(), 3);
         // A wide-open budget admits everything in order.
         assert_eq!(out, vec![vec![2.0], vec![2.0, 2.0, 2.0]]);
-        // Distinct proposals pin each node's offset in the buffer: node
-        // 1's ticks follow node 0's single sample, in tick order.
+        // Distinct proposals pin each node's run of the buffer: node 1's
+        // ticks follow node 0's single sample, in tick order.
         let nodes: [(f64, &[f64]); 2] = [(1.0, &[2.0]), (1.0, &[3.0, 4.0, 5.0])];
-        let streams = nodes.map(|(floor_w, watts)| NodeStream {
-            floor_w,
-            watts,
-            states: &[1, 1, 1][..watts.len()],
-        });
-        let mut buf = vec![f64::NAN; 4];
-        arbitrate(&streams, 100.0, BudgetPolicy::Defer, 2, &mut buf);
-        assert_eq!(buf, vec![2.0, 3.0, 4.0, 5.0]);
+        let (_, out) = arbitrate_nodes(&nodes, 100.0, BudgetPolicy::Defer);
+        assert_eq!(out, vec![vec![2.0], vec![3.0, 4.0, 5.0]]);
     }
 
     #[test]
@@ -374,5 +381,271 @@ mod tests {
         let episodes = Some(TemporalMode::Episodes);
         assert_eq!(TemporalMode::from_name("EPISODES"), episodes);
         assert_eq!(TemporalMode::from_name("markov"), None);
+    }
+
+    /// One node's proposal columns as the tick-major oracle reads them.
+    struct Proposals<'a> {
+        floor_w: f64,
+        watts: &'a [f64],
+        states: &'a [u16],
+    }
+
+    /// The tick-major fold [`arbitrate`] replaced, kept as the oracle
+    /// its node-major fold must match bit for bit: every tick reads one
+    /// proposal from each node stream, in node-id order, and writes one
+    /// sample into each node's range of a separate `out` buffer.
+    fn tick_major(
+        nodes: &[Proposals<'_>],
+        budget_w: f64,
+        policy: BudgetPolicy,
+        n_states: usize,
+        out: &mut [f64],
+    ) -> Arbitration {
+        assert!(
+            budget_w.is_finite() && budget_w > 0.0,
+            "budget must be a positive wattage, got {budget_w}"
+        );
+        // Validate the streams once up front; the per-tick fold can then
+        // index the counters unchecked (a deferred proposal would
+        // otherwise be re-validated on every denial tick). The same pass
+        // finds where each node's samples start in `out`.
+        let mut offsets = Vec::with_capacity(nodes.len());
+        let mut total = 0usize;
+        for node in nodes {
+            assert_eq!(
+                node.watts.len(),
+                node.states.len(),
+                "proposal columns out of sync"
+            );
+            for (&s, &w) in node.states.iter().zip(node.watts) {
+                assert!(
+                    (s as usize) < n_states,
+                    "proposal state {s} out of range ({n_states} states)"
+                );
+                // A proposal below the floor would make tick_draw_w (which
+                // books floor_w + max(0, increment)) disagree with the
+                // emitted sample; the floor is the minimum draw by
+                // definition.
+                assert!(
+                    w >= node.floor_w,
+                    "proposal {w} W below the node floor {} W",
+                    node.floor_w
+                );
+            }
+            offsets.push(total);
+            total += node.watts.len();
+        }
+        assert_eq!(out.len(), total, "output buffer must hold every horizon");
+        let max_ticks = nodes.iter().map(|n| n.watts.len()).max().unwrap_or(0);
+        let mut cursor = vec![0usize; nodes.len()];
+        let mut tick_draw_w = Vec::with_capacity(max_ticks);
+        let mut shed_ticks = vec![0u64; n_states];
+        let mut deferred_ticks = vec![0u64; n_states];
+        let mut infeasible_floor_ticks = 0u64;
+        for t in 0..max_ticks {
+            // Floors first: they are drawn no matter what gets admitted.
+            let base: f64 = nodes
+                .iter()
+                .filter(|n| t < n.watts.len())
+                .map(|n| n.floor_w)
+                .sum();
+            let mut remaining = budget_w - base;
+            if remaining < 0.0 {
+                infeasible_floor_ticks += 1;
+                remaining = 0.0;
+            }
+            let mut draw = base;
+            for (i, node) in nodes.iter().enumerate() {
+                if t >= node.watts.len() {
+                    continue;
+                }
+                out[offsets[i] + t] = match node.watts.get(cursor[i]) {
+                    // Defer pushed the whole remaining stream past the
+                    // cursor; the node idles out its horizon.
+                    None => node.floor_w,
+                    Some(&w) => {
+                        let inc = (w - node.floor_w).max(0.0);
+                        if inc <= remaining {
+                            remaining -= inc;
+                            draw += inc;
+                            cursor[i] += 1;
+                            w
+                        } else {
+                            let state = node.states[cursor[i]] as usize;
+                            match policy {
+                                BudgetPolicy::ShedToFloor => {
+                                    shed_ticks[state] += 1;
+                                    cursor[i] += 1;
+                                }
+                                BudgetPolicy::Defer => {
+                                    deferred_ticks[state] += 1;
+                                }
+                            }
+                            node.floor_w
+                        }
+                    }
+                };
+            }
+            tick_draw_w.push(draw);
+        }
+        let truncated_proposals = nodes
+            .iter()
+            .zip(&cursor)
+            .map(|(n, &c)| (n.watts.len() - c) as u64)
+            .sum();
+        Arbitration {
+            tick_draw_w,
+            shed_ticks,
+            deferred_ticks,
+            truncated_proposals,
+            infeasible_floor_ticks,
+        }
+    }
+
+    /// Random fleets: 1–40 nodes with unequal horizons of 1–300 ticks,
+    /// floors drawn per node, proposals at and above the floor, and
+    /// budgets from below the floor sum (infeasible) to above the sum
+    /// of the node peaks. Both policies must match the tick-major
+    /// oracle bit for bit in the samples, the per-tick draws and every
+    /// counter.
+    #[test]
+    fn node_major_fold_matches_the_tick_major_oracle() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0xB0D6_E7A2);
+        let (mut infeasible, mut shed, mut truncated) = (0, 0, 0);
+        for case in 0..300 {
+            let n_states = rng.gen_range(2usize..=6);
+            let nodes: Vec<(f64, Vec<f64>, Vec<u16>)> = (0..rng.gen_range(1usize..=40))
+                .map(|_| {
+                    let floor_w = rng.gen_range(40.0..120.0);
+                    let ticks = rng.gen_range(1usize..=300);
+                    let mut watts = Vec::with_capacity(ticks);
+                    let mut states = Vec::with_capacity(ticks);
+                    for _ in 0..ticks {
+                        // A quarter of the proposals sit at the floor.
+                        if rng.gen_bool(0.25) {
+                            watts.push(floor_w);
+                            states.push(0);
+                        } else {
+                            watts.push(floor_w + rng.gen_range(0.0..250.0));
+                            states.push(rng.gen_range(1..n_states as u32) as u16);
+                        }
+                    }
+                    (floor_w, watts, states)
+                })
+                .collect();
+            let floor_sum: f64 = nodes.iter().map(|n| n.0).sum();
+            let peak_sum: f64 = nodes
+                .iter()
+                .map(|n| n.1.iter().copied().fold(0.0, f64::max))
+                .sum();
+            let budget_w = rng.gen_range(0.6 * floor_sum..1.1 * peak_sum);
+            let oracle_nodes: Vec<Proposals> = nodes
+                .iter()
+                .map(|(floor_w, watts, states)| Proposals {
+                    floor_w: *floor_w,
+                    watts,
+                    states,
+                })
+                .collect();
+            let streams: Vec<NodeStream> = nodes
+                .iter()
+                .map(|n| NodeStream {
+                    floor_w: n.0,
+                    ticks: n.1.len(),
+                })
+                .collect();
+            let states: Vec<u16> = nodes.iter().flat_map(|n| &n.2).copied().collect();
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            for policy in [BudgetPolicy::ShedToFloor, BudgetPolicy::Defer] {
+                let mut want_out = vec![f64::NAN; states.len()];
+                let want = tick_major(&oracle_nodes, budget_w, policy, n_states, &mut want_out);
+                let mut got_out: Vec<f64> = nodes.iter().flat_map(|n| &n.1).copied().collect();
+                let got = arbitrate(&streams, budget_w, policy, n_states, &mut got_out, &states);
+                let label = format!("case {case}, {}", policy.name());
+                assert_eq!(bits(&got_out), bits(&want_out), "{label}: samples");
+                assert_eq!(
+                    bits(&got.tick_draw_w),
+                    bits(&want.tick_draw_w),
+                    "{label}: tick_draw_w"
+                );
+                assert_eq!(got.shed_ticks, want.shed_ticks, "{label}: shed");
+                assert_eq!(got.deferred_ticks, want.deferred_ticks, "{label}: deferred");
+                assert_eq!(
+                    got.truncated_proposals, want.truncated_proposals,
+                    "{label}: truncated"
+                );
+                assert_eq!(
+                    got.infeasible_floor_ticks, want.infeasible_floor_ticks,
+                    "{label}: infeasible"
+                );
+                infeasible += usize::from(got.infeasible_floor_ticks > 0);
+                shed += usize::from(got.shed_ticks.iter().sum::<u64>() > 0);
+                truncated += usize::from(got.truncated_proposals > 0);
+            }
+        }
+        // The budgets reach every regime: infeasible floors, binding
+        // budgets, and defers pushed past a horizon.
+        assert!(infeasible > 0 && shed > 0 && truncated > 0);
+    }
+
+    /// One node with floor 1 W proposing `watts`, labelled state 1 of 2,
+    /// arbitrated into its own buffer.
+    fn arbitrate_one(watts: &[f64], states: &[u16], budget_w: f64) {
+        let node = [NodeStream {
+            floor_w: 1.0,
+            ticks: watts.len(),
+        }];
+        let mut buf = watts.to_vec();
+        arbitrate(
+            &node,
+            budget_w,
+            BudgetPolicy::ShedToFloor,
+            2,
+            &mut buf,
+            states,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "budget must be a positive wattage, got 0")]
+    fn a_zero_budget_is_rejected() {
+        arbitrate_one(&[2.0], &[1], 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "budget must be a positive wattage, got NaN")]
+    fn a_nan_budget_is_rejected() {
+        arbitrate_one(&[2.0], &[1], f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "proposal columns out of sync")]
+    fn label_and_proposal_columns_must_match() {
+        arbitrate_one(&[2.0, 2.0], &[1], 10.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "proposal state 2 out of range (2 states)")]
+    fn a_state_label_must_be_below_n_states() {
+        arbitrate_one(&[2.0, 2.0], &[1, 2], 10.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "proposal 0.5 W below the node floor 1 W")]
+    fn a_proposal_must_not_fall_below_its_floor() {
+        arbitrate_one(&[2.0, 0.5], &[1, 1], 10.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "output buffer must hold every horizon")]
+    fn the_buffer_must_match_the_horizons() {
+        let nodes = [NodeStream {
+            floor_w: 1.0,
+            ticks: 3,
+        }];
+        let mut buf = vec![2.0; 2];
+        arbitrate(&nodes, 10.0, BudgetPolicy::Defer, 2, &mut buf, &[1, 1]);
     }
 }

@@ -1110,32 +1110,36 @@ impl FleetSim {
 
     /// The serial tail of every run, over the merged proposals of the
     /// whole fleet: with a budget, [`arbitrate`] folds them in node-id
-    /// order and writes the emitted samples into a fresh buffer;
-    /// without one, the proposals are the samples. Then the episode and
-    /// budget statistics are folded.
+    /// order and rewrites the buffer into the emitted samples in place,
+    /// and the label column is freed right after; without one, the
+    /// proposals are the samples. Then the episode and budget
+    /// statistics are folded.
     fn finish(&self, registry: &EngineRegistry, plan: &FleetPlan, merged: FleetShard) -> FleetRun {
         let cfg = &self.config;
         let classes = cfg.mix.classes();
 
-        let (samples, arbitration) = match cfg.budget_w {
-            None => (merged.watts, None),
-            Some(budget_w) => {
-                let nodes: Vec<NodeStream> = plan
-                    .items
-                    .iter()
-                    .zip(plan.node_ranges())
-                    .map(|(n, at)| NodeStream {
-                        floor_w: plan.lanes[n.sku_idx].floor_w,
-                        watts: &merged.watts[at.clone()],
-                        states: &merged.states[at],
-                    })
-                    .collect();
-                let mut samples = vec![0.0; merged.watts.len()];
-                let n_states = classes.len() + 1;
-                let arb = arbitrate(&nodes, budget_w, cfg.budget_policy, n_states, &mut samples);
-                (samples, Some(arb))
-            }
-        };
+        let mut samples = merged.watts;
+        let arbitration = cfg.budget_w.map(|budget_w| {
+            let nodes: Vec<NodeStream> = plan
+                .items
+                .iter()
+                .map(|n| NodeStream {
+                    floor_w: plan.lanes[n.sku_idx].floor_w,
+                    ticks: n.samples as usize,
+                })
+                .collect();
+            let n_states = classes.len() + 1;
+            let states = &merged.states;
+            arbitrate(
+                &nodes,
+                budget_w,
+                cfg.budget_policy,
+                n_states,
+                &mut samples,
+                states,
+            )
+        });
+        drop(merged.states);
 
         let episode_stats = (cfg.temporal == TemporalMode::Episodes).then(|| {
             aggregate_episode_stats(
