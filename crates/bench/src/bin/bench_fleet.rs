@@ -1,8 +1,8 @@
 //! Micro-benchmark for the engine-backed fleet pipeline: serial vs
-//! sharded generation (i.i.d., episodes, budgeted episodes), a shard
-//! count sweep, and the registry-wide cache counters accumulated
-//! across every case (the service-loop picture: one registry serves
-//! all requests).
+//! sharded generation (i.i.d., episodes, budgeted episodes under both
+//! policies), a shard count sweep, and the registry-wide cache counters
+//! accumulated across every case (the service-loop picture: one
+//! registry serves all requests).
 //!
 //! Writes the measured baseline to `BENCH_fleet.json` (pass an output
 //! path as the first argument to override; `--threads 1,2,4` overrides
@@ -24,6 +24,14 @@ use std::hint::black_box;
 /// Median-of-9 wall time of `f`, in milliseconds per call.
 fn time_ms(f: impl FnMut()) -> f64 {
     median_ms(2, 1, 9, f)
+}
+
+/// A simulator for `cfg` proposing on `threads` shards.
+fn sim_at(cfg: &FleetConfig, threads: usize) -> FleetSim {
+    FleetSim::new(FleetConfig {
+        threads,
+        ..cfg.clone()
+    })
 }
 
 /// Thread counts to sweep: powers of two up to the host parallelism.
@@ -73,16 +81,8 @@ fn main() {
     // resident fleet service would.
     let registry = EngineRegistry::new();
 
-    let serial = {
-        let mut c = cfg.clone();
-        c.threads = 1;
-        FleetSim::new(c)
-    };
-    let parallel = {
-        let mut c = cfg.clone();
-        c.threads = 0;
-        FleetSim::new(c)
-    };
+    let serial = sim_at(&cfg, 1);
+    let parallel = sim_at(&cfg, 0);
 
     // Determinism gates before any number is published: cold and
     // warm-registry runs and the sharded parallel run must all emit
@@ -116,11 +116,7 @@ fn main() {
     let sweep = sweep_override.unwrap_or_else(|| default_sweep(host_threads));
     let mut sweep_ms: Vec<(usize, f64)> = Vec::with_capacity(sweep.len());
     for &t in &sweep {
-        let sim = {
-            let mut c = cfg.clone();
-            c.threads = t;
-            FleetSim::new(c)
-        };
+        let sim = sim_at(&cfg, t);
         assert_eq!(
             base.samples,
             sim.run_with(&registry).samples,
@@ -135,18 +131,10 @@ fn main() {
     // Episode mode over the same fleet: timing plus the temporal
     // statistics (the autocorrelation an i.i.d. sampler cannot have),
     // gated on the usual serial/parallel determinism check.
-    let ep_serial = {
-        let mut c = cfg.clone();
-        c.temporal = TemporalMode::Episodes;
-        c.threads = 1;
-        FleetSim::new(c)
-    };
-    let ep_parallel = {
-        let mut c = cfg.clone();
-        c.temporal = TemporalMode::Episodes;
-        c.threads = 0;
-        FleetSim::new(c)
-    };
+    let mut ep_cfg = cfg.clone();
+    ep_cfg.temporal = TemporalMode::Episodes;
+    let ep_serial = sim_at(&ep_cfg, 1);
+    let ep_parallel = sim_at(&ep_cfg, 0);
     let ep_base = ep_serial.run();
     assert_eq!(
         ep_base.samples,
@@ -175,16 +163,8 @@ fn main() {
     bu_cfg.temporal = TemporalMode::Episodes;
     bu_cfg.budget_w = Some(budget_w);
     bu_cfg.budget_policy = BudgetPolicy::ShedToFloor;
-    let bu_serial = {
-        let mut c = bu_cfg.clone();
-        c.threads = 1;
-        FleetSim::new(c)
-    };
-    let bu_parallel = {
-        let mut c = bu_cfg.clone();
-        c.threads = 0;
-        FleetSim::new(c)
-    };
+    let bu_serial = sim_at(&bu_cfg, 1);
+    let bu_parallel = sim_at(&bu_cfg, 0);
     let bu_base = bu_serial.run();
     assert_eq!(
         bu_base.samples,
@@ -198,6 +178,12 @@ fn main() {
         black_box(bu_parallel.run_with(&registry).samples);
     });
     let bu_stats = bu_base.budget.expect("budget stats");
+    // The same fleet under defer, whose denied proposals stay queued.
+    bu_cfg.budget_policy = BudgetPolicy::Defer;
+    let bu_defer = sim_at(&bu_cfg, 0);
+    let defer_ms = time_ms(|| {
+        black_box(bu_defer.run_with(&registry).samples);
+    });
 
     // The shared registry's counters after every case above: this is
     // the number the batching work exists for — repeat requests must be
@@ -309,7 +295,8 @@ fn main() {
         "    \"fleet_episodes_parallel\": {ep_parallel_ms:.2},"
     );
     let _ = writeln!(json, "    \"fleet_budget_serial\": {bu_serial_ms:.2},");
-    let _ = writeln!(json, "    \"fleet_budget_parallel\": {bu_parallel_ms:.2}");
+    let _ = writeln!(json, "    \"fleet_budget_parallel\": {bu_parallel_ms:.2},");
+    let _ = writeln!(json, "    \"fleet_budget_defer_parallel\": {defer_ms:.2}");
     json.push_str("  },\n");
     let _ = writeln!(json, "  \"speedup_parallel_vs_serial\": {speedup:.2},");
     json.push_str("  \"threads_sweep_ms\": {\n");
@@ -434,7 +421,8 @@ fn main() {
     );
     println!(
         "budget:   {bu_serial_ms:.2} ms serial / {bu_parallel_ms:.2} ms parallel at \
-         {budget_w:.0} W ({}), peak {:.0} W, {} node-ticks shed",
+         {budget_w:.0} W ({}), peak {:.0} W, {} node-ticks shed; \
+         {defer_ms:.2} ms parallel under defer",
         bu_stats.policy.name(),
         bu_stats.peak_fleet_w,
         bu_stats.shed_ticks.iter().sum::<u64>()
