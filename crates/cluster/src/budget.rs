@@ -12,13 +12,10 @@
 //! fixed order and touches no RNG, the outcome is bitwise-identical
 //! for any thread count and shard split.
 //!
-//! The fold is node-major. A node's outcome at tick `t` depends only
-//! on the lower-id nodes at `t` and, under defer, on its own earlier
-//! ticks, so walking the nodes in id order and each node's ticks in
-//! order performs, for every tick, the float operations of a
-//! tick-by-tick fold in the same order. Only one headroom and one draw
-//! value per tick stay live (16 KB each at 2000 ticks), and each
-//! node's proposals are read and its samples written sequentially.
+//! The fold is node-major: a node's outcome at a tick depends only on
+//! lower ids at that tick and its own earlier ticks, so walking node
+//! by node against one headroom and one draw value per tick does each
+//! tick's float operations in the tick-by-tick order.
 //!
 //! Idle floors are **unconditional**: a powered-on node draws its idle
 //! floor whether or not the arbiter admits its proposal (a facility
@@ -102,23 +99,15 @@ pub struct Arbitration {
 /// fleet budget. Earlier node ids get first claim on each tick's
 /// headroom — a fixed priority that keeps the fold deterministic.
 ///
-/// `watts` holds the proposals node after node (composed node power
-/// per proposed tick if admitted, W: idle floor plus duty-cycled
-/// payload power, already clamped at the facility cap), and `states`
-/// their telemetry state labels, parallel to it (0 = idle floor, `1..`
-/// = job classes in mix order). Every tick's outcome is written over
-/// the node's proposal in `watts`: the admitted proposal, or the
-/// node's floor when its proposal is shed, deferred or already
-/// exhausted. The fold copies one node's proposals aside before
-/// writing its samples, since a deferred proposal is read after its
-/// own slot has been written.
+/// `watts` holds each node's proposals (node power per tick if
+/// admitted, W, already clamped at the facility cap) node after node,
+/// and `states` their labels. Each tick's outcome overwrites its
+/// proposal: the proposal if admitted, else the node's floor. A node's
+/// proposals are copied aside and checked first, since under defer one
+/// is read after its slot is written.
 ///
 /// `n_states` sizes the per-state counters (index 0 = floor, then the
-/// job classes); every label must be below it. Panics on a budget that
-/// is not a positive wattage, on columns that do not match each other
-/// or the horizons, and on a label out of range or a proposal below its
-/// node's floor (each node's proposals are checked before its samples
-/// are written).
+/// job classes); every label must be below it.
 pub fn arbitrate(
     nodes: &[NodeStream],
     budget_w: f64,
@@ -145,18 +134,11 @@ pub fn arbitrate(
         }
     }
     let mut infeasible_floor_ticks = 0u64;
-    let mut headroom: Vec<f64> = tick_draw_w
-        .iter()
-        .map(|&base| {
-            let remaining = budget_w - base;
-            if remaining < 0.0 {
-                infeasible_floor_ticks += 1;
-                0.0
-            } else {
-                remaining
-            }
-        })
-        .collect();
+    let mut headroom = Vec::with_capacity(max_ticks);
+    for &base in &tick_draw_w {
+        infeasible_floor_ticks += u64::from(base > budget_w);
+        headroom.push((budget_w - base).max(0.0));
+    }
     let mut shed_ticks = vec![0u64; n_states];
     let mut deferred_ticks = vec![0u64; n_states];
     let mut truncated_proposals = 0u64;
@@ -169,8 +151,7 @@ pub fn arbitrate(
         let samples = &mut watts[run];
         proposals.clear();
         proposals.extend_from_slice(samples);
-        // Check the node once up front: a deferred proposal would
-        // otherwise be re-checked on every denial tick.
+        // Check once up front, not on every denial tick.
         for (&s, &w) in labels.iter().zip(&proposals) {
             assert!(
                 (s as usize) < n_states,
@@ -207,9 +188,7 @@ pub fn arbitrate(
                                 shed_ticks[state] += 1;
                                 cursor += 1;
                             }
-                            BudgetPolicy::Defer => {
-                                deferred_ticks[state] += 1;
-                            }
+                            BudgetPolicy::Defer => deferred_ticks[state] += 1,
                         }
                         node.floor_w
                     }

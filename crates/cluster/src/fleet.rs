@@ -25,7 +25,7 @@
 //! **arbitrate** — when [`FleetConfig::budget_w`] is set, a serial
 //! node-id-ordered fold ([`crate::budget`]) admits proposals against
 //! the remaining fleet budget per 60 s tick, sheds or defers the rest,
-//! and writes each tick's outcome into the run's sample buffer itself.
+//! and writes each tick's outcome over the merged proposals in place.
 //! Without a budget the merged proposals are the samples. Every phase
 //! is deterministic, so the result is bitwise-identical for any thread
 //! count and shard split, and runs without a budget reproduce the
@@ -1109,16 +1109,15 @@ impl FleetSim {
     }
 
     /// The serial tail of every run, over the merged proposals of the
-    /// whole fleet: with a budget, [`arbitrate`] folds them in node-id
-    /// order and rewrites the buffer into the emitted samples in place,
-    /// and the label column is freed right after; without one, the
-    /// proposals are the samples. Then the episode and budget
+    /// whole fleet: with a budget, [`arbitrate`] rewrites them into the
+    /// emitted samples in place and the labels are freed; without one,
+    /// the proposals are the samples. Then the episode and budget
     /// statistics are folded.
     fn finish(&self, registry: &EngineRegistry, plan: &FleetPlan, merged: FleetShard) -> FleetRun {
         let cfg = &self.config;
         let classes = cfg.mix.classes();
 
-        let mut samples = merged.watts;
+        let (mut samples, states) = (merged.watts, merged.states);
         let arbitration = cfg.budget_w.map(|budget_w| {
             let nodes: Vec<NodeStream> = plan
                 .items
@@ -1128,18 +1127,10 @@ impl FleetSim {
                     ticks: n.samples as usize,
                 })
                 .collect();
-            let n_states = classes.len() + 1;
-            let states = &merged.states;
-            arbitrate(
-                &nodes,
-                budget_w,
-                cfg.budget_policy,
-                n_states,
-                &mut samples,
-                states,
-            )
+            let (policy, n_states) = (cfg.budget_policy, classes.len() + 1);
+            arbitrate(&nodes, budget_w, policy, n_states, &mut samples, &states)
         });
-        drop(merged.states);
+        drop(states);
 
         let episode_stats = (cfg.temporal == TemporalMode::Episodes).then(|| {
             aggregate_episode_stats(
@@ -1284,9 +1275,9 @@ impl FleetSim {
     /// (they are sorted by range here); a missing, duplicated or
     /// overlapping shard is a typed [`ShardTilingError`]. Every shard
     /// is appended to the node-0 shard's buffers, which reserved room
-    /// for the whole run; without a budget that buffer is the run's
-    /// samples, with one the serial arbitration reads it. The merged
-    /// run is byte-identical for every shard split.
+    /// for the whole run. That buffer becomes the run's samples: with a
+    /// budget, the serial arbitration rewrites it in place first. The
+    /// merged run is byte-identical for every shard split.
     pub fn try_merge_shards(
         &self,
         registry: &EngineRegistry,

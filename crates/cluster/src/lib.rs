@@ -34,8 +34,8 @@
 //! floor or defers the episode's remaining ticks. Generation is a
 //! tick-synchronous propose → arbitrate pass: shards propose straight
 //! into one buffer, and the serial arbiter writes the emitted samples
-//! itself. It stays bitwise-identical across thread counts and
-//! byte-stable when no budget is set.
+//! over the proposals, node by node. It stays bitwise-identical across
+//! thread counts and byte-stable when no budget is set.
 
 pub mod budget;
 pub mod episodes;
