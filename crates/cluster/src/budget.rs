@@ -65,7 +65,7 @@ impl BudgetPolicy {
 /// after those of nodes `0..n`), and each emits exactly `ticks`
 /// samples into its own run; under [`BudgetPolicy::Defer`] the cursor
 /// into its proposals can lag behind the tick index.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 pub struct NodeStream {
     /// The node's idle-floor draw, W (drawn even when shed).
     pub floor_w: f64,
