@@ -1462,6 +1462,31 @@ mod tests {
             .expect("the ranges tile the node range")
     }
 
+    /// The hand-built mix of `tests/fleet_golden.rs` over the Taurus
+    /// payload specs: a zero-weight `parked` class between positive
+    /// ones, and a `medium` class that lists P-state 2 twice.
+    fn hand_built_mix() -> JobMix {
+        let taurus = JobMix::taurus_haswell();
+        let class =
+            |spec_of: &str, name: &'static str, pstates: &'static [usize]| crate::jobs::JobClass {
+                name,
+                pstates,
+                ..taurus
+                    .classes()
+                    .iter()
+                    .find(|(c, _)| c.name == spec_of)
+                    .expect("a Taurus class")
+                    .0
+            };
+        JobMix::new(vec![
+            (class("idle", "idle", &[2]), 0.30),
+            (class("low", "parked", &[0]), 0.0),
+            (class("medium", "medium", &[2, 0, 2]), 0.30),
+            (class("high", "high", &[0, 1]), 0.30),
+            (class("peak", "peak", &[0]), 0.10),
+        ])
+    }
+
     fn small_fleet() -> FleetSim {
         FleetSim::new(FleetConfig {
             samples_per_node: 500,
@@ -2453,6 +2478,17 @@ mod tests {
                 FleetConfig {
                     samples_per_node: 200,
                     budget_w: Some(63.0 * 180.0),
+                    power_cap_w: Some(250.0),
+                    ..FleetConfig::taurus_haswell_scaled(63)
+                },
+            ),
+            (
+                "hand-built mix, budgeted iid + cap",
+                FleetConfig {
+                    samples_per_node: 200,
+                    mix: hand_built_mix(),
+                    budget_w: Some(63.0 * 150.0),
+                    budget_policy: BudgetPolicy::Defer,
                     power_cap_w: Some(250.0),
                     ..FleetConfig::taurus_haswell_scaled(63)
                 },

@@ -13,8 +13,8 @@
 
 use firestarter2::calib::FleetProfile;
 use firestarter2::cluster::{
-    shard_ranges, BudgetPolicy, FleetConfig, FleetRun, FleetShard, FleetSim, NodeGroup, PowerCdf,
-    TemporalMode,
+    shard_ranges, BudgetPolicy, EpisodeModel, FleetConfig, FleetRun, FleetShard, FleetSim,
+    JobClass, JobMix, NodeGroup, PowerCdf, TemporalMode,
 };
 use firestarter2::core::EngineRegistry;
 
@@ -373,5 +373,76 @@ fn interleaved_budgeted_iid_defer_matches_its_golden_hash() {
     assert!(
         b.truncated_proposals > 0,
         "defer must push proposals past a horizon"
+    );
+}
+
+/// A hand-built episode mix over the Taurus payload specs: a
+/// zero-weight `parked` class between positive ones, a `medium` class
+/// that lists P-state 2 twice, and short dwells, so that a 300-tick
+/// walk starts many episodes on every class it can reach.
+fn hand_built_episodes() -> FleetConfig {
+    let taurus = JobMix::taurus_haswell();
+    let class = |spec_of: &str, name: &'static str, pstates: &'static [usize]| JobClass {
+        name,
+        pstates,
+        ..taurus
+            .classes()
+            .iter()
+            .find(|(c, _)| c.name == spec_of)
+            .expect("a Taurus class")
+            .0
+    };
+    let mix = JobMix::new(vec![
+        (class("idle", "idle", &[2]), 0.30),
+        (class("low", "parked", &[0]), 0.0),
+        (class("medium", "medium", &[2, 0, 2]), 0.30),
+        (class("high", "high", &[0, 1]), 0.30),
+        (class("peak", "peak", &[0]), 0.10),
+    ]);
+    let episodes = EpisodeModel::from_mix(
+        &mix,
+        0.1,
+        5.0,
+        &[4.0, 3.0, 8.0, 12.0, 20.0],
+        &[0, 0, 1, 2, 2],
+    );
+    FleetConfig {
+        mix,
+        episodes,
+        temporal: TemporalMode::Episodes,
+        seed: 0x5EED,
+        power_cap_w: Some(250.0),
+        budget_w: Some(3600.0),
+        budget_policy: BudgetPolicy::Defer,
+        ..scaled(24, 300)
+    }
+}
+
+#[test]
+fn hand_built_episode_mix_matches_its_golden_hash() {
+    let run = assert_golden(
+        "hand-built episode mix",
+        hand_built_episodes(),
+        0xF11F_5EF9_D819_41FA,
+    );
+    let e = run.episodes.expect("episode statistics reported");
+    let parked = e
+        .states
+        .iter()
+        .position(|s| s == "parked")
+        .expect("a parked state");
+    assert_eq!(
+        e.empirical_shares[parked], 0.0,
+        "a zero-weight class never runs"
+    );
+    assert!(run.capped_samples > 0, "the cap must remap draws");
+    assert!(
+        run.infeasible_points > 0,
+        "the cap must leave infeasible lanes"
+    );
+    let b = run.budget.expect("budget stats");
+    assert!(
+        b.deferred_ticks.iter().sum::<u64>() > 0,
+        "the budget must bind"
     );
 }
