@@ -18,7 +18,7 @@
 //! per-node streams are independent of grouping and thread count, so an
 //! N-thread fleet fan-out stays bitwise-identical to a serial pass.
 
-use crate::jobs::JobMix;
+use crate::jobs::{pick_weighted, JobMix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -33,24 +33,6 @@ const MAX_EPISODE_TICKS: u32 = 100_000;
 /// Mixing salt so episode streams never collide with the i.i.d.
 /// per-node streams derived from the same `(seed, node_id)`.
 const EPISODE_SALT: u64 = 0x1BD1_1BDA_A9FC_1A22;
-
-/// Maps a draw `x ∈ [0, 1)` to an index of `row` (weights summing to
-/// ~1). Floating-point rounding can push `x` past the last positive
-/// weight; the fallthrough lands on the last state that can actually
-/// occur, never on a zero-weight one (the `JobMix::pick` contract).
-fn pick_weighted(row: &[f64], mut x: f64) -> usize {
-    let mut last_weighted = 0;
-    for (i, &w) in row.iter().enumerate() {
-        if w > 0.0 {
-            if x < w {
-                return i;
-            }
-            last_weighted = i;
-        }
-        x -= w;
-    }
-    last_weighted
-}
 
 /// One geometric dwell draw on `{1, 2, ...}` with the given mean, via
 /// the inverse CDF (one uniform per episode).
@@ -275,7 +257,10 @@ pub struct Tick {
     pub class: Option<usize>,
     /// Ramp-scaled effective duty cycle for this tick (0 on the floor).
     pub duty: f64,
-    /// P-state index drawn for the episode (unused on the floor).
+    /// The slot of the class's [`crate::JobClass::pstates`] drawn for
+    /// the episode (0 on the floor): the P-state the episode runs at is
+    /// `pstates[pstate]`, and the fleet composes the tick from its
+    /// operating-point lane for that slot.
     pub pstate: usize,
 }
 
@@ -318,7 +303,7 @@ impl<'a> EpisodeWalk<'a> {
             seed ^ EPISODE_SALT ^ (u64::from(node_id).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
         );
         let x = rng.gen_range(0.0..1.0);
-        let state = pick_weighted(model.stationary_time_shares(), x);
+        let state = pick_weighted(model.stationary_time_shares().iter().copied(), x);
         let n = model.n_states();
         let mut walk = EpisodeWalk {
             model,
@@ -373,7 +358,7 @@ impl<'a> EpisodeWalk<'a> {
         self.tick_in_episode += 1;
         if self.tick_in_episode >= self.episode_len {
             let x = self.rng.gen_range(0.0..1.0);
-            let next = pick_weighted(&self.model.transitions[state], x);
+            let next = pick_weighted(self.model.transitions[state].iter().copied(), x);
             self.start_episode(next);
         }
         tick

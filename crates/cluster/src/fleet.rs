@@ -7,15 +7,19 @@
 //! composed from engine-evaluated payload power and the node's idle
 //! floor — the workload-cloning pipeline, not distribution fitting.
 //!
-//! Two temporal modes share those operating points
-//! ([`TemporalMode`]): the historical i.i.d. per-node-minute sampler
-//! (the byte-stable Fig. 1 default) and the Markov episode model of
-//! [`crate::episodes`], which adds dwell times, ramps and hand-backs
-//! to the idle floor — the time correlation real traces show.
+//! Two temporal modes compose their samples from one operating-point
+//! table ([`TemporalMode`]): the historical i.i.d. per-node-minute
+//! sampler (the byte-stable Fig. 1 default) and the Markov episode
+//! model of [`crate::episodes`], which adds dwell times, ramps and
+//! hand-backs to the idle floor — the time correlation real traces
+//! show. That table is one lane per node group, job class and listed
+//! P-state, holding the power-capped payload power above the idle
+//! floor; an i.i.d. draw and an episode tick both read the lane of the
+//! drawn class and P-state slot.
 //!
 //! Generation is one pipeline, the one the fleet service runs:
-//! [`FleetSim::plan`] engine-evaluates the operating points once,
-//! [`FleetSim::run_shard`] proposes contiguous node ranges and
+//! [`FleetSim::plan`] engine-evaluates the operating points into those
+//! lanes once, [`FleetSim::run_shard`] proposes contiguous node ranges and
 //! [`FleetSim::try_merge_shards`] reassembles them in node order;
 //! [`FleetSim::run_with`] runs it in-process with one shard per
 //! thread. Within it, generation is a tick-synchronous two-phase
@@ -102,8 +106,9 @@ pub struct FleetConfig {
     /// cap). Classes with no admissible P-state keep their
     /// lowest-power one (the facility clamp still applies; such
     /// still-over-cap points are reported via
-    /// [`FleetRun::infeasible_points`]). `None` disables capping and
-    /// leaves the sampler byte-stable.
+    /// [`FleetRun::infeasible_points`]). A set cap must be a positive,
+    /// finite wattage ([`FleetSim::new`] panics otherwise). `None`
+    /// disables capping and leaves the sampler byte-stable.
     pub power_cap_w: Option<f64>,
     /// Fleet-wide power budget per 60 s tick, W: node draws are
     /// admitted in node-id order until the tick's fleet sum would
@@ -392,25 +397,27 @@ pub struct FleetRun {
     pub samples: Vec<f64>,
     /// Registry/engine cache counters for the run.
     pub registry: RegistryStats,
-    /// The engine-evaluated operating points the samples composed from.
+    /// The engine-evaluated operating points the samples composed from,
+    /// one per node group, job class and distinct P-state of the class.
     pub power_table: Vec<ClassPower>,
     /// Episode statistics ([`TemporalMode::Episodes`] only). State
     /// shares and dwells describe the *proposed* walks; under a budget
     /// the emitted stream additionally reflects sheds and defers,
     /// which [`FleetRun::budget`] accounts for.
     pub episodes: Option<EpisodeStats>,
-    /// Number of static `(SKU, class, P-state)` remap-table cells the
-    /// power cap redirected to a lower P-state (0 when no cap is
-    /// set). This counts table cells, not drawn samples — see
-    /// `capped_samples` for the per-sample count.
+    /// Number of operating-point lanes whose P-state the power cap
+    /// redirects to a lower one (0 when no cap is set). A lane is one
+    /// node group, job class and listed P-state, so a P-state a class
+    /// lists twice counts twice. This counts lanes, not drawn samples —
+    /// see `capped_samples` for the per-sample count.
     pub capped_points: usize,
     /// Number of drawn samples whose P-state the power cap actually
     /// remapped (accumulated per node, summed in node input order, so
     /// the count is identical for any thread count).
     pub capped_samples: usize,
-    /// Remap-table cells whose final operating point still exceeds
-    /// `power_cap_w` — the class has no admissible P-state and fell
-    /// back to its lowest-power one over the cap.
+    /// Lanes (counted like `capped_points`) whose final operating point
+    /// still exceeds `power_cap_w` — the class has no admissible
+    /// P-state and fell back to its lowest-power one over the cap.
     pub infeasible_points: usize,
     /// Budget arbitration telemetry ([`FleetConfig::budget_w`] only).
     pub budget: Option<BudgetStats>,
@@ -425,22 +432,17 @@ struct NodeItem {
 }
 
 /// The request-shared generation plan built by [`FleetSim::plan`]:
-/// the engine-evaluated operating-point tables, the power-cap remap,
-/// the flattened sampling lanes and the per-node work items —
-/// everything the propose loops read. A plan is immutable and `Sync`,
-/// so shard workers on any thread run [`FleetSim::run_shard`] against
-/// one shared plan without ever touching the engine registry.
+/// one operating-point table per node group, a lane per job class and
+/// listed P-state that both temporal modes compose their samples from,
+/// and the per-node work items — everything the propose loops read. A plan is immutable and
+/// `Sync`, so shard workers on any thread run [`FleetSim::run_shard`]
+/// against one shared plan without ever touching the engine registry.
 pub struct FleetPlan {
-    /// Per-group idle floor, W.
-    idle_w: Vec<f64>,
-    /// `table[sku][class][pstate]`: payload node power, W.
-    table: Vec<Vec<Vec<f64>>>,
-    /// Power-cap P-state remap, same shape as `table`.
-    remap: Vec<Vec<Vec<usize>>>,
-    /// Flattened per-SKU sampling tables for the batched composer.
+    /// Per-group operating-point lanes; index == group index.
     lanes: Vec<SkuLanes>,
     /// Per-node work items; index == fleet-global node id.
     items: Vec<NodeItem>,
+    /// The engine-evaluated points the lanes were built from.
     power_table: Vec<ClassPower>,
     capped_points: usize,
     infeasible_points: usize,
@@ -450,11 +452,6 @@ impl FleetPlan {
     /// Total nodes the plan covers (shard ranges index into this).
     pub fn total_nodes(&self) -> u32 {
         u32::try_from(self.items.len()).expect("one item per node, and node counts are u32")
-    }
-
-    /// The engine-evaluated operating points backing the plan.
-    pub fn power_table(&self) -> &[ClassPower] {
-        &self.power_table
     }
 
     /// Each node's slots in a node-major run buffer, in node order:
@@ -646,23 +643,31 @@ struct ClassLane {
     class_idx: u16,
 }
 
-/// One `(class, drawn P-state)` composition lane.
+/// One `(class, P-state slot)` operating point of a node group: what a
+/// sample of that class drawn at that slot of [`crate::JobClass::pstates`]
+/// composes from, in either temporal mode.
 struct Lane {
-    /// `load - idle`, with the power-cap remap pre-applied.
+    /// `load - idle`: the engine-evaluated payload power of the P-state
+    /// the slot runs at after the power cap, above the group's idle
+    /// floor. A sample at duty `d` is `idle + d * delta`.
     delta: f64,
-    /// Whether the drawn P-state was remapped by the cap.
+    /// Whether the power cap moved the slot's P-state to another one.
     remapped: bool,
 }
 
-/// Flattened per-SKU sampling tables for the batched composer. The
-/// per-sample hot loop reads only this struct: the positive-weight mix
-/// scan entries, the packed per-class draw parameters and one
-/// contiguous [`Lane`] per `(class, drawn P-state)`. All values are
-/// precomputed from the exact operands the per-node reference path
-/// reads per sample — `duty.1 - duty.0`, `load - idle` — so the
-/// composed watts are bit-identical.
+/// One node group's operating-point table. Every sample reads only
+/// this struct: the i.i.d. composer ([`SkuLanes::draw`]) through the
+/// positive-weight pick thresholds and the packed per-class draw
+/// parameters, an episode tick through [`SkuLanes::class_base`], and
+/// both land on the contiguous [`Lane`] of the drawn `(class, slot)`.
+/// The per-class draw parameters are precomputed from the operands a
+/// per-node draw reads — `duty.1 - duty.0` — so the composed watts are
+/// bit-identical to drawing through the [`JobMix`] API.
 struct SkuLanes {
+    /// The group's idle floor, W (the engine's idle power).
     idle: f64,
+    /// The floor after the facility clamp: the arbiter's unconditional
+    /// per-node draw.
     floor_w: f64,
     /// `JobMix::total_fraction()` — the draw range of the class pick.
     total: f64,
@@ -684,6 +689,11 @@ struct SkuLanes {
     /// class-index table pointing into a second array) drops one
     /// dependent load from the per-sample critical path.
     picks: Vec<ClassLane>,
+    /// Offset of each class's first lane in `lanes`, in `JobMix`
+    /// order, zero-weight classes included (`picks` skips them): class
+    /// `c` drawn at slot `k` composes from `lanes[class_base[c] + k]`.
+    class_base: Vec<usize>,
+    /// One lane per class and listed P-state slot, class after class.
     lanes: Vec<Lane>,
 }
 
@@ -797,6 +807,9 @@ pub struct FleetSim {
 }
 
 impl FleetSim {
+    /// Panics on a fleet without groups, an episode model that does not
+    /// cover the mix, or a power cap or budget that is not a positive,
+    /// finite wattage.
     pub fn new(config: FleetConfig) -> FleetSim {
         assert!(!config.groups.is_empty(), "fleet needs at least one group");
         if config.temporal == TemporalMode::Episodes {
@@ -804,6 +817,12 @@ impl FleetSim {
                 config.episodes.n_states(),
                 config.mix.classes().len() + 1,
                 "episode model must cover the floor plus every mix class"
+            );
+        }
+        if let Some(c) = config.power_cap_w {
+            assert!(
+                c.is_finite() && c > 0.0,
+                "power_cap_w must be a positive wattage, got {c}"
             );
         }
         if let Some(b) = config.budget_w {
@@ -851,214 +870,149 @@ impl FleetSim {
             .expect("shard_ranges tiles the node range")
     }
 
-    /// Builds the request-shared generation plan: the operating-point
-    /// table (one engine call per `(SKU, class)`), the power-cap remap
-    /// and the flattened sampling lanes. This is the only phase that
-    /// touches the engine registry (plus the final merge, for its
-    /// counters), so shard workers stay pure table readers. Also
-    /// announces the request to the registry's cross-request counters.
+    /// Builds the request-shared generation plan in one pass per
+    /// `(node group, job class)`: one engine call evaluates the class's
+    /// P-states on the group's SKU, the power cap resolves the class's
+    /// target P-state, and one operating-point lane per listed P-state
+    /// is counted into [`FleetRun::capped_points`] and
+    /// [`FleetRun::infeasible_points`] and pushed onto the group's
+    /// table. Each group's nodes then join the per-node work items. This is the only phase that touches the
+    /// engine registry (plus the final merge, for its counters), so
+    /// shard workers stay pure lane readers. Also announces the request
+    /// to the registry's cross-request counters.
     pub fn plan(&self, registry: &EngineRegistry) -> FleetPlan {
         registry.begin_request();
         let cfg = &self.config;
         let classes = cfg.mix.classes();
-
-        // Engine-evaluate each (SKU, class, P-state) operating point
-        // once; the per-sample loop then only composes duty cycles.
-        // `table[sku][class][pstate]` is the payload's node power.
-        // All of a class's P-state frequencies ride one engine call, so
-        // each (SKU, class) row costs a single cached payload fetch and
-        // one cached functional pass regardless of how many P-states it
-        // spans.
-        let mut idle_w: Vec<f64> = Vec::with_capacity(cfg.groups.len());
-        let mut table: Vec<Vec<Vec<f64>>> = Vec::with_capacity(cfg.groups.len());
+        let mut lanes: Vec<SkuLanes> = Vec::with_capacity(cfg.groups.len());
+        let mut items: Vec<NodeItem> = Vec::with_capacity(cfg.total_nodes() as usize);
         let mut power_table: Vec<ClassPower> = Vec::new();
-        for group in &cfg.groups {
+        let mut capped_points = 0usize;
+        let mut infeasible_points = 0usize;
+        for (sku_idx, group) in cfg.groups.iter().enumerate() {
             let engine = registry.engine(&group.sku);
-            idle_w.push(engine.idle_power_w());
-            let n_pstates = group.sku.pstates.states.len();
-            let mut rows = Vec::with_capacity(classes.len());
-            for (class, _) in classes {
-                // Distinct `(pstate, freq)` pairs in first-seen order
-                // (the historical NaN-dedup order).
-                let mut seen: Vec<(usize, u32)> = Vec::new();
+            let idle = engine.idle_power_w();
+            let states = &group.sku.pstates.states;
+            let mut sku = SkuLanes {
+                idle,
+                floor_w: idle.min(cfg.cap_w),
+                total: cfg.mix.total_fraction(),
+                thresholds: [f64::INFINITY; 8],
+                spill: Vec::new(),
+                picks: Vec::new(),
+                class_base: Vec::with_capacity(classes.len()),
+                lanes: Vec::new(),
+            };
+            let mut weights = Vec::new();
+            for (ci, (class, frac)) in classes.iter().enumerate() {
+                // The class's distinct P-states in first-seen order ride
+                // one engine call, so each (SKU, class) costs a single
+                // cached payload fetch and one cached functional pass
+                // however many P-states it lists.
+                let mut seen: Vec<usize> = Vec::new();
                 for &p in class.pstates {
                     assert!(
-                        p < n_pstates,
+                        p < states.len(),
                         "{}: P-state index {p} out of range for {}",
                         class.name,
                         group.sku.name
                     );
-                    if !seen.iter().any(|&(q, _)| q == p) {
-                        seen.push((p, group.sku.pstates.states[p].freq_mhz));
+                    if !seen.contains(&p) {
+                        seen.push(p);
                     }
                 }
                 let config = engine
                     .config_for_spec(class.spec)
                     .unwrap_or_else(|e| panic!("fleet job-class spec rejected: {e}"));
-                let freqs: Vec<f64> = seen.iter().map(|&(_, f)| f64::from(f)).collect();
+                let freqs: Vec<f64> = seen
+                    .iter()
+                    .map(|&p| f64::from(states[p].freq_mhz))
+                    .collect();
                 let points = engine.eval_points(&config, InitScheme::V2Safe, &freqs);
-                let mut row = vec![f64::NAN; n_pstates];
-                for (&(p, freq), point) in seen.iter().zip(&points) {
-                    row[p] = point.power.total_w();
+                let mut load = vec![f64::NAN; states.len()];
+                for (&p, point) in seen.iter().zip(&points) {
+                    load[p] = point.power.total_w();
                     power_table.push(ClassPower {
                         sku: group.sku.name,
                         class: class.name,
-                        freq_mhz: freq,
+                        freq_mhz: states[p].freq_mhz,
                         applied_mhz: point.applied_mhz,
-                        watts: row[p],
+                        watts: load[p],
                     });
                 }
-                rows.push(row);
+
+                // P-state admission under the what-if power cap: a slot
+                // whose point exceeds the cap runs at the class's
+                // highest-power admissible P-state, or, with none, at its
+                // lowest-power one — counted as infeasible rather than
+                // silently passed. No cap is an infinite one, which
+                // admits every point. The draw itself is untouched, so
+                // the RNG streams of capped and uncapped runs stay
+                // aligned sample for sample.
+                let cap = cfg.power_cap_w.unwrap_or(f64::INFINITY);
+                let by_load = |a: &usize, b: &usize| load[*a].total_cmp(&load[*b]);
+                let listed = || class.pstates.iter().copied();
+                let target = listed()
+                    .filter(|&p| load[p] <= cap)
+                    .max_by(by_load)
+                    .or_else(|| listed().min_by(by_load))
+                    .expect("classes always have P-states");
+                sku.class_base.push(sku.lanes.len());
+                for p in listed() {
+                    let runs_at = if load[p] > cap { target } else { p };
+                    capped_points += usize::from(runs_at != p);
+                    infeasible_points += usize::from(load[runs_at] > cap);
+                    sku.lanes.push(Lane {
+                        delta: load[runs_at] - idle,
+                        remapped: runs_at != p,
+                    });
+                }
+
+                if *frac > 0.0 {
+                    let pstates = class.pstates.len() as u64;
+                    weights.push(*frac);
+                    sku.picks.push(ClassLane {
+                        duty_lo: class.duty.0,
+                        duty_span: class.duty.1 - class.duty.0,
+                        pstates,
+                        lemire_threshold: pstates.wrapping_neg() % pstates,
+                        lane_base: u32::try_from(sku.class_base[ci])
+                            .expect("a few lanes per job class"),
+                        class_idx: u16::try_from(ci).expect("class catalogue is tiny"),
+                    });
+                }
             }
-            table.push(rows);
-        }
+            // The `pick_weighted` fallback: past every threshold, the
+            // last positive-weight class wins.
+            let last = *sku.picks.last().expect("mix has a positive weight");
+            sku.picks.push(last);
+            for (i, t) in collapse_pick_chain(&weights, sku.total)
+                .into_iter()
+                .enumerate()
+            {
+                if i < 8 {
+                    sku.thresholds[i] = t;
+                } else {
+                    sku.spill.push(t);
+                }
+            }
+            lanes.push(sku);
 
-        // P-state admission under the what-if power cap:
-        // `remap[sku][class][pstate]` redirects a drawn P-state whose
-        // operating point exceeds the cap to the class's highest
-        // admissible one. The draw itself is untouched, so the RNG
-        // streams — and therefore capped/uncapped comparisons — stay
-        // aligned sample-for-sample. `capped_points` counts remapped
-        // *table cells*; the per-sample count is accumulated in the
-        // propose phase. A class with no admissible P-state keeps its
-        // lowest-power one and every still-over-cap cell is surfaced
-        // through `infeasible_points` instead of silently passing.
-        let mut capped_points = 0usize;
-        let mut infeasible_points = 0usize;
-        let remap: Vec<Vec<Vec<usize>>> = cfg
-            .groups
-            .iter()
-            .enumerate()
-            .map(|(sku_idx, group)| {
-                let n_pstates = group.sku.pstates.states.len();
-                classes
-                    .iter()
-                    .enumerate()
-                    .map(|(ci, (class, _))| {
-                        let mut m: Vec<usize> = (0..n_pstates).collect();
-                        if let Some(cap) = cfg.power_cap_w {
-                            let row = &table[sku_idx][ci];
-                            let admissible = class
-                                .pstates
-                                .iter()
-                                .copied()
-                                .filter(|&p| row[p] <= cap)
-                                .max_by(|&a, &b| row[a].total_cmp(&row[b]));
-                            let fallback = class
-                                .pstates
-                                .iter()
-                                .copied()
-                                .min_by(|&a, &b| row[a].total_cmp(&row[b]))
-                                .expect("classes always have P-states");
-                            let target = admissible.unwrap_or(fallback);
-                            for &p in class.pstates {
-                                if row[p] > cap && p != target {
-                                    m[p] = target;
-                                    capped_points += 1;
-                                }
-                                if row[m[p]] > cap {
-                                    infeasible_points += 1;
-                                }
-                            }
-                        }
-                        m
-                    })
-                    .collect()
-            })
-            .collect();
-
-        // Flatten the fleet into per-node work items. Node ids are
-        // global and stable, so per-node RNG streams (and therefore
-        // the samples) do not depend on grouping or thread count.
-        let mut items: Vec<NodeItem> = Vec::with_capacity(cfg.total_nodes() as usize);
-        let mut node_id = 0u32;
-        for (sku_idx, group) in cfg.groups.iter().enumerate() {
+            // Node ids are global and stable, so per-node RNG streams
+            // (and therefore the samples) do not depend on grouping or
+            // thread count.
             let samples = group.samples_per_node.unwrap_or(cfg.samples_per_node);
             for _ in 0..group.nodes {
+                let node_id = u32::try_from(items.len()).expect("node counts are u32");
                 items.push(NodeItem {
                     sku_idx,
                     node_id,
                     samples,
                 });
-                node_id += 1;
             }
         }
 
-        // Flattened per-SKU sampling tables for the batched composer:
-        // mix scan weights, packed per-class draw parameters and
-        // per-(class, drawn-P-state) power deltas laid out
-        // contiguously, with the cap remap pre-resolved into the
-        // lanes. Every value is built from the same operands the
-        // per-node reference path reads per sample — `duty.1 -
-        // duty.0`, `load - idle` — so the composed watts are
-        // bit-identical; the hot loop just stops chasing `JobClass`
-        // structs and nested `Vec` rows per sample.
-        let lanes: Vec<SkuLanes> = cfg
-            .groups
-            .iter()
-            .enumerate()
-            .map(|(si, _)| {
-                let idle = idle_w[si];
-                let rows = &table[si];
-                let remap_s = &remap[si];
-                let mut sku_lanes = SkuLanes {
-                    idle,
-                    floor_w: idle.min(cfg.cap_w),
-                    total: cfg.mix.total_fraction(),
-                    thresholds: [f64::INFINITY; 8],
-                    spill: Vec::new(),
-                    picks: Vec::new(),
-                    lanes: Vec::new(),
-                };
-                let mut weights = Vec::new();
-                for (ci, (class, frac)) in classes.iter().enumerate() {
-                    let pstates = class.pstates.len() as u64;
-                    let class_lane = ClassLane {
-                        duty_lo: class.duty.0,
-                        duty_span: class.duty.1 - class.duty.0,
-                        pstates,
-                        lemire_threshold: if pstates > 1 {
-                            pstates.wrapping_neg() % pstates
-                        } else {
-                            0
-                        },
-                        lane_base: u32::try_from(sku_lanes.lanes.len())
-                            .expect("a few lanes per job class"),
-                        class_idx: u16::try_from(ci).expect("class catalogue is tiny"),
-                    };
-                    if *frac > 0.0 {
-                        weights.push(*frac);
-                        sku_lanes.picks.push(class_lane);
-                    }
-                    for &p in class.pstates {
-                        let mapped = remap_s[ci][p];
-                        debug_assert!(!rows[ci][mapped].is_nan());
-                        sku_lanes.lanes.push(Lane {
-                            delta: rows[ci][mapped] - idle,
-                            remapped: mapped != p,
-                        });
-                    }
-                }
-                // The `pick_weighted` fallback: past every threshold,
-                // the last positive-weight class wins.
-                let last = *sku_lanes.picks.last().expect("mix has a positive weight");
-                sku_lanes.picks.push(last);
-                let collapsed = collapse_pick_chain(&weights, sku_lanes.total);
-                for (i, &t) in collapsed.iter().enumerate() {
-                    if i < 8 {
-                        sku_lanes.thresholds[i] = t;
-                    } else {
-                        sku_lanes.spill.push(t);
-                    }
-                }
-                sku_lanes
-            })
-            .collect();
-
         FleetPlan {
-            idle_w,
-            table,
-            remap,
             lanes,
             items,
             power_table,
@@ -1072,28 +1026,23 @@ impl FleetSim {
     /// per-state counters added to the shard's.
     fn propose_episode(&self, plan: &FleetPlan, item: &NodeItem, shard: &mut FleetShard) {
         let cfg = &self.config;
-        let cap = cfg.cap_w;
         let labelled = cfg.budget_w.is_some();
-        let idle = plan.idle_w[item.sku_idx];
-        let rows = &plan.table[item.sku_idx];
-        let remap = &plan.remap[item.sku_idx];
+        let sku = &plan.lanes[item.sku_idx];
         let mut capped_samples = 0usize;
         let mut walk = EpisodeWalk::new(&cfg.episodes, &cfg.mix, cfg.seed, item.node_id);
         for _ in 0..item.samples {
             let t = walk.next_tick();
+            // The tick's class and P-state slot name the lane an i.i.d.
+            // draw of the same pair reads.
             let p = match t.class {
-                None => idle,
+                None => sku.idle,
                 Some(ci) => {
-                    let pstate = remap[ci][t.pstate];
-                    if pstate != t.pstate {
-                        capped_samples += 1;
-                    }
-                    let load = rows[ci][pstate];
-                    debug_assert!(!load.is_nan());
-                    idle + t.duty * (load - idle)
+                    let lane = &sku.lanes[sku.class_base[ci] + t.pstate];
+                    capped_samples += usize::from(lane.remapped);
+                    sku.idle + t.duty * lane.delta
                 }
             };
-            shard.watts.push(p.min(cap));
+            shard.watts.push(p.min(cfg.cap_w));
             if labelled {
                 // fs2-lint: allow(checked-cast) -- episode state index is bounded by the class count; hot per-sample loop
                 shard.states.push(t.state as u16);
@@ -1394,59 +1343,127 @@ pub fn pooled_lag1_autocorr<'a>(per_node: impl IntoIterator<Item = &'a [f64]>) -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::jobs::JobClass;
+
+    /// The engine-evaluated load of `class` at P-state `p` on `sku`,
+    /// read from a run's power table.
+    fn table_load(table: &[ClassPower], sku: &fs2_arch::Sku, class: &JobClass, p: usize) -> f64 {
+        let freq_mhz = sku.pstates.states[p].freq_mhz;
+        table
+            .iter()
+            .find(|r| r.sku == sku.name && r.class == class.name && r.freq_mhz == freq_mhz)
+            .expect("every listed P-state is evaluated")
+            .watts
+    }
+
+    /// The P-state a draw of `class` at P-state `drawn` runs at under
+    /// `cap`, by the rule [`FleetConfig::power_cap_w`] states: a point
+    /// over the cap moves to the class's highest-power point under it,
+    /// or, with none, to its lowest-power one.
+    fn capped_pstate(
+        class: &JobClass,
+        drawn: usize,
+        cap: Option<f64>,
+        load: impl Fn(usize) -> f64,
+    ) -> usize {
+        match cap {
+            Some(cap) if load(drawn) > cap => {
+                let by_load = |a: &usize, b: &usize| load(*a).total_cmp(&load(*b));
+                let listed = || class.pstates.iter().copied();
+                listed()
+                    .filter(|&p| load(p) <= cap)
+                    .max_by(by_load)
+                    .or_else(|| listed().min_by(by_load))
+                    .expect("classes always have P-states")
+            }
+            _ => drawn,
+        }
+    }
 
     /// The per-node oracle for the i.i.d. sampler: every draw walks the
-    /// [`JobMix`]/[`crate::jobs::JobClass`] API and the nested power
-    /// tables, exactly as the historical hot loop did, and appends to
+    /// [`JobMix`]/[`JobClass`] API, takes the load from the
+    /// engine-evaluated `power_table` and the idle floor from the
+    /// engine, applies the power-cap rule itself, and appends to
     /// `shard` what the production sampler would (labels only under a
-    /// budget). The batched composer ([`SkuLanes`], the collapsed pick
-    /// chain, the lockstep fill) is pinned against it bit for bit.
+    /// budget). It reads nothing the plan derived from those points, so
+    /// the plan's lanes and the batched composer ([`SkuLanes`], the
+    /// collapsed pick chain, the lockstep fill) are pinned against it
+    /// bit for bit.
     fn propose_iid_reference(
         sim: &FleetSim,
-        plan: &FleetPlan,
+        registry: &EngineRegistry,
+        power_table: &[ClassPower],
         item: &NodeItem,
         shard: &mut FleetShard,
     ) {
-        let cap = sim.config.cap_w;
-        let mix = &sim.config.mix;
-        let idle = plan.idle_w[item.sku_idx];
-        let rows = &plan.table[item.sku_idx];
-        let remap = &plan.remap[item.sku_idx];
-        let mut rng = rng_for(sim.config.seed, item.node_id);
+        let cfg = &sim.config;
+        let sku = &cfg.groups[item.sku_idx].sku;
+        let idle = registry.engine(sku).idle_power_w();
+        let mut rng = rng_for(cfg.seed, item.node_id);
         for _ in 0..item.samples {
-            let ci = mix.pick_idx(&mut rng);
-            let class = &mix.classes()[ci].0;
+            let ci = cfg.mix.pick_idx(&mut rng);
+            let class = &cfg.mix.classes()[ci].0;
             let duty = class.draw_duty(&mut rng);
-            let drawn = class.draw_pstate(&mut rng);
-            let pstate = remap[ci][drawn];
-            if pstate != drawn {
-                shard.capped_samples += 1;
-            }
-            let load = rows[ci][pstate];
-            assert!(!load.is_nan());
-            shard.watts.push((idle + duty * (load - idle)).min(cap));
-            if sim.config.budget_w.is_some() {
+            let drawn = class.pstates[class.draw_pstate(&mut rng)];
+            let load = |p| table_load(power_table, sku, class, p);
+            let runs_at = capped_pstate(class, drawn, cfg.power_cap_w, load);
+            shard.capped_samples += usize::from(runs_at != drawn);
+            shard
+                .watts
+                .push((idle + duty * (load(runs_at) - idle)).min(cfg.cap_w));
+            if cfg.budget_w.is_some() {
                 shard.states.push(u16::try_from(ci + 1).unwrap());
             }
         }
     }
 
+    /// `(capped_points, infeasible_points)` by the cap rule, over every
+    /// node group, job class and listed P-state.
+    fn cap_counts_reference(cfg: &FleetConfig, power_table: &[ClassPower]) -> (usize, usize) {
+        let Some(cap) = cfg.power_cap_w else {
+            return (0, 0);
+        };
+        let (mut capped, mut infeasible) = (0, 0);
+        for group in &cfg.groups {
+            for (class, _) in cfg.mix.classes() {
+                let load = |p| table_load(power_table, &group.sku, class, p);
+                for &p in class.pstates {
+                    let runs_at = capped_pstate(class, p, Some(cap), load);
+                    capped += usize::from(runs_at != p);
+                    infeasible += usize::from(load(runs_at) > cap);
+                }
+            }
+        }
+        (capped, infeasible)
+    }
+
     /// A whole run through the oracle: a cold registry, every node
     /// proposed one after another into one full-range shard (the
     /// reference sampler in i.i.d. mode), then the production merge —
-    /// no shard split, no lockstep fill.
+    /// no shard split, no lockstep fill — with the cap counters
+    /// recounted by the cap rule.
     fn run_reference(sim: &FleetSim) -> FleetRun {
         let registry = EngineRegistry::with_seed(sim.config.seed);
         let plan = sim.plan(&registry);
         let mut shard = sim.empty_shard(&plan, 0, plan.total_nodes());
         for item in &plan.items {
             match sim.config.temporal {
-                TemporalMode::Iid => propose_iid_reference(sim, &plan, item, &mut shard),
+                TemporalMode::Iid => {
+                    propose_iid_reference(sim, &registry, &plan.power_table, item, &mut shard)
+                }
                 TemporalMode::Episodes => sim.propose_episode(&plan, item, &mut shard),
             }
         }
-        sim.try_merge_shards(&registry, &plan, vec![shard])
-            .expect("one full-range shard tiles the node range")
+        let run = sim
+            .try_merge_shards(&registry, &plan, vec![shard])
+            .expect("one full-range shard tiles the node range");
+        let (capped_points, infeasible_points) =
+            cap_counts_reference(&sim.config, &run.power_table);
+        FleetRun {
+            capped_points,
+            infeasible_points,
+            ..run
+        }
     }
 
     /// `plan` → `run_shard` over `ranges`, in the order given →
@@ -1467,17 +1484,16 @@ mod tests {
     /// ones, and a `medium` class that lists P-state 2 twice.
     fn hand_built_mix() -> JobMix {
         let taurus = JobMix::taurus_haswell();
-        let class =
-            |spec_of: &str, name: &'static str, pstates: &'static [usize]| crate::jobs::JobClass {
-                name,
-                pstates,
-                ..taurus
-                    .classes()
-                    .iter()
-                    .find(|(c, _)| c.name == spec_of)
-                    .expect("a Taurus class")
-                    .0
-            };
+        let class = |spec_of: &str, name: &'static str, pstates: &'static [usize]| JobClass {
+            name,
+            pstates,
+            ..taurus
+                .classes()
+                .iter()
+                .find(|(c, _)| c.name == spec_of)
+                .expect("a Taurus class")
+                .0
+        };
         JobMix::new(vec![
             (class("idle", "idle", &[2]), 0.30),
             (class("low", "parked", &[0]), 0.0),
@@ -1836,7 +1852,7 @@ mod tests {
 
     #[test]
     fn capped_samples_counts_per_sample_and_is_thread_invariant() {
-        // Regression: `capped_points` counts static remap-table cells
+        // Regression: `capped_points` counts the plan's static lanes
         // (the CLI's per-sample claim was wrong); `capped_samples` is
         // the per-sample count, accumulated in node input order.
         for temporal in [TemporalMode::Iid, TemporalMode::Episodes] {
@@ -1857,11 +1873,11 @@ mod tests {
                 "{temporal:?}: capped_samples depends on thread count"
             );
             assert!(a.capped_samples > 0, "{temporal:?}: cap clamped nothing");
-            // The static table count is far smaller than the drawn
+            // The static lane count is far smaller than the drawn
             // total and unchanged between the two runs.
             assert_eq!(a.capped_points, b.capped_points);
             assert!(a.capped_points > 0);
-            assert!(a.capped_points < 50, "table cells, not samples");
+            assert!(a.capped_points < 50, "lanes, not samples");
             assert!(a.capped_samples > a.capped_points);
             // Uncapped runs report zero on both counters.
             let uncapped = FleetSim::new(FleetConfig {
@@ -1886,8 +1902,9 @@ mod tests {
             run.infeasible_points > 0,
             "cap below a whole class must surface infeasible points"
         );
-        // 150 W is under every operating point: every drawable cell is
-        // infeasible (one per evaluated (SKU, class, P-state)).
+        // 150 W is under every operating point: every lane is
+        // infeasible (the Taurus classes list no P-state twice, so
+        // there is one lane per evaluated (SKU, class, P-state)).
         let drawable = run.power_table.len();
         assert_eq!(run.infeasible_points, drawable);
         // A 300 W cap remaps the multi-P-state classes, but the
@@ -1907,6 +1924,16 @@ mod tests {
         assert_eq!(ok.infeasible_points, 0);
         // No cap: no accounting at all.
         assert_eq!(small_fleet().run().infeasible_points, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "power_cap_w must be a positive wattage, got NaN")]
+    fn nan_power_cap_is_rejected() {
+        // Regression: a NaN cap admitted no comparison, so it ran
+        // uncapped with nothing counted.
+        let mut cfg = small_fleet().config;
+        cfg.power_cap_w = Some(f64::NAN);
+        let _ = FleetSim::new(cfg);
     }
 
     #[test]
@@ -2490,6 +2517,32 @@ mod tests {
                     budget_w: Some(63.0 * 150.0),
                     budget_policy: BudgetPolicy::Defer,
                     power_cap_w: Some(250.0),
+                    ..FleetConfig::taurus_haswell_scaled(63)
+                },
+            ),
+            (
+                // Every class at P-states 0-2 under 260 W: `idle` is over
+                // the cap at P0 and under it at both P1 and P2, so the
+                // cap must pick the higher-power admissible point.
+                "every P-state, iid + cap",
+                FleetConfig {
+                    samples_per_node: 200,
+                    mix: JobMix::new(
+                        JobMix::taurus_haswell()
+                            .classes()
+                            .iter()
+                            .map(|&(c, w)| {
+                                (
+                                    JobClass {
+                                        pstates: &[0, 1, 2],
+                                        ..c
+                                    },
+                                    w,
+                                )
+                            })
+                            .collect(),
+                    ),
+                    power_cap_w: Some(260.0),
                     ..FleetConfig::taurus_haswell_scaled(63)
                 },
             ),

@@ -26,7 +26,8 @@ pub struct JobClass {
     /// duty is drawn uniformly per 60 s sample.
     pub duty: (f64, f64),
     /// Indices into the SKU's P-state table the scheduler may select
-    /// for this class; one is drawn per sample.
+    /// for this class; one slot of this list is drawn per sample, so a
+    /// P-state listed twice is drawn twice as often.
     pub pstates: &'static [usize],
 }
 
@@ -54,12 +55,14 @@ impl JobClass {
         rng.gen_range(self.duty.0..self.duty.1)
     }
 
-    /// Draws one P-state index (into the SKU table) from the band.
+    /// Draws one slot of [`JobClass::pstates`]; `pstates[slot]` is the
+    /// P-state index into the SKU table. A one-P-state class consumes
+    /// no draw.
     pub fn draw_pstate(&self, rng: &mut StdRng) -> usize {
         if self.pstates.len() == 1 {
-            self.pstates[0]
+            0
         } else {
-            self.pstates[rng.gen_range(0..self.pstates.len())]
+            rng.gen_range(0..self.pstates.len())
         }
     }
 }
@@ -153,31 +156,31 @@ impl JobMix {
 
     /// Draws the class index for one node-minute.
     pub fn pick_idx(&self, rng: &mut StdRng) -> usize {
-        self.pick_weighted(rng.gen_range(0.0..self.total))
+        pick_weighted(
+            self.classes.iter().map(|&(_, w)| w),
+            rng.gen_range(0.0..self.total),
+        )
     }
+}
 
-    /// Draws the class for one node-minute.
-    pub fn pick<'a>(&'a self, rng: &mut StdRng) -> &'a JobClass {
-        &self.classes[self.pick_idx(rng)].0
-    }
-
-    /// Maps a draw `x ∈ [0, total]` to a class index. Floating-point
-    /// rounding can leave `x` at or past the last positive weight; the
-    /// fallthrough must land on the last class that can actually occur,
-    /// never on a trailing zero-weight class.
-    fn pick_weighted(&self, mut x: f64) -> usize {
-        let mut last_weighted = 0;
-        for (i, (_, frac)) in self.classes.iter().enumerate() {
-            if *frac > 0.0 {
-                if x < *frac {
-                    return i;
-                }
-                last_weighted = i;
+/// Maps a draw `x ∈ [0, total]` to an index of `weights` by the
+/// subtract/compare chain: the first `i` with `x < w_i`, after the
+/// weights before it are subtracted. Floating-point rounding can leave
+/// `x` at or past the last positive weight; the fallthrough lands on
+/// the last index that can actually occur, never on a zero weight.
+/// Job-mix class picks and episode transitions both draw through it.
+pub(crate) fn pick_weighted(weights: impl IntoIterator<Item = f64>, mut x: f64) -> usize {
+    let mut last_weighted = 0;
+    for (i, w) in weights.into_iter().enumerate() {
+        if w > 0.0 {
+            if x < w {
+                return i;
             }
-            x -= frac;
+            last_weighted = i;
         }
-        last_weighted
+        x -= w;
     }
+    last_weighted
 }
 
 #[cfg(test)]
@@ -214,7 +217,7 @@ mod tests {
         let n = 100_000;
         let mut idle = 0u32;
         for _ in 0..n {
-            if mix.pick(&mut rng).name == "idle" {
+            if mix.classes()[mix.pick_idx(&mut rng)].0.name == "idle" {
                 idle += 1;
             }
         }
@@ -228,8 +231,8 @@ mod tests {
         let mut a = StdRng::seed_from_u64(7);
         let mut b = StdRng::seed_from_u64(7);
         for _ in 0..100 {
-            let ca = mix.pick(&mut a);
-            let cb = mix.pick(&mut b);
+            let ca = &mix.classes()[mix.pick_idx(&mut a)].0;
+            let cb = &mix.classes()[mix.pick_idx(&mut b)].0;
             assert_eq!(ca.name, cb.name);
             assert_eq!(ca.draw_duty(&mut a), cb.draw_duty(&mut b));
             assert_eq!(ca.draw_pstate(&mut a), cb.draw_pstate(&mut b));
@@ -241,7 +244,7 @@ mod tests {
         let mix = JobMix::taurus_haswell();
         let mut rng = StdRng::seed_from_u64(9);
         for _ in 0..20_000 {
-            let class = mix.pick(&mut rng);
+            let class = &mix.classes()[mix.pick_idx(&mut rng)].0;
             let duty = class.draw_duty(&mut rng);
             assert!(
                 (class.duty.0..class.duty.1).contains(&duty),
@@ -249,8 +252,8 @@ mod tests {
                 class.name,
                 class.duty
             );
-            let p = class.draw_pstate(&mut rng);
-            assert!(class.pstates.contains(&p));
+            let slot = class.draw_pstate(&mut rng);
+            assert!(slot < class.pstates.len());
         }
     }
 
@@ -272,13 +275,14 @@ mod tests {
         ]);
         // Exact-total and past-total draws (what fp rounding produces)
         // must land on the last *weighted* class.
-        assert_eq!(mix.pick_weighted(mix.total_fraction()), 1);
-        assert_eq!(mix.pick_weighted(mix.total_fraction() + 1.0), 1);
-        assert_eq!(mix.pick_weighted(f64::INFINITY), 1);
+        let weights = || mix.classes().iter().map(|&(_, w)| w);
+        assert_eq!(pick_weighted(weights(), mix.total_fraction()), 1);
+        assert_eq!(pick_weighted(weights(), mix.total_fraction() + 1.0), 1);
+        assert_eq!(pick_weighted(weights(), f64::INFINITY), 1);
         // And ordinary draws never produce it either.
         let mut rng = StdRng::seed_from_u64(3);
         for _ in 0..50_000 {
-            assert_ne!(mix.pick(&mut rng).name, "disabled");
+            assert_ne!(mix.pick_idx(&mut rng), 2);
         }
     }
 
