@@ -243,7 +243,15 @@ impl Trace {
     /// labels replay each node's `EpisodeWalk` — a pure function of
     /// `(cfg.seed, node_id)`, exactly the stream the fleet's propose
     /// phase consumed — so the labels match the run tick for tick.
+    ///
+    /// Panics when `cfg` sets a fleet budget: the replayed walks are
+    /// what the nodes proposed, and a budget sheds or defers some of
+    /// those proposals, so labels and emitted samples would disagree.
     pub fn from_fleet(cfg: &FleetConfig, samples: &[f64]) -> Trace {
+        assert!(
+            cfg.budget_w.is_none(),
+            "from_fleet labels the proposed walks, which a fleet budget does not emit"
+        );
         let names = cfg.episodes.state_names();
         let mut seen = FirstSeen::new(names.len());
         let mut nodes = Vec::new();
@@ -513,6 +521,19 @@ mod tests {
         let trace = Trace::from_fleet(&cfg, &run.samples);
         let back = Trace::from_csv(&trace.to_csv()).unwrap();
         assert_eq!(back, trace);
+    }
+
+    #[test]
+    #[should_panic(expected = "which a fleet budget does not emit")]
+    fn a_budgeted_fleet_cannot_be_labeled() {
+        let cfg = FleetConfig {
+            samples_per_node: 20,
+            temporal: TemporalMode::Episodes,
+            budget_w: Some(900.0),
+            ..FleetConfig::taurus_haswell_scaled(8)
+        };
+        let run = FleetSim::new(cfg.clone()).run();
+        let _ = Trace::from_fleet(&cfg, &run.samples);
     }
 
     #[test]

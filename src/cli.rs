@@ -254,8 +254,9 @@ FLEET CALIBRATION
                                   a calibrated profile (forces episode
                                   mode; the profile rides the request)
   --emit-trace PATH               write the labeled per-node trace of a
-                                  --fleet episode run to PATH, in the
-                                  format --calibrate consumes
+                                  --fleet episode run without --budget-w
+                                  to PATH, in the format --calibrate
+                                  consumes
 
 OPTIMIZATION (§III-C)
   --optimize=NSGA2                run the self-tuning loop
@@ -724,14 +725,21 @@ fn print_fleet_reply(
 }
 
 /// The fleet configuration an `--emit-trace` run labels, checked
-/// before the fleet runs: only episode runs carry state labels, and
-/// every trace node needs two ticks for a lag-1 pair.
+/// before the fleet runs: only episode runs carry state labels, the
+/// labels replay the proposed walks, which a budget does not emit as
+/// proposed, and every trace node needs two ticks for a lag-1 pair.
 fn emit_trace_config(req: &FleetRequest) -> Result<fs2_cluster::FleetConfig, CliError> {
     let fleet_cfg = req.to_config();
     if fleet_cfg.temporal != fs2_cluster::TemporalMode::Episodes {
         return Err(err(
             "--emit-trace needs --fleet-temporal episodes or --profile \
              (i.i.d. minutes carry no episode labels)",
+        ));
+    }
+    if fleet_cfg.budget_w.is_some() {
+        return Err(err(
+            "--emit-trace cannot label a --budget-w run \
+             (the labels replay the proposed walks, not the shed or deferred ticks)",
         ));
     }
     // The CLI's fleets have no per-group sample override, so every
@@ -1583,6 +1591,15 @@ mod tests {
             trace.display()
         )))
         .is_err());
+        assert!(!trace.exists(), "a rejected run wrote {}", trace.display());
+        // So is a budgeted run, whose sheds and defers the labels miss.
+        let e = run(&args(&format!(
+            "--fleet --fleet-temporal episodes --nodes 8 --samples-per-node 200 \
+             --budget-w 900 --emit-trace {}",
+            trace.display()
+        )))
+        .unwrap_err();
+        assert!(e.to_string().contains("--budget-w"), "{e}");
         assert!(!trace.exists(), "a rejected run wrote {}", trace.display());
     }
 
